@@ -9,7 +9,9 @@ never written into artifacts, which keeps re-runs byte-identical.
 
 from __future__ import annotations
 
+import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -254,7 +256,14 @@ def run_scenario(
         metrics, used, misses, flags, artifacts = _DISPATCH[scenario.kind](
             scenario, tol, out_dir, used_formats
         )
-    except ReclockError as exc:
+    except Exception as exc:
+        if isinstance(exc, ReclockError):
+            detail = f"{type(exc).__name__}: {exc}"
+        else:
+            # A bug outside the library's own error hierarchy: keep its
+            # traceback, and fail this scenario instead of the whole batch.
+            traceback.print_exc(file=sys.stderr)
+            detail = f"internal error: {type(exc).__name__}: {exc}"
         return RunSummary(
             name=scenario.name,
             kind=scenario.kind.value,
@@ -263,7 +272,7 @@ def run_scenario(
             tolerances={},
             artifacts=(),
             wall_time_s=time.perf_counter() - start,
-            detail=f"{type(exc).__name__}: {exc}",
+            detail=detail,
         )
     wall = time.perf_counter() - start
 

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from reclock import runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
-from reclock.runner import TOLERANCE_PROFILES, run_many
-from reclock.scenario import parse_scenario
+from reclock.runner import TOLERANCE_PROFILES, Status, run_many
+from reclock.scenario import ScenarioKind, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -274,3 +275,22 @@ def test_run_many_validates_jobs(tmp_path):
 
     with pytest.raises(ValidationError, match="jobs"):
         run_many([q], out_root=str(tmp_path / "r"), jobs=0)
+
+
+def test_unexpected_exception_fails_one_scenario_not_the_batch(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("dispatch exploded")
+
+    monkeypatch.setitem(runner._DISPATCH, ScenarioKind.CLASSICAL_EQUIVALENCE, broken)
+    c = _write(tmp_path, CLASSICAL_TEXT, "c.scenario")
+    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    summaries = run_many([c, q], out_root=str(tmp_path / "r"))
+    assert [s.status for s in summaries] == [Status.FAIL, Status.PASS]
+    assert summaries[0].detail == "internal error: RuntimeError: dispatch exploded"
+    assert summaries[0].metrics == {} and summaries[0].artifacts == ()
+    assert "Traceback" in capsys.readouterr().err
+
+    assert entrypoint(["run", c, q, "--out", str(tmp_path / "r2")]) == 1
+    stdout = capsys.readouterr().out
+    assert "internal error: RuntimeError: dispatch exploded" in stdout
+    assert "Pass" in stdout

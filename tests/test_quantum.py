@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_banded
 
+import reclock.quantum as quantum
 from reclock.errors import (
     ClockDomainError,
     NumericalError,
@@ -13,13 +15,16 @@ from reclock.errors import (
 )
 from reclock.model import (
     ClockKind,
+    DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
     IdentityMap,
     LinearMap,
+    MovingWellPotential,
     PhysicalConstants,
     PotentialSpec,
     SinePerturbedMap,
+    SmoothRampMap,
     SpatialGrid,
     Wavefunction,
     prepare_gaussian,
@@ -362,3 +367,137 @@ def test_evolution_record_validation():
     stalled = Snapshot(clock=0.0, state=GROUND, norm=1.0, energy=0.5)
     with pytest.raises(ValidationError, match="increasing"):
         EvolutionRecord(clock_kind=ClockKind.CONVENTIONAL_T, snapshots=(snap, stalled))
+
+
+def _banded_reference_run(psi0, pot, span, cfg, timemap=None, landmarks=(), landmarks_only=False):
+    """Crank-Nicolson as first written: the (3, m) band matrix handed to
+    scipy's ``solve_banded``. Returns (clock, amplitudes, energy) for every
+    recorded step, for float-for-float comparison with the library kernel."""
+    grid = psi0.grid
+    hbar, dx = CST.hbar, grid.dx
+    x_int = grid.points()[1:-1]
+    kin = hbar**2 / (2.0 * CST.mass * dx**2)
+    m = grid.n_points - 2
+    bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
+    last = len(bounds) - 1
+    if landmarks_only:
+        lmset = set(float(v) for v in landmarks)
+        record_at = {0} | {i for i, bv in enumerate(bounds) if bv in lmset}
+    else:
+        record_at = set(range(0, last + 1, cfg.record_every)) | {last}
+
+    def generator_at(clock):
+        if timemap is None:
+            return 1.0, clock
+        return float(timemap.rate(clock)), float(timemap.value(clock))
+
+    def potential(t):
+        v = np.asarray(pot.value(t, x_int), dtype=float)
+        return np.full(x_int.shape, float(v)) if v.ndim == 0 else v
+
+    def record(clock, amps):
+        pref, teval = generator_at(clock)
+        h = np.zeros_like(amps)
+        h[1:-1] = -kin * (amps[2:] - 2.0 * amps[1:-1] + amps[:-2]) + potential(teval) * amps[1:-1]
+        energy = pref * float(np.real(np.vdot(amps, h)) * dx)
+        return clock, amps, energy
+
+    amps = np.array(psi0.amplitudes, dtype=complex)
+    out = [record(bounds[0], amps)]
+    u = amps[1:-1].copy()
+    ab = np.empty((3, m), dtype=complex)
+    for n in range(last):
+        step = bounds[n + 1] - bounds[n]
+        mid = bounds[n] + 0.5 * step
+        pref, teval = generator_at(mid)
+        diag = pref * (2.0 * kin + potential(teval))
+        off = -pref * kin
+        lam = 0.5 * step / hbar
+        rhs = (1.0 - 1j * lam * diag) * u
+        rhs[:-1] -= (1j * lam * off) * u[1:]
+        rhs[1:] -= (1j * lam * off) * u[:-1]
+        ab[0, 0] = 0.0
+        ab[0, 1:] = 1j * lam * off
+        ab[1, :] = 1.0 + 1j * lam * diag
+        ab[2, :-1] = 1j * lam * off
+        ab[2, -1] = 0.0
+        u = solve_banded((1, 1), ab, rhs, check_finite=False, overwrite_b=True)
+        if n + 1 in record_at:
+            full = np.zeros(grid.n_points, dtype=complex)
+            full[1:-1] = u
+            out.append(record(bounds[n + 1], full))
+    return out
+
+
+def _assert_record_matches(record, reference):
+    assert len(record.snapshots) == len(reference)
+    for snap, (clock, amps, energy) in zip(record.snapshots, reference):
+        assert snap.clock == clock
+        assert np.array_equal(snap.state.amplitudes, amps)
+        assert snap.energy == energy
+
+
+_EQUIV_SPAN = (0.0, 0.4)
+_EQUIV_CLOCKS = {
+    "identity": IdentityMap(domain=_EQUIV_SPAN),
+    "linear": LinearMap(alpha=0.7, domain=_EQUIV_SPAN),
+    "sine": SinePerturbedMap(amplitude=0.3, frequency=2.0, domain=_EQUIV_SPAN),
+    "smooth-ramp": SmoothRampMap(
+        rate_start=1.0, rate_end=1.8, center=0.2, sharpness=0.05, domain=_EQUIV_SPAN
+    ),
+}
+_EQUIV_POTENTIALS = {
+    "harmonic": HarmonicPotential(),
+    "driven": DrivenHarmonicPotential(omega0=1.0, ramp=0.5),
+    "moving-well": MovingWellPotential(center0=0.5, velocity=1.0, stiffness=2.0),
+}
+
+
+@pytest.mark.parametrize("pot_name", sorted(_EQUIV_POTENTIALS))
+@pytest.mark.parametrize("clock_name", sorted(_EQUIV_CLOCKS))
+def test_kernel_matches_the_banded_reference_float_for_float(clock_name, pot_name):
+    tmap, pot = _EQUIV_CLOCKS[clock_name], _EQUIV_POTENTIALS[pot_name]
+    psi0 = prepare_gaussian(SpatialGrid(-12.0, 12.0, 192), 0.5, 1.0, momentum=0.7)
+    cfg = PropagatorConfig(dt=7e-3, record_every=6)
+
+    _assert_record_matches(
+        propagate_t(psi0, pot, CST, _EQUIV_SPAN, cfg),
+        _banded_reference_run(psi0, pot, _EQUIV_SPAN, cfg),
+    )
+    tau_ref = _banded_reference_run(psi0, pot, _EQUIV_SPAN, cfg, timemap=tmap)
+    _assert_record_matches(propagate_tau(psi0, pot, CST, tmap, _EQUIV_SPAN, cfg), tau_ref)
+
+    report = covariance_experiment(
+        CovarianceScenario(CST, pot, tmap, psi0, _EQUIV_SPAN, cfg)
+    )
+    _assert_record_matches(report.tau_record, tau_ref)
+    t_marks = np.array([float(tmap.value(clock)) for clock, _, _ in tau_ref])
+    t_ref = _banded_reference_run(
+        psi0, pot, (t_marks[0], t_marks[-1]), cfg, landmarks=t_marks[1:], landmarks_only=True
+    )
+    _assert_record_matches(report.t_record, t_ref)
+    assert np.array_equal(report.energy_t, [energy for _, _, energy in t_ref])
+    assert np.array_equal(report.energy_tau, [energy for _, _, energy in tau_ref])
+    if clock_name == "identity":
+        assert report.max_energy_transform_residual == 0.0
+
+
+@pytest.mark.parametrize("info", [2, -4])
+def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeypatch, info):
+    real_get = quantum.get_lapack_funcs
+
+    def get_failing(names, arrays):
+        (gtsv,) = real_get(names, arrays)
+        calls = []
+
+        def failing_gtsv(*args):
+            result = gtsv(*args)
+            calls.append(None)
+            return result[:-1] + (info,) if len(calls) == 4 else result
+
+        return (failing_gtsv,)
+
+    monkeypatch.setattr(quantum, "get_lapack_funcs", get_failing)
+    cfg = PropagatorConfig(dt=1e-2)
+    with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
+        propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
