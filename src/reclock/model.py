@@ -206,7 +206,10 @@ class SmoothRampMap(TimeMap):
         return lo + self.rate_start * (tau - lo) + (self.rate_end - self.rate_start) * s * ramp
 
     def rate(self, tau):
-        sig = 1.0 / (1.0 + np.exp(-(tau - self.center) / self.sharpness))
+        # Far before a sharp ramp exp overflows to inf, and sig = 0.0 is the
+        # exact limit, so the overflow is expected and silenced.
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-(tau - self.center) / self.sharpness))
         return self.rate_start + (self.rate_end - self.rate_start) * sig
 
 

@@ -1,6 +1,7 @@
 """Domain types: clock maps, potentials, grids, wavefunctions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ def test_smooth_ramp_map_anchoring_and_rate():
         assert fd == pytest.approx(m.rate(tau), rel=1e-8)
     with pytest.raises(ValidationError, match="positive"):
         SmoothRampMap(rate_start=-1.0, rate_end=2.0, center=0.5, sharpness=0.1)
+
+
+def test_smooth_ramp_sharp_ramp_is_warning_free():
+    # Far before a sharp ramp exp(-(tau - center)/sharpness) overflows; the
+    # rate must still be the exact plateau and raise no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SmoothRampMap(1.0, 2.0, 5.0, 1e-3, domain=(0.0, 10.0))
+        assert m.rate(0.0) == 1.0
+        assert m.rate(10.0) == 2.0
 
 
 def test_eval_timemap_rejects_out_of_domain():

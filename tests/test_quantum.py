@@ -1,6 +1,7 @@
 """Crank-Nicolson propagation in both clocks and the matched-run comparison."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ def test_step_boundaries_ladder_and_landing():
         _step_boundaries(0.0, 1.0, 0.25, landmarks=[1.5])
     with pytest.raises(ValidationError, match="span"):
         _step_boundaries(1.0, 0.0, 0.25)
+
+
+def test_step_boundaries_rejects_landing_times_closer_than_the_snap():
+    # The second time would be snapped onto the first and silently lost.
+    msg = r"landing times 0\.5 and 0\.500000000001 are closer than the minimum separation 1e-10"
+    with pytest.raises(ValidationError, match=msg):
+        _step_boundaries(0.0, 1.0, 0.1, [0.5, 0.5 + 1e-12])
+    # Just beyond the snap distance both land, each on its own boundary.
+    bounds = _step_boundaries(0.0, 1.0, 0.1, [0.5, 0.5 + 2e-10])
+    assert 0.5 in bounds and 0.5 + 2e-10 in bounds
 
 
 def test_propagate_t_stationary_state_accrues_only_phase():
@@ -501,3 +512,75 @@ def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeyp
     cfg = PropagatorConfig(dt=1e-2)
     with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
         propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
+
+
+class _BlowsUpAfter(PotentialSpec):
+    """Harmonic well that turns infinite for t > t_bad."""
+
+    def __init__(self, t_bad):
+        self.t_bad = t_bad
+
+    def value(self, t, x):
+        return np.where(t > self.t_bad, np.inf, 0.5 * x * x)
+
+    def gradient_x(self, t, x):
+        return x
+
+
+class _ConstantArrayPotential(PotentialSpec):
+    """_ScalarPotential's value as a full array of the broadcast shape."""
+
+    def value(self, t, x):
+        return np.full(np.broadcast_shapes(np.shape(t), np.shape(x)), 0.25)
+
+    def gradient_x(self, t, x):
+        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
+
+
+def _step_tevals(span, dt, tmap=None):
+    bounds = _step_boundaries(span[0], span[1], dt)
+    mids = [lo + 0.5 * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    return [mid if tmap is None else float(tmap.value(mid)) for mid in mids]
+
+
+@pytest.mark.parametrize("where", ["first step", "mid block", "first of next block"])
+def test_non_finite_potential_raises_naming_the_first_bad_step(where):
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=10**6)
+    block = quantum._BLOCK_POINTS // (GRID.n_points - 2)
+    bad = {"first step": 0, "mid block": block // 2, "first of next block": block}[where]
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=2.0, domain=span)
+    for clock in (None, tmap):
+        tevals = _step_tevals(span, cfg.dt, clock)
+        assert len(tevals) > 2 * block
+        # V is finite up to and including step bad - 1 and at the t=0 snapshot.
+        pot = _BlowsUpAfter(tevals[bad - 1] if bad else 0.0)
+        msg = re.escape(f"potential produced non-finite values at t={tevals[bad]}") + "$"
+        with pytest.raises(NumericalError, match=msg):
+            if clock is None:
+                propagate_t(GROUND, pot, CST, span, cfg)
+            else:
+                propagate_tau(GROUND, pot, CST, clock, span, cfg)
+
+
+def test_non_finite_potential_at_a_snapshot_is_reported_before_the_next_step():
+    # The snapshot closing step k is taken before step k + 1 runs, so it is
+    # the first evaluation to see the bad potential, even inside a block.
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=1)
+    tevals = _step_tevals(span, cfg.dt)
+    bounds = _step_boundaries(span[0], span[1], cfg.dt)
+    with pytest.raises(NumericalError, match=re.escape(f"at t={bounds[6]}") + "$"):
+        propagate_t(GROUND, _BlowsUpAfter(tevals[5]), CST, span, cfg)
+
+
+def test_scalar_and_array_potentials_give_identical_runs():
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=7)
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=2.0, domain=span)
+    runs = [
+        (propagate_t(GROUND, pot, CST, span, cfg), propagate_tau(GROUND, pot, CST, tmap, span, cfg))
+        for pot in (_ScalarPotential(), _ConstantArrayPotential())
+    ]
+    for scalar_rec, array_rec in zip(*runs):
+        assert len(scalar_rec.snapshots) == len(array_rec.snapshots) > 2
+        for a, b in zip(scalar_rec.snapshots, array_rec.snapshots):
+            assert a.clock == b.clock and a.energy == b.energy
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
