@@ -16,7 +16,7 @@ import sys
 from importlib.resources import files
 
 from .errors import ScenarioError, ValidationError
-from .runner import TOLERANCE_PROFILES, RunSummary, Status, run_many
+from .runner import TOLERANCE_PROFILES, RunSummary, Status, run_many, run_scenarios
 from .scenario import ScenarioKind, parse_scenario
 
 
@@ -98,16 +98,10 @@ def _aggregate_exit(summaries) -> int:
     return 0
 
 
-def _cmd_run(paths, args) -> int:
-    scenarios = []
-    for path in paths:
-        try:
-            scenarios.append(parse_scenario(path))
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    summaries = run_many(
-        paths,
+def _cmd_run(args, run, items) -> int:
+    """Execute ``items`` with ``run`` (run_many on paths, run_scenarios on scenarios)."""
+    summaries = run(
+        items,
         out_root=args.out,
         formats=_resolve_formats(args.format),
         profile=args.profile,
@@ -119,11 +113,7 @@ def _cmd_run(paths, args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        scenario = parse_scenario(args.file)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = parse_scenario(args.file)
     if scenario.kind is not ScenarioKind.CONVERGENCE_SWEEP:
         print(
             f"error: {args.file}: sweep requires kind = convergence_sweep, "
@@ -131,7 +121,7 @@ def _cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    return _cmd_run([args.file], args)
+    return _cmd_run(args, run_scenarios, [scenario])
 
 
 def _cmd_validate(paths) -> int:
@@ -167,13 +157,14 @@ def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args.files, args)
+            return _cmd_run(args, run_many, args.files)
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "validate":
             return _cmd_validate(args.files)
         return _cmd_catalogue()
     except ValidationError as exc:
+        # Includes ScenarioError: a bad file exits 2 before any run starts.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -83,6 +84,14 @@ class TimeMap(abc.ABC):
         slack = 1e-9 * max(1.0, abs(lo), abs(hi))
         return (lo - slack) <= tau <= (hi + slack)
 
+    def require(self, *taus: float) -> None:
+        """Raise ClockDomainError for the first tau outside the domain."""
+        for tau in taus:
+            if not self.contains(tau):
+                raise ClockDomainError(
+                    f"tau = {tau} outside the domain {self.domain} of {type(self).__name__}"
+                )
+
     def _dense_rate_check(self):
         # Generic fallback for families without an everywhere-analytic bound:
         # sample the rate densely and require a positive margin.
@@ -95,22 +104,6 @@ class TimeMap(abc.ABC):
                 f"{type(self).__name__} is not monotone on {self.domain}: "
                 f"min clock rate {worst:.3e} violates dT/dtau > 0"
             )
-
-
-@dataclass(frozen=True)
-class IdentityMap(TimeMap):
-    """The gauge choice T(tau) = tau; rate is exactly 1."""
-
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "domain", _check_domain_field(self.domain))
-
-    def value(self, tau):
-        return np.positive(tau) if isinstance(tau, np.ndarray) else float(tau)
-
-    def rate(self, tau):
-        return np.ones_like(tau, dtype=float) if isinstance(tau, np.ndarray) else 1.0
 
 
 @dataclass(frozen=True)
@@ -135,6 +128,17 @@ class LinearMap(TimeMap):
         if isinstance(tau, np.ndarray):
             return np.full_like(tau, 1.0 / self.alpha, dtype=float)
         return 1.0 / self.alpha
+
+
+@dataclass(frozen=True)
+class IdentityMap(LinearMap):
+    """The gauge choice T(tau) = tau: the alpha = 1 member of LinearMap.
+
+    In IEEE arithmetic tau / 1.0 and 1.0 / 1.0 are exact, so the identity
+    clock reproduces a conventional run float for float.
+    """
+
+    alpha: float = field(default=1.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,7 @@ class SmoothRampMap(TimeMap):
 
 def eval_timemap(timemap: TimeMap, tau: float) -> tuple[float, float]:
     """Evaluate (T(tau), dT/dtau) for a clock value inside the map's domain."""
-    if not timemap.contains(tau):
-        raise ClockDomainError(
-            f"tau = {tau} outside the domain {timemap.domain} of {type(timemap).__name__}"
-        )
+    timemap.require(tau)
     return float(timemap.value(tau)), float(timemap.rate(tau))
 
 
@@ -333,7 +334,8 @@ class SpatialGrid:
             raise ValidationError("grid edges must be finite")
         if self.x_max <= self.x_min:
             raise ValidationError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        if int(self.n_points) != self.n_points or self.n_points < 8:
+        n = self.n_points
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 8):
             raise ValidationError(f"n_points must be an integer >= 8, got {self.n_points}")
         object.__setattr__(self, "n_points", int(self.n_points))
 
@@ -406,17 +408,3 @@ def prepare_gaussian(
     amps[-1] = 0.0
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.dx)
     return Wavefunction(grid, amps)
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """A phase-space point stamped with its clock value and clock kind.
-
-    In the conventional clock ``pm`` is the momentum p = m dx/dt; in the
-    relabeled clock it is the conjugate momentum pi = m xi' / T'.
-    """
-
-    q: float
-    pm: float
-    clock: float
-    clock_kind: ClockKind

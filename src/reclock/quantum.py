@@ -7,7 +7,10 @@ The same Crank-Nicolson kernel drives both directions:
 
 where T is a monotone ``TimeMap``. The only difference between the two is
 the scalar prefactor and the clock argument handed to the potential, so a
-run with the identity map reproduces a conventional run float for float.
+run with the identity map (``LinearMap`` with alpha = 1) reproduces a
+conventional run float for float. The compressed-clock generator
+alpha H(alpha t) is the linear relabeling T(tau) = alpha tau, so
+``propagate_rescaled`` is a ``propagate_tau`` call with that map.
 Each step is one tridiagonal solve with LAPACK's ``?gtsv`` (Gaussian
 elimination with partial pivoting), called directly on the three diagonals.
 What does not depend on the state (the potential at each step's clock, its
@@ -25,17 +28,13 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import (
-    ClockDomainError,
-    CoverageError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import CoverageError, NumericalError, ValidationError
 from .model import (
     ClockKind,
     LinearMap,
@@ -61,27 +60,22 @@ LANDMARK_SNAP_FRACTION = 1e-9
 # dominates, and one step from n=16384 up, where per-point arithmetic does.
 _BLOCK_POINTS = 1 << 14
 
-_SCHEMES = ("crank-nicolson",)
-
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     """Stepping and monitoring knobs for one propagation run."""
 
     dt: float
-    scheme: str = "crank-nicolson"
     record_every: int = 1
     edge_guard: float = 0.1
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(
-                f"unknown scheme {self.scheme!r}; available: {', '.join(_SCHEMES)}"
-            )
-        if int(self.record_every) != self.record_every or self.record_every < 1:
-            raise ValidationError(f"record_every must be an integer >= 1, got {self.record_every}")
+        every = self.record_every
+        ok = isinstance(every, numbers.Real) and math.isfinite(every)
+        if not (ok and int(every) == every and every >= 1):
+            raise ValidationError(f"record_every must be an integer >= 1, got {every}")
         object.__setattr__(self, "record_every", int(self.record_every))
         if not (0.0 < self.edge_guard < 0.5):
             raise ValidationError(
@@ -239,6 +233,17 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     return np.sort(np.concatenate([fixed, rungs[keep]])).tolist()
 
 
+def _generator(timemap: TimeMap | None, clock: float) -> tuple[float, float]:
+    """(pref, t_eval) of the generator pref * H(t_eval) at a run's clock.
+
+    A conventional run (no time map) has pref = 1 and t_eval = clock; a
+    relabeled run has pref = T'(clock) and t_eval = T(clock).
+    """
+    if timemap is None:
+        return 1.0, clock
+    return float(timemap.rate(clock)), float(timemap.value(clock))
+
+
 def _run_crank_nicolson(
     psi0: Wavefunction,
     pot: PotentialSpec,
@@ -246,17 +251,17 @@ def _run_crank_nicolson(
     span: tuple[float, float],
     cfg: PropagatorConfig,
     timemap: TimeMap | None,
-    clock_kind: ClockKind,
     landmarks=(),
-    record_landmarks_only: bool = False,
 ) -> EvolutionRecord:
     """Shared stepping kernel for both clock directions.
 
-    Each step solves (I + i lam G) u_new = (I - i lam G) u_old on the grid
-    interior, with G = pref * H(t_eval) evaluated at the step midpoint and
-    lam = step/(2 hbar). For a conventional run pref = 1 and t_eval is the
-    midpoint itself; for a relabeled run pref = T'(midpoint) and
-    t_eval = T(midpoint).
+    The run is in the relabeled clock tau when ``timemap`` is given and in
+    the conventional clock t otherwise. Each step solves
+    (I + i lam G) u_new = (I - i lam G) u_old on the grid interior, with
+    G = pref * H(t_eval) from ``_generator`` at the step midpoint and
+    lam = step/(2 hbar). Given ``landmarks``, the run lands exactly on each
+    of them and records only there (and at the start); otherwise it records
+    every ``cfg.record_every`` steps and at the end.
 
     The step sizes, prefactors and off-diagonals are computed once per run.
     For each block of ``_BLOCK_POINTS // m`` steps one potential call
@@ -276,7 +281,7 @@ def _run_crank_nicolson(
 
     bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
     last = len(bounds) - 1
-    if record_landmarks_only:
+    if len(landmarks) > 0:
         lmset = set(float(v) for v in landmarks)
         record_at = {0} | {i for i, bv in enumerate(bounds) if bv in lmset}
     else:
@@ -285,15 +290,10 @@ def _run_crank_nicolson(
     flags: list[str] = []
     norm0 = psi0.norm()
 
-    def generator_at(clock: float) -> tuple[float, float]:
-        if timemap is None:
-            return 1.0, clock
-        return float(timemap.rate(clock)), float(timemap.value(clock))
-
     def snapshot(clock: float, amps: np.ndarray) -> Snapshot:
         state = Wavefunction(grid, amps)
         norm = state.norm()
-        pref, teval = generator_at(clock)
+        pref, teval = _generator(timemap, clock)
         v = _interior_potential(pot, teval, x_int)
         h_amps = _hamiltonian_times(amps, v, kin)
         energy = pref * float(np.real(np.vdot(amps, h_amps)) * grid.dx)
@@ -315,7 +315,7 @@ def _run_crank_nicolson(
     edges = np.array(bounds)
     steps = edges[1:] - edges[:-1]
     prefs, tevals = np.array(
-        [generator_at(mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
+        [_generator(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
     ).T
     lams = 0.5 * steps / hbar
     ioffs = (1j * lams * (-prefs * kin)).tolist()
@@ -368,7 +368,7 @@ def _run_crank_nicolson(
             )
 
     return EvolutionRecord(
-        clock_kind=clock_kind,
+        clock_kind=ClockKind.CONVENTIONAL_T if timemap is None else ClockKind.PARAMETER_TAU,
         snapshots=tuple(snaps),
         timemap=timemap,
         flags=tuple(flags),
@@ -384,8 +384,7 @@ def propagate_t(
 ) -> EvolutionRecord:
     """Evolve i hbar dpsi/dt = H(t) psi over t_span with Crank-Nicolson."""
     return _run_crank_nicolson(
-        psi0, pot, constants, (float(t_span[0]), float(t_span[1])), cfg,
-        timemap=None, clock_kind=ClockKind.CONVENTIONAL_T,
+        psi0, pot, constants, (float(t_span[0]), float(t_span[1])), cfg, timemap=None
     )
 
 
@@ -399,16 +398,8 @@ def propagate_tau(
 ) -> EvolutionRecord:
     """Evolve i hbar dphi/dtau = T'(tau) H(T(tau)) phi over tau_span."""
     a, b = float(tau_span[0]), float(tau_span[1])
-    for tau in (a, b):
-        if not timemap.contains(tau):
-            raise ClockDomainError(
-                f"tau span ({a}, {b}) leaves the domain {timemap.domain} "
-                f"of {type(timemap).__name__}"
-            )
-    return _run_crank_nicolson(
-        phi0, pot, constants, (a, b), cfg,
-        timemap=timemap, clock_kind=ClockKind.PARAMETER_TAU,
-    )
+    timemap.require(a, b)
+    return _run_crank_nicolson(phi0, pot, constants, (a, b), cfg, timemap)
 
 
 def propagate_rescaled(
@@ -421,20 +412,16 @@ def propagate_rescaled(
 ) -> EvolutionRecord:
     """Evolve with the compressed-clock generator alpha * H(alpha * t).
 
-    This is the linear relabeling T(tau) = alpha * tau by another name, and
-    it deliberately runs through the same code path: the record's clock is
-    the compressed time t and ``t_values()`` exposes alpha * t.
+    This is the linear relabeling T(tau) = alpha * tau, run as
+    ``propagate_tau`` with ``LinearMap(1 / alpha)`` (LinearMap follows the
+    T(tau) = tau / alpha convention) over the domain ``t_span``: the
+    record's clock is the compressed time t and ``t_values()`` exposes
+    alpha * t.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValidationError(f"alpha must be finite and positive, got {alpha}")
-    a, b = float(t_span[0]), float(t_span[1])
-    # LinearMap follows the T(tau) = tau/alpha convention, so the compressed
-    # clock T(tau) = alpha*tau is its alpha -> 1/alpha member.
-    compressed = LinearMap(alpha=1.0 / alpha, domain=(a, b))
-    return _run_crank_nicolson(
-        psi0, pot, constants, (a, b), cfg,
-        timemap=compressed, clock_kind=ClockKind.PARAMETER_TAU,
-    )
+    compressed = LinearMap(alpha=1.0 / alpha, domain=t_span)
+    return propagate_tau(psi0, pot, constants, compressed, t_span, cfg)
 
 
 def residual_check(
@@ -466,11 +453,7 @@ def residual_check(
         if abs(h2 - h1) > 1e-9 * max(h1, h2):
             continue  # shortened final step: central difference would lose order
         dt_eff = 0.5 * (snaps[n + 1].clock - snaps[n - 1].clock)
-        if record.timemap is None:
-            pref, teval = 1.0, snaps[n].clock
-        else:
-            pref = float(record.timemap.rate(snaps[n].clock))
-            teval = float(record.timemap.value(snaps[n].clock))
+        pref, teval = _generator(record.timemap, snaps[n].clock)
         v = _interior_potential(pot, teval, x_int)
         gen = pref * _hamiltonian_times(snaps[n].state.amplitudes, v, kin)
         deriv = 1j * hbar * (snaps[n + 1].state.amplitudes - snaps[n - 1].state.amplitudes)
@@ -563,14 +546,10 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     t_marks = tau_rec.t_values()
     if np.any(np.diff(t_marks) <= 0):
         raise CoverageError("clock map failed to produce increasing comparison times")
-    t_a, t_b = float(t_marks[0]), float(t_marks[-1])
-    if not t_b > t_a:
-        raise CoverageError(f"degenerate reference span ({t_a}, {t_b})")
 
     t_rec = _run_crank_nicolson(
-        psi0, scenario.potential, cst, (t_a, t_b), scenario.config,
-        timemap=None, clock_kind=ClockKind.CONVENTIONAL_T,
-        landmarks=t_marks[1:], record_landmarks_only=True,
+        psi0, scenario.potential, cst, (float(t_marks[0]), float(t_marks[-1])),
+        scenario.config, timemap=None, landmarks=t_marks[1:],
     )
     if len(t_rec.snapshots) != len(tau_rec.snapshots):
         raise NumericalError(

@@ -22,7 +22,7 @@ import numpy as np
 from .classical import integrate_t, integrate_tau, trajectory_equivalence
 from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
-from .quantum import CovarianceScenario, covariance_experiment
+from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import csv_table, emit_report, json_document
 from .scenario import Scenario, ScenarioKind, Tolerances, parse_scenario
 
@@ -101,7 +101,8 @@ def _write_text(path: Path, text: str) -> str:
     return str(path)
 
 
-def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
+def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
+    """Prepare the scenario's initial state and run its covariance experiment at step dt."""
     psi0 = prepare_gaussian(
         scenario.grid,
         scenario.gaussian.center,
@@ -109,16 +110,20 @@ def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
         scenario.gaussian.momentum,
         scenario.constants,
     )
-    report = covariance_experiment(
+    return covariance_experiment(
         CovarianceScenario(
             constants=scenario.constants,
             potential=scenario.potential,
             timemap=scenario.timemap,
             initial_state=psi0,
             tau_span=scenario.tau_span,
-            config=scenario.propagator,
+            config=replace(scenario.propagator, dt=dt),
         )
     )
+
+
+def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
+    report = _covariance(scenario, scenario.propagator.dt)
     metrics = {
         "min_fidelity": report.min_fidelity,
         "max_energy_transform_residual": report.max_energy_transform_residual,
@@ -171,28 +176,12 @@ def _run_classical(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
 
 
 def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
-    psi0 = prepare_gaussian(
-        scenario.grid,
-        scenario.gaussian.center,
-        scenario.gaussian.width,
-        scenario.gaussian.momentum,
-        scenario.constants,
-    )
     dts = np.array(scenario.sweep_dts)
     min_fid = []
     residual = []
     flags: list[str] = []
     for dt in dts:
-        report = covariance_experiment(
-            CovarianceScenario(
-                constants=scenario.constants,
-                potential=scenario.potential,
-                timemap=scenario.timemap,
-                initial_state=psi0,
-                tau_span=scenario.tau_span,
-                config=replace(scenario.propagator, dt=float(dt)),
-            )
-        )
+        report = _covariance(scenario, float(dt))
         min_fid.append(report.min_fidelity)
         residual.append(report.max_energy_transform_residual)
         flags.extend(f"dt={dt:g}: {flag}" for flag in report.flags)
@@ -294,10 +283,6 @@ def run_scenario(
     )
 
 
-def _run_from_path(path: str, out_root, formats, profile) -> RunSummary:
-    return run_scenario(parse_scenario(path), out_root, formats, profile)
-
-
 def run_many(
     paths,
     out_root=None,
@@ -305,15 +290,29 @@ def run_many(
     profile: str = "default",
     jobs: int = 1,
 ) -> list[RunSummary]:
-    """Execute several scenario files, optionally across worker processes."""
-    paths = [str(p) for p in paths]
+    """Parse several scenario files, then execute them with ``run_scenarios``.
+
+    Every file is parsed here, in the calling process, before any run
+    starts, so a bad file raises ScenarioError before any work is done.
+    """
+    return run_scenarios([parse_scenario(p) for p in paths], out_root, formats, profile, jobs)
+
+
+def run_scenarios(
+    scenarios,
+    out_root=None,
+    formats=None,
+    profile: str = "default",
+    jobs: int = 1,
+) -> list[RunSummary]:
+    """Execute parsed scenarios in order, optionally across worker processes."""
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(paths) <= 1:
-        return [_run_from_path(p, out_root, formats, profile) for p in paths]
-    workers = min(jobs, len(paths))
+    if jobs == 1 or len(scenarios) <= 1:
+        return [run_scenario(s, out_root, formats, profile) for s in scenarios]
+    workers = min(jobs, len(scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_from_path, p, out_root, formats, profile) for p in paths
+            pool.submit(run_scenario, s, out_root, formats, profile) for s in scenarios
         ]
         return [f.result() for f in futures]

@@ -417,7 +417,6 @@ def _propagator_from(num_sec: _Section, dt: float) -> PropagatorConfig:
     try:
         return PropagatorConfig(
             dt=dt,
-            scheme=num_sec.take("scheme", default="crank-nicolson"),
             record_every=num_sec.take_int("record_every", default=1),
             edge_guard=num_sec.take_float("edge_guard", default=0.1),
         )

@@ -134,6 +134,20 @@ def test_euler_homogeneity_residual_scales_quadratically_in_step():
     assert res[1] / res[2] == pytest.approx(100.0, rel=0.5)
 
 
+def test_euler_homogeneity_residual_is_the_exact_stencil_truncation():
+    # In exact arithmetic the central-difference stencil leaves
+    # -m xi'^2 h^2 / (2 T' (T'^2 - h^2)); the check must return that value
+    # rounded, on every platform and at every step.
+    constants = PhysicalConstants(mass=1.7)
+    pot = MovingWellPotential(center0=0.0, velocity=1.0, stiffness=2.0)
+    for tp, xip in ((0.6, 2.2), (2.5, -0.3), (0.2, 3.0)):
+        pt = LagrangianPoint(T=0.8, xi=1.3, Tprime=tp, xiprime=xip)
+        for h in (1e-4, 1e-5, 1e-6):
+            exact = -constants.mass * xip**2 * h**2 / (2 * tp * (tp**2 - h**2))
+            got = check_euler_homogeneity(pot, constants, pt, h=h)
+            assert got == pytest.approx(exact, rel=1e-12)
+
+
 def test_euler_homogeneity_step_validation():
     pot = FreePotential()
     pt = LagrangianPoint(T=0.0, xi=0.0, Tprime=0.5, xiprime=1.0)

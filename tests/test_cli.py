@@ -1,11 +1,12 @@
 """Command-line behaviour: verbs, exit codes, artifacts, determinism."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from reclock import runner
+from reclock import cli, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.runner import TOLERANCE_PROFILES, Status, run_many
 from reclock.scenario import ScenarioKind, parse_scenario
@@ -230,6 +231,26 @@ def test_sweep_verb(tmp_path, capsys):
     q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
     assert entrypoint(["sweep", q]) == 2
     assert "requires kind = convergence_sweep" in capsys.readouterr().err
+
+
+def test_each_scenario_file_is_parsed_once(tmp_path, monkeypatch):
+    parsed = Counter()
+
+    def counting(path):
+        parsed[str(path)] += 1
+        return parse_scenario(path)
+
+    monkeypatch.setattr(cli, "parse_scenario", counting)
+    monkeypatch.setattr(runner, "parse_scenario", counting)
+    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    c = _write(tmp_path, CLASSICAL_TEXT, "c.scenario")
+    assert entrypoint(["run", q, c, "--out", str(tmp_path / "r"), "--jobs", "1"]) == 0
+    assert parsed == {q: 1, c: 1}
+
+    parsed.clear()
+    s = _write(tmp_path, SWEEP_TEXT, "s.scenario")
+    assert entrypoint(["sweep", s, "--out", str(tmp_path / "r")]) == 0
+    assert parsed == {s: 1}
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):

@@ -47,6 +47,20 @@ def test_identity_map_is_exact():
     np.testing.assert_array_equal(m.rate(taus), np.ones(11))
 
 
+def test_identity_map_is_the_alpha_one_linear_map():
+    m = IdentityMap(domain=(-1.0, 1.0))
+    assert isinstance(m, LinearMap) and m.alpha == 1.0
+    with pytest.raises(TypeError):
+        IdentityMap(alpha=2.0)
+    for tau in (0.0, -0.0, np.float64(0.3), 1, -0.7):
+        assert m.value(tau) == tau
+        assert math.copysign(1.0, m.value(tau)) == math.copysign(1.0, tau)
+        assert m.rate(tau) == 1.0
+    taus = np.array([-0.0, 0.25, 1.0])
+    np.testing.assert_array_equal(np.signbit(m.value(taus)), np.signbit(taus))
+    assert m.rate(taus).dtype == float
+
+
 def test_linear_map_convention_and_monotonicity():
     # T(tau) = tau / alpha: alpha = 2 halves the conventional time.
     m = LinearMap(alpha=2.0, domain=(0.0, 4.0))
@@ -146,8 +160,9 @@ def test_grid_spacing_and_validation():
     assert grid.dx == pytest.approx(24.0 / 511)
     pts = grid.points()
     assert pts[0] == -12.0 and pts[-1] == 12.0 and len(pts) == 512
-    with pytest.raises(ValidationError, match=">= 8"):
-        SpatialGrid(-1.0, 1.0, 4)
+    for n in (4, float("inf"), float("nan"), "16"):
+        with pytest.raises(ValidationError, match=">= 8"):
+            SpatialGrid(-1.0, 1.0, n)
     with pytest.raises(ValidationError):
         SpatialGrid(1.0, -1.0, 64)
 

@@ -188,6 +188,13 @@ def test_unknown_key_rejected(tmp_path):
         parse_scenario(_write(tmp_path, text))
 
 
+def test_scheme_key_is_unknown(tmp_path):
+    # Crank-Nicolson is the only propagator, so there is no scheme to choose.
+    text = QUANTUM_TEXT.replace("record_every = 10", "record_every = 10\nscheme = crank-nicolson")
+    with pytest.raises(ScenarioError, match=r"\[numerics\] unknown key\(s\): scheme"):
+        parse_scenario(_write(tmp_path, text))
+
+
 def test_unexpected_section_rejected(tmp_path):
     text = CLASSICAL_TEXT + "\n[grid]\nx_min = -1\nx_max = 1\nn_points = 16\n"
     with pytest.raises(ScenarioError, match="unexpected section"):
