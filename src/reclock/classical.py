@@ -8,13 +8,13 @@ clock to a coordinate T(tau) gives the degree-one homogeneous Lagrangian
 whose momenta obey the identity T' pi_T + Htilde = 0 with Htilde = T' H.
 The checks in this module verify those identities numerically (the Euler
 scaling relation by finite differences, the constraint by closed forms),
-and the integrators produce matched orbits in either clock so that
-xi(tau) = x(T(tau)) can be tested directly.
+and one integrator produces matched orbits in either clock so that
+xi(tau) = x(T(tau)) can be tested directly; the conventional clock is the
+gauge T(tau) = tau, T' = 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -28,7 +28,16 @@ from .errors import (
     IntegrationError,
     ValidationError,
 )
-from .model import ClockKind, PhysicalConstants, PotentialSpec, TimeMap
+from .model import (
+    ClockKind,
+    PhysicalConstants,
+    PotentialSpec,
+    TimeMap,
+    check_real,
+    check_span,
+    clock_reading,
+    eval_timemap,
+)
 
 # Finite-difference step for the homogeneity check; chosen so truncation
 # (~h^2) sits well below the 1e-7 test threshold.
@@ -47,9 +56,8 @@ class LagrangianPoint:
     xiprime: float
 
     def __post_init__(self):
-        vals = (self.T, self.xi, self.Tprime, self.xiprime)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValidationError(f"LagrangianPoint fields must be finite, got {vals}")
+        for name in ("T", "xi", "Tprime", "xiprime"):
+            check_real(f"LagrangianPoint.{name}", getattr(self, name))
         if not self.Tprime > 0:
             raise ClockDomainError(
                 f"Tprime must be positive (monotone clock), got {self.Tprime}; "
@@ -93,10 +101,6 @@ class Trajectory:
         if self.timemap is None:
             return self.clocks
         return np.array([float(self.timemap.value(c)) for c in self.clocks])
-
-    def samples(self):
-        """The (clock, q, pm) triples in order."""
-        return list(zip(self.clocks.tolist(), self.q.tolist(), self.pm.tolist()))
 
 
 def lagrangian_t(
@@ -147,9 +151,7 @@ def hamiltonian_tau(
     pi: float,
 ) -> float:
     """Htilde = T'(tau) * H(T(tau), xi, pi): the generator of tau-evolution."""
-    timemap.require(tau)
-    t = float(timemap.value(tau))
-    rate = float(timemap.rate(tau))
+    t, rate = eval_timemap(timemap, tau)
     return rate * hamiltonian_t(pot, constants, t, xi, pi)
 
 
@@ -168,7 +170,7 @@ def check_euler_homogeneity(
     inputs and rounded once at the end, so the h^2 scaling stays visible
     at every step and the result is the same on every platform.
     """
-    if not (math.isfinite(h) and 0 < h < pt.Tprime):
+    if not 0 < check_real("finite-difference step h", h) < pt.Tprime:
         raise ValidationError(f"finite-difference step must satisfy 0 < h < Tprime, got {h}")
 
     m = Fraction(float(constants.mass))
@@ -201,19 +203,42 @@ def check_constraint(
     Both sides are evaluated in closed form, so the residual is accumulated
     rounding only; it vanishes identically in exact arithmetic.
     """
-    timemap.require(tau)
-    t = float(timemap.value(tau))
-    rate = float(timemap.rate(tau))
+    t, rate = eval_timemap(timemap, tau)
     pt = LagrangianPoint(T=t, xi=xi, Tprime=rate, xiprime=xiprime)
     pi, pi_t = momenta_tau(pot, constants, pt)
     htilde = rate * hamiltonian_t(pot, constants, t, xi, pi)
     return rate * pi_t + htilde
 
 
-def _solve(rhs, span, y0, tol) -> "solve_ivp":
+def _integrate(
+    pot: PotentialSpec,
+    constants: PhysicalConstants,
+    timemap: TimeMap | None,
+    q0: float,
+    p0: float,
+    span: tuple[float, float],
+    tol: float,
+) -> Trajectory:
+    """Integrate Hamilton's equations of Htilde = T'H with an adaptive high-order RK scheme.
+
+    With no ``timemap`` the clock is t and the rate is 1.0; 1.0 * x and -1.0 * x
+    are exact, so the derivatives are xdot = p/m, pdot = -dV/dx float for float.
+    """
+    tol = check_real("tol", tol, positive=True)
+    a, b = check_span("t_span" if timemap is None else "tau_span", span)
+    if timemap is not None:
+        timemap.require(a, b)
+    y0 = (check_real("initial position", q0), check_real("initial momentum", p0))
+    m = constants.mass
+
+    def rhs(clock, y):
+        q, p = y
+        rate, t = clock_reading(timemap, clock)
+        return (rate * p / m, -rate * float(pot.gradient_x(t, q)))
+
     sol = solve_ivp(
         rhs,
-        span,
+        (a, b),
         y0,
         method="DOP853",
         rtol=tol,
@@ -222,7 +247,14 @@ def _solve(rhs, span, y0, tol) -> "solve_ivp":
     )
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
-    return sol
+    return Trajectory(
+        clock_kind=ClockKind.CONVENTIONAL_T if timemap is None else ClockKind.PARAMETER_TAU,
+        clocks=sol.t,
+        q=sol.y[0],
+        pm=sol.y[1],
+        timemap=timemap,
+        dense=sol.sol,
+    )
 
 
 def integrate_t(
@@ -233,26 +265,8 @@ def integrate_t(
     t_span: tuple[float, float],
     tol: float = DEFAULT_TOL,
 ) -> Trajectory:
-    """Integrate xdot = p/m, pdot = -dV/dx with an adaptive high-order RK scheme."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
-    a, b = float(t_span[0]), float(t_span[1])
-    if not b > a:
-        raise ValidationError(f"t_span must be increasing, got ({a}, {b})")
-    m = constants.mass
-
-    def rhs(t, y):
-        x, p = y
-        return (p / m, -float(pot.gradient_x(t, x)))
-
-    sol = _solve(rhs, (a, b), (float(x0), float(p0)), tol)
-    return Trajectory(
-        clock_kind=ClockKind.CONVENTIONAL_T,
-        clocks=sol.t,
-        q=sol.y[0],
-        pm=sol.y[1],
-        dense=sol.sol,
-    )
+    """Integrate xdot = p/m, pdot = -dV/dx in the conventional clock."""
+    return _integrate(pot, constants, None, x0, p0, t_span, tol)
 
 
 def integrate_tau(
@@ -268,29 +282,7 @@ def integrate_tau(
 
     xi' = T'(tau) pi / m,   pi' = -T'(tau) dV/dx(T(tau), xi)
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
-    a, b = float(tau_span[0]), float(tau_span[1])
-    if not b > a:
-        raise ValidationError(f"tau_span must be increasing, got ({a}, {b})")
-    timemap.require(a, b)
-    m = constants.mass
-
-    def rhs(tau, y):
-        xi, pi = y
-        rate = float(timemap.rate(tau))
-        t = float(timemap.value(tau))
-        return (rate * pi / m, -rate * float(pot.gradient_x(t, xi)))
-
-    sol = _solve(rhs, (a, b), (float(xi0), float(pi0)), tol)
-    return Trajectory(
-        clock_kind=ClockKind.PARAMETER_TAU,
-        clocks=sol.t,
-        q=sol.y[0],
-        pm=sol.y[1],
-        timemap=timemap,
-        dense=sol.sol,
-    )
+    return _integrate(pot, constants, timemap, xi0, pi0, tau_span, tol)
 
 
 def trajectory_equivalence(

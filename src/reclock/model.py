@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,20 +46,45 @@ class PhysicalConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValidationError(f"hbar must be finite and positive, got {self.hbar}")
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValidationError(f"mass must be finite and positive, got {self.mass}")
+        check_real("hbar", self.hbar, positive=True)
+        check_real("mass", self.mass, positive=True)
 
 
-def _check_domain_field(domain) -> tuple[float, float]:
+def check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float if it is a finite real number (and > 0 if ``positive``).
+
+    Anything else, including strings, None and integers too large for a
+    double, raises a ValidationError that names the field.
+    """
     try:
-        lo, hi = float(domain[0]), float(domain[1])
-    except (TypeError, IndexError) as exc:
-        raise ValidationError(f"domain must be a (tau0, tau1) pair, got {domain!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValidationError(f"domain must be a finite interval with tau0 < tau1, got {domain!r}")
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0 or not positive)):
+        what = "a finite positive" if positive else "a finite"
+        raise ValidationError(f"{name} must be {what} real number, got {value!r}")
+    return x
+
+
+def check_span(name: str, pair) -> tuple[float, float]:
+    """``pair`` as finite floats (lo, hi) with lo < hi, else a ValidationError naming it."""
+    try:
+        lo, hi = pair
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a (start, end) pair, got {pair!r}") from exc
+    lo, hi = check_real(f"{name} start", lo), check_real(f"{name} end", hi)
+    if not lo < hi:
+        raise ValidationError(f"{name} must be increasing, got ({lo}, {hi})")
     return lo, hi
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int if it is a whole number from ``least`` up to sys.maxsize."""
+    # Comparisons between ints and floats are exact, so no overflow or NaN slips through.
+    ok = isinstance(value, numbers.Real) and least <= value <= sys.maxsize
+    if not (ok and int(value) == value):
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
 
 
 class TimeMap(abc.ABC):
@@ -114,12 +140,8 @@ class LinearMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _check_domain_field(self.domain))
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(
-                f"alpha must be finite and positive so the clock rate dT/dtau = 1/alpha "
-                f"stays positive (monotone clock); got {self.alpha}"
-            )
+        object.__setattr__(self, "domain", check_span("domain", self.domain))
+        check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
 
     def value(self, tau):
         return tau / self.alpha
@@ -154,12 +176,11 @@ class SinePerturbedMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _check_domain_field(self.domain))
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
-            raise ValidationError("amplitude and frequency must be finite")
-        if not abs(self.amplitude * self.frequency) < 1.0:
+        object.__setattr__(self, "domain", check_span("domain", self.domain))
+        slope = check_real("amplitude", self.amplitude) * check_real("frequency", self.frequency)
+        if not abs(slope) < 1.0:
             raise ValidationError(
-                f"|amplitude*frequency| = {abs(self.amplitude * self.frequency):.3g} >= 1 "
+                f"|amplitude*frequency| = {abs(slope):.3g} >= 1 "
                 f"would let the clock rate dT/dtau touch zero (monotonicity violated)"
             )
         self._dense_rate_check()
@@ -186,17 +207,11 @@ class SmoothRampMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _check_domain_field(self.domain))
-        for name in ("rate_start", "rate_end", "center", "sharpness"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.rate_start <= 0 or self.rate_end <= 0:
-            raise ValidationError(
-                "rate_start and rate_end must be positive: the clock rate dT/dtau "
-                "interpolates between them and must stay positive"
-            )
-        if self.sharpness <= 0:
-            raise ValidationError("sharpness must be positive")
+        object.__setattr__(self, "domain", check_span("domain", self.domain))
+        check_real("center", self.center)
+        # The clock rate dT/dtau interpolates between the two rates.
+        for name in ("rate_start", "rate_end", "sharpness"):
+            check_real(name, getattr(self, name), positive=True)
         self._dense_rate_check()
 
     @staticmethod
@@ -217,10 +232,18 @@ class SmoothRampMap(TimeMap):
         return self.rate_start + (self.rate_end - self.rate_start) * sig
 
 
+def clock_reading(timemap: TimeMap | None, clock: float) -> tuple[float, float]:
+    """(rate, t) at a run's clock: (T'(clock), T(clock)), or (1.0, clock) with no map."""
+    if timemap is None:
+        return 1.0, clock
+    return float(timemap.rate(clock)), float(timemap.value(clock))
+
+
 def eval_timemap(timemap: TimeMap, tau: float) -> tuple[float, float]:
     """Evaluate (T(tau), dT/dtau) for a clock value inside the map's domain."""
     timemap.require(tau)
-    return float(timemap.value(tau)), float(timemap.rate(tau))
+    rate, t = clock_reading(timemap, tau)
+    return t, rate
 
 
 class PotentialSpec(abc.ABC):
@@ -258,8 +281,8 @@ class HarmonicPotential(PotentialSpec):
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.mass) and self.mass > 0):
-            raise ValidationError("omega must be finite and mass finite positive")
+        check_real("omega", self.omega)
+        check_real("mass", self.mass, positive=True)
 
     def value(self, t, x):
         return 0.5 * self.mass * self.omega**2 * x * x
@@ -277,9 +300,9 @@ class DrivenHarmonicPotential(PotentialSpec):
     mass: float = 1.0
 
     def __post_init__(self):
-        ok = all(math.isfinite(v) for v in (self.omega0, self.ramp, self.mass))
-        if not ok or self.mass <= 0:
-            raise ValidationError("omega0 and ramp must be finite, mass finite positive")
+        check_real("omega0", self.omega0)
+        check_real("ramp", self.ramp)
+        check_real("mass", self.mass, positive=True)
 
     def value(self, t, x):
         w = self.omega0 + self.ramp * t
@@ -299,9 +322,9 @@ class MovingWellPotential(PotentialSpec):
     stiffness: float = 1.0
 
     def __post_init__(self):
-        ok = all(math.isfinite(v) for v in (self.center0, self.velocity, self.stiffness))
-        if not ok or self.stiffness <= 0:
-            raise ValidationError("center0 and velocity must be finite, stiffness positive")
+        check_real("center0", self.center0)
+        check_real("velocity", self.velocity)
+        check_real("stiffness", self.stiffness, positive=True)
 
     def _center(self, t):
         return self.center0 + self.velocity * t
@@ -316,8 +339,8 @@ class MovingWellPotential(PotentialSpec):
 
 def eval_potential(spec: PotentialSpec, t: float, x: float) -> float:
     """V(t, x) for finite scalar inputs."""
-    if not (math.isfinite(t) and math.isfinite(x)):
-        raise ValidationError(f"potential arguments must be finite, got t={t}, x={x}")
+    check_real("potential argument t", t)
+    check_real("potential argument x", x)
     return float(spec.value(t, x))
 
 
@@ -330,14 +353,9 @@ class SpatialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValidationError("grid edges must be finite")
-        if self.x_max <= self.x_min:
+        if not check_real("x_max", self.x_max) > check_real("x_min", self.x_min):
             raise ValidationError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
-        n = self.n_points
-        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 8):
-            raise ValidationError(f"n_points must be an integer >= 8, got {self.n_points}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 8))
 
     @property
     def dx(self) -> float:
@@ -392,10 +410,9 @@ def prepare_gaussian(
     sides so the hard walls never see appreciable amplitude.
     """
     constants = constants or PhysicalConstants()
-    if not (math.isfinite(width) and width > 0):
-        raise ValidationError(f"width must be positive, got {width}")
-    if not (math.isfinite(center) and math.isfinite(momentum)):
-        raise ValidationError("center and momentum must be finite")
+    check_real("width", width, positive=True)
+    check_real("center", center)
+    check_real("momentum", momentum)
     reach = GAUSSIAN_SUPPORT_WIDTHS * width
     if center - reach < grid.x_min or center + reach > grid.x_max:
         raise ValidationError(

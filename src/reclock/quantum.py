@@ -28,7 +28,6 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +41,10 @@ from .model import (
     PotentialSpec,
     TimeMap,
     Wavefunction,
+    check_count,
+    check_real,
+    check_span,
+    clock_reading,
 )
 
 # Monitors applied to every recorded snapshot.
@@ -70,14 +73,9 @@ class PropagatorConfig:
     edge_guard: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
-        every = self.record_every
-        ok = isinstance(every, numbers.Real) and math.isfinite(every)
-        if not (ok and int(every) == every and every >= 1):
-            raise ValidationError(f"record_every must be an integer >= 1, got {every}")
-        object.__setattr__(self, "record_every", int(self.record_every))
-        if not (0.0 < self.edge_guard < 0.5):
+        check_real("dt", self.dt, positive=True)
+        object.__setattr__(self, "record_every", check_count("record_every", self.record_every, 1))
+        if not 0.0 < check_real("edge_guard", self.edge_guard) < 0.5:
             raise ValidationError(
                 f"edge_guard is the monitored fraction of the box at each wall "
                 f"and must lie in (0, 0.5), got {self.edge_guard}"
@@ -233,17 +231,6 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     return np.sort(np.concatenate([fixed, rungs[keep]])).tolist()
 
 
-def _generator(timemap: TimeMap | None, clock: float) -> tuple[float, float]:
-    """(pref, t_eval) of the generator pref * H(t_eval) at a run's clock.
-
-    A conventional run (no time map) has pref = 1 and t_eval = clock; a
-    relabeled run has pref = T'(clock) and t_eval = T(clock).
-    """
-    if timemap is None:
-        return 1.0, clock
-    return float(timemap.rate(clock)), float(timemap.value(clock))
-
-
 def _run_crank_nicolson(
     psi0: Wavefunction,
     pot: PotentialSpec,
@@ -258,7 +245,7 @@ def _run_crank_nicolson(
     The run is in the relabeled clock tau when ``timemap`` is given and in
     the conventional clock t otherwise. Each step solves
     (I + i lam G) u_new = (I - i lam G) u_old on the grid interior, with
-    G = pref * H(t_eval) from ``_generator`` at the step midpoint and
+    G = pref * H(t_eval) from ``clock_reading`` at the step midpoint and
     lam = step/(2 hbar). Given ``landmarks``, the run lands exactly on each
     of them and records only there (and at the start); otherwise it records
     every ``cfg.record_every`` steps and at the end.
@@ -293,7 +280,7 @@ def _run_crank_nicolson(
     def snapshot(clock: float, amps: np.ndarray) -> Snapshot:
         state = Wavefunction(grid, amps)
         norm = state.norm()
-        pref, teval = _generator(timemap, clock)
+        pref, teval = clock_reading(timemap, clock)
         v = _interior_potential(pot, teval, x_int)
         h_amps = _hamiltonian_times(amps, v, kin)
         energy = pref * float(np.real(np.vdot(amps, h_amps)) * grid.dx)
@@ -315,7 +302,7 @@ def _run_crank_nicolson(
     edges = np.array(bounds)
     steps = edges[1:] - edges[:-1]
     prefs, tevals = np.array(
-        [_generator(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
+        [clock_reading(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
     ).T
     lams = 0.5 * steps / hbar
     ioffs = (1j * lams * (-prefs * kin)).tolist()
@@ -383,9 +370,7 @@ def propagate_t(
     cfg: PropagatorConfig,
 ) -> EvolutionRecord:
     """Evolve i hbar dpsi/dt = H(t) psi over t_span with Crank-Nicolson."""
-    return _run_crank_nicolson(
-        psi0, pot, constants, (float(t_span[0]), float(t_span[1])), cfg, timemap=None
-    )
+    return _run_crank_nicolson(psi0, pot, constants, check_span("t_span", t_span), cfg, None)
 
 
 def propagate_tau(
@@ -397,7 +382,7 @@ def propagate_tau(
     cfg: PropagatorConfig,
 ) -> EvolutionRecord:
     """Evolve i hbar dphi/dtau = T'(tau) H(T(tau)) phi over tau_span."""
-    a, b = float(tau_span[0]), float(tau_span[1])
+    a, b = check_span("tau_span", tau_span)
     timemap.require(a, b)
     return _run_crank_nicolson(phi0, pot, constants, (a, b), cfg, timemap)
 
@@ -418,9 +403,7 @@ def propagate_rescaled(
     record's clock is the compressed time t and ``t_values()`` exposes
     alpha * t.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be finite and positive, got {alpha}")
-    compressed = LinearMap(alpha=1.0 / alpha, domain=t_span)
+    compressed = LinearMap(alpha=1.0 / check_real("alpha", alpha, positive=True), domain=t_span)
     return propagate_tau(psi0, pot, constants, compressed, t_span, cfg)
 
 
@@ -453,7 +436,7 @@ def residual_check(
         if abs(h2 - h1) > 1e-9 * max(h1, h2):
             continue  # shortened final step: central difference would lose order
         dt_eff = 0.5 * (snaps[n + 1].clock - snaps[n - 1].clock)
-        pref, teval = _generator(record.timemap, snaps[n].clock)
+        pref, teval = clock_reading(record.timemap, snaps[n].clock)
         v = _interior_potential(pot, teval, x_int)
         gen = pref * _hamiltonian_times(snaps[n].state.amplitudes, v, kin)
         deriv = 1j * hbar * (snaps[n + 1].state.amplitudes - snaps[n - 1].state.amplitudes)
@@ -533,9 +516,7 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     """
     cst = scenario.constants
     tmap = scenario.timemap
-    a, b = float(scenario.tau_span[0]), float(scenario.tau_span[1])
-    if not b > a:
-        raise ValidationError(f"tau span must be increasing, got ({a}, {b})")
+    a, b = check_span("tau_span", scenario.tau_span)
     psi0 = scenario.initial_state
     if abs(psi0.norm() - 1.0) > NORM_DRIFT_TOL:
         raise ValidationError(f"initial state must be normalized, norm={psi0.norm():.12g}")

@@ -128,7 +128,11 @@ def render_report(obj, fmt: str) -> str:
 
 def emit_report(obj, fmt: str, path) -> Path:
     """Write ``obj`` to ``path`` in the requested format and return the path."""
-    text = render_report(obj, fmt)
+    return write_artifact(render_report(obj, fmt), path)
+
+
+def write_artifact(text: str, path) -> Path:
+    """Write ``text`` to ``path``, creating its directories; an OSError is a ReclockError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

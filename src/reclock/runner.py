@@ -23,7 +23,7 @@ from .classical import integrate_t, integrate_tau, trajectory_equivalence
 from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
-from .reports import csv_table, emit_report, json_document
+from .reports import csv_table, emit_report, json_document, write_artifact
 from .scenario import Scenario, ScenarioKind, Tolerances, parse_scenario
 
 # Falls back per kind when a scenario does not pin its own thresholds.
@@ -92,13 +92,6 @@ def _emit(obj, stem: str, out_dir: Path, formats) -> list[str]:
     for fmt in formats:
         paths.append(str(emit_report(obj, fmt, out_dir / f"{stem}.{fmt}")))
     return paths
-
-
-def _write_text(path: Path, text: str) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return str(path)
 
 
 def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
@@ -210,14 +203,10 @@ def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
     summary = {"estimated_order": slope}
     artifacts = []
     if "csv" in formats:
-        artifacts.append(_write_text(out_dir / "sweep.csv", csv_table(header, columns)))
+        artifacts.append(str(write_artifact(csv_table(header, columns), out_dir / "sweep.csv")))
     if "json" in formats:
-        artifacts.append(
-            _write_text(
-                out_dir / "sweep.json",
-                json_document("convergence_sweep", header, columns, summary, flags),
-            )
-        )
+        text = json_document("convergence_sweep", header, columns, summary, flags)
+        artifacts.append(str(write_artifact(text, out_dir / "sweep.json")))
     return metrics, used, misses, tuple(flags), artifacts
 
 

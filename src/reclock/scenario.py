@@ -164,6 +164,16 @@ class _Section:
 _TIMEMAP_FAMILIES = ("identity", "linear", "sine_perturbed", "smooth_ramp")
 _POTENTIAL_FAMILIES = ("free", "harmonic", "driven_harmonic", "moving_well")
 
+# The [tolerances] keys each kind reads, mapped to their Tolerances fields.
+_TOLERANCE_KEYS = {
+    ScenarioKind.QUANTUM_COVARIANCE: {
+        "min_fidelity": "min_fidelity",
+        "max_energy_transform_residual": "max_energy_transform_residual",
+    },
+    ScenarioKind.CLASSICAL_EQUIVALENCE: {"max_error": "max_trajectory_error"},
+    ScenarioKind.CONVERGENCE_SWEEP: {"order_min": "order_min", "order_max": "order_max"},
+}
+
 
 def _build_timemap(sec: _Section, domain: tuple[float, float]) -> TimeMap:
     family = sec.take("family", required=True)
@@ -366,17 +376,9 @@ def parse_scenario(path) -> Scenario:
     if tol_sec is None:
         tolerances = Tolerances()
     else:
-        if quantum:
-            tolerances = Tolerances(
-                min_fidelity=tol_sec.take_float("min_fidelity"),
-                max_energy_transform_residual=tol_sec.take_float(
-                    "max_energy_transform_residual"
-                ),
-                order_min=tol_sec.take_float("order_min"),
-                order_max=tol_sec.take_float("order_max"),
-            )
-        else:
-            tolerances = Tolerances(max_trajectory_error=tol_sec.take_float("max_error"))
+        # Only the kind's own keys are read; finish() rejects any other.
+        fields = _TOLERANCE_KEYS[kind]
+        tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in fields.items()})
         tol_sec.finish()
 
     out_sec = section("outputs", required=False)

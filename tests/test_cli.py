@@ -233,6 +233,17 @@ def test_sweep_verb(tmp_path, capsys):
     assert "requires kind = convergence_sweep" in capsys.readouterr().err
 
 
+def test_sweep_to_an_unwritable_out_fails_cleanly(tmp_path, capsys):
+    # The sweep table goes through the report writer: a clean Fail, no traceback.
+    s = _write(tmp_path, SWEEP_TEXT, "s.scenario")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    assert entrypoint(["sweep", s, "--out", str(blocker)]) == 1
+    captured = capsys.readouterr()
+    assert "ReclockError: cannot write report to" in captured.out
+    assert "internal error" not in captured.out and "Traceback" not in captured.err
+
+
 def test_each_scenario_file_is_parsed_once(tmp_path, monkeypatch):
     parsed = Counter()
 

@@ -160,7 +160,7 @@ def test_grid_spacing_and_validation():
     assert grid.dx == pytest.approx(24.0 / 511)
     pts = grid.points()
     assert pts[0] == -12.0 and pts[-1] == 12.0 and len(pts) == 512
-    for n in (4, float("inf"), float("nan"), "16"):
+    for n in (4, float("inf"), float("nan"), "16", 10**400):
         with pytest.raises(ValidationError, match=">= 8"):
             SpatialGrid(-1.0, 1.0, n)
     with pytest.raises(ValidationError):

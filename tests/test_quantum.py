@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_banded
 
 import reclock.quantum as quantum
+from reclock.classical import LagrangianPoint, integrate_t, integrate_tau
 from reclock.errors import (
     ClockDomainError,
     NumericalError,
@@ -28,6 +29,7 @@ from reclock.model import (
     SmoothRampMap,
     SpatialGrid,
     Wavefunction,
+    eval_potential,
     prepare_gaussian,
 )
 from reclock.quantum import (
@@ -69,11 +71,76 @@ def test_propagator_config_validation():
     assert cfg.record_every == 1
     with pytest.raises(ValidationError, match="dt"):
         PropagatorConfig(dt=0.0)
-    for every in (0, float("inf"), float("nan"), "3"):
+    for every in (0, float("inf"), float("nan"), "3", 10**400):
         with pytest.raises(ValidationError, match="record_every"):
             PropagatorConfig(dt=1e-3, record_every=every)
     with pytest.raises(ValidationError, match="edge_guard"):
         PropagatorConfig(dt=1e-3, edge_guard=0.5)
+
+
+@pytest.mark.parametrize("bad", ["2", None, 10**400, math.inf], ids=["str", "None", "huge", "inf"])
+def test_every_number_field_rejects_non_numbers_and_overflow(bad):
+    # Each call names the rejected field in a ValidationError: no stray
+    # TypeError or OverflowError from the check, and no scipy ValueError.
+    calls = [
+        ("hbar", lambda: PhysicalConstants(hbar=bad)),
+        ("mass", lambda: PhysicalConstants(mass=bad)),
+        ("alpha", lambda: LinearMap(alpha=bad)),
+        ("domain", lambda: LinearMap(alpha=1.0, domain=(0.0, bad))),
+        ("amplitude", lambda: SinePerturbedMap(amplitude=bad, frequency=0.5)),
+        ("frequency", lambda: SinePerturbedMap(amplitude=0.5, frequency=bad)),
+        ("rate_start", lambda: SmoothRampMap(bad, 2.0, 0.5, 0.1)),
+        ("rate_end", lambda: SmoothRampMap(1.0, bad, 0.5, 0.1)),
+        ("center", lambda: SmoothRampMap(1.0, 2.0, bad, 0.1)),
+        ("sharpness", lambda: SmoothRampMap(1.0, 2.0, 0.5, bad)),
+        ("omega", lambda: HarmonicPotential(omega=bad)),
+        ("omega0", lambda: DrivenHarmonicPotential(omega0=bad)),
+        ("ramp", lambda: DrivenHarmonicPotential(ramp=bad)),
+        ("center0", lambda: MovingWellPotential(center0=bad)),
+        ("velocity", lambda: MovingWellPotential(velocity=bad)),
+        ("stiffness", lambda: MovingWellPotential(stiffness=bad)),
+        ("argument t", lambda: eval_potential(HarmonicPotential(), bad, 0.0)),
+        ("argument x", lambda: eval_potential(HarmonicPotential(), 0.0, bad)),
+        ("x_min", lambda: SpatialGrid(bad, 1.0, 16)),
+        ("x_max", lambda: SpatialGrid(-1.0, bad, 16)),
+        ("width", lambda: prepare_gaussian(GRID, 0.0, bad)),
+        ("center", lambda: prepare_gaussian(GRID, bad, 1.0)),
+        ("momentum", lambda: prepare_gaussian(GRID, 0.0, 1.0, bad)),
+        ("dt", lambda: PropagatorConfig(dt=bad)),
+        ("edge_guard", lambda: PropagatorConfig(dt=1e-3, edge_guard=bad)),
+        ("alpha", lambda: propagate_rescaled(
+            GROUND, FreePotential(), CST, bad, (0.0, 1.0), PropagatorConfig(dt=0.1)
+        )),
+        ("LagrangianPoint.T", lambda: LagrangianPoint(T=bad, xi=0.0, Tprime=1.0, xiprime=0.0)),
+        ("tol", lambda: integrate_t(FreePotential(), CST, 0.0, 1.0, (0.0, 1.0), tol=bad)),
+        ("initial position", lambda: integrate_t(FreePotential(), CST, bad, 1.0, (0.0, 1.0))),
+        ("initial momentum", lambda: integrate_tau(
+            FreePotential(), CST, IdentityMap(), 0.0, bad, (0.0, 1.0)
+        )),
+    ]
+    for field, call in calls:
+        with pytest.raises(ValidationError, match=field):
+            call()
+
+
+@pytest.mark.parametrize("span", [(0.0, math.inf), ("a", "b"), 3], ids=["inf", "str", "scalar"])
+def test_every_span_is_a_finite_increasing_pair(span):
+    # Each entry point names its span field; on a bad span none of them
+    # runs, overflows, or integrates towards infinity.
+    tmap = IdentityMap(domain=(0.0, 1.0))
+    cfg = PropagatorConfig(dt=0.1)
+    pot = HarmonicPotential()
+    experiment = CovarianceScenario(CST, pot, tmap, GROUND, span, cfg)
+    calls = [
+        ("t_span", lambda: propagate_t(GROUND, pot, CST, span, cfg)),
+        ("tau_span", lambda: propagate_tau(GROUND, pot, CST, tmap, span, cfg)),
+        ("tau_span", lambda: covariance_experiment(experiment)),
+        ("t_span", lambda: integrate_t(pot, CST, 1.0, 0.0, span)),
+        ("tau_span", lambda: integrate_tau(pot, CST, tmap, 1.0, 0.0, span)),
+    ]
+    for field, call in calls:
+        with pytest.raises(ValidationError, match=field):
+            call()
 
 
 def test_apply_hamiltonian_ground_state_eigenrelation():

@@ -260,3 +260,9 @@ def test_wrong_tolerance_keys_for_kind(tmp_path):
     text = CLASSICAL_TEXT.replace("max_error = 1e-6", "min_fidelity = 0.5")
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(_write(tmp_path, text))
+    text = SWEEP_TEXT.replace("order_max = 2.2", "order_max = 2.2\nmin_fidelity = 2.0")
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\): min_fidelity"):
+        parse_scenario(_write(tmp_path, text))
+    text = QUANTUM_TEXT + "\n[tolerances]\norder_min = 1.8\n"
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\): order_min"):
+        parse_scenario(_write(tmp_path, text))
