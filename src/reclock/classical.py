@@ -138,7 +138,8 @@ def momenta_tau(
 def hamiltonian_t(
     pot: PotentialSpec, constants: PhysicalConstants, t: float, x: float, p: float
 ) -> float:
-    """H(t, x, p) = p^2 / (2m) + V(t, x)."""
+    """H(t, x, p) = p^2 / (2m) + V(t, x) at a finite phase-space point."""
+    t, x, p = check_real("t", t), check_real("x", x), check_real("p", p)
     return p * p / (2.0 * constants.mass) + float(pot.value(t, x))
 
 

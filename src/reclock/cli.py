@@ -115,12 +115,10 @@ def _cmd_run(args, run, items) -> int:
 def _cmd_sweep(args) -> int:
     scenario = parse_scenario(args.file)
     if scenario.kind is not ScenarioKind.CONVERGENCE_SWEEP:
-        print(
-            f"error: {args.file}: sweep requires kind = convergence_sweep, "
-            f"got {scenario.kind.value}",
-            file=sys.stderr,
+        # entrypoint reports it as "error: ..." and exits 2, like a parse error.
+        raise ScenarioError(
+            f"{args.file}: sweep requires kind = convergence_sweep, got {scenario.kind.value}"
         )
-        return 2
     return _cmd_run(args, run_scenarios, [scenario])
 
 

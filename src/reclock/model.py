@@ -53,11 +53,12 @@ class PhysicalConstants:
 def check_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a float if it is a finite real number (and > 0 if ``positive``).
 
-    Anything else, including strings, None and integers too large for a
-    double, raises a ValidationError that names the field.
+    Anything else, including booleans, strings, None and integers too large
+    for a double, raises a ValidationError that names the field.
     """
     try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if number else math.nan
     except OverflowError:
         x = math.nan
     if not (math.isfinite(x) and (x > 0 or not positive)):
@@ -80,8 +81,10 @@ def check_span(name: str, pair) -> tuple[float, float]:
 
 def check_count(name: str, value, least: int) -> int:
     """``value`` as an int if it is a whole number from ``least`` up to sys.maxsize."""
-    # Comparisons between ints and floats are exact, so no overflow or NaN slips through.
-    ok = isinstance(value, numbers.Real) and least <= value <= sys.maxsize
+    # Comparisons between ints and floats are exact, so no overflow or NaN slips
+    # through; bool is a numbers.Real, but a flag is not a count.
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ok = number and least <= value <= sys.maxsize
     if not (ok and int(value) == value):
         raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
@@ -390,11 +393,16 @@ class Wavefunction:
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
-        a = self.amplitudes
-        return math.sqrt(float(np.sum(a.real**2 + a.imag**2)) * self.grid.dx)
+        return float(row_norms(self.amplitudes, self.grid.dx))
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "Wavefunction":
         return Wavefunction(self.grid, amplitudes)
+
+
+def row_norms(amplitudes: np.ndarray, dx: float) -> np.ndarray:
+    """sqrt(sum |a|^2 dx) along the last axis: one state's norm, or one per row."""
+    a = amplitudes
+    return np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1) * dx)
 
 
 def prepare_gaussian(
@@ -407,12 +415,19 @@ def prepare_gaussian(
     """Normalized Gaussian wavepacket exp(-(x-center)^2/(2 width^2) + i momentum x / hbar).
 
     The packet must fit with GAUSSIAN_SUPPORT_WIDTHS of clearance on both
-    sides so the hard walls never see appreciable amplitude.
+    sides so the hard walls never see appreciable amplitude, and its
+    momentum must stay below the grid's Nyquist limit pi hbar / dx, beyond
+    which the phase aliases.
     """
     constants = constants or PhysicalConstants()
     check_real("width", width, positive=True)
     check_real("center", center)
-    check_real("momentum", momentum)
+    nyquist = math.pi * constants.hbar / grid.dx
+    if not abs(check_real("momentum", momentum)) < nyquist:
+        raise ValidationError(
+            f"momentum {momentum} is not below the grid's Nyquist limit "
+            f"pi * hbar / dx = {nyquist:.6g}; the packet's phase would alias"
+        )
     reach = GAUSSIAN_SUPPORT_WIDTHS * width
     if center - reach < grid.x_min or center + reach > grid.x_max:
         raise ValidationError(

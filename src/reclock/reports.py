@@ -22,70 +22,25 @@ REPORT_SCHEMA_VERSION = 1
 _FORMATS = ("csv", "json")
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.16e}"
-
-
 def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
     """A CSV document with exact 17-significant-digit cells."""
     lines = [",".join(header)]
     n_rows = len(columns[0]) if columns else 0
     for i in range(n_rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
+        lines.append(",".join(f"{float(col[i]):.16e}" for col in columns))
     return "\n".join(lines) + "\n"
 
 
 def json_document(kind: str, header, columns, summary: dict, flags=()) -> str:
     """A JSON document mirroring a CSV table, with schema version and summary."""
-    return json.dumps(_json_payload(kind, header, columns, summary, flags), indent=2) + "\n"
-
-
-def _covariance_columns(report: CovarianceReport):
-    header = [
-        "tau",
-        "t",
-        "fidelity",
-        "norm_psi",
-        "norm_phi",
-        "energy_t",
-        "energy_tau",
-        "Tprime",
-        "energy_transform_residual",
-    ]
-    columns = [
-        report.tau,
-        report.t,
-        report.fidelity,
-        report.norm_psi,
-        report.norm_phi,
-        report.energy_t,
-        report.energy_tau,
-        report.tprime,
-        report.energy_transform_residual,
-    ]
-    return header, columns
-
-
-def _record_columns(record: EvolutionRecord):
-    header = ["clock", "t_equivalent", "norm", "energy"]
-    columns = [record.clocks(), record.t_values(), record.norms(), record.energies()]
-    return header, columns
-
-
-def _trajectory_columns(traj: Trajectory):
-    header = ["clock", "t_equivalent", "q", "pm"]
-    columns = [traj.clocks, traj.t_values(), traj.q, traj.pm]
-    return header, columns
-
-
-def _json_payload(kind: str, header, columns, summary: dict, flags=()) -> dict:
-    return {
+    payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": kind,
         "samples": {name: [float(v) for v in col] for name, col in zip(header, columns)},
         "summary": summary,
         "flags": list(flags),
     }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def render_report(obj, fmt: str) -> str:
@@ -93,8 +48,29 @@ def render_report(obj, fmt: str) -> str:
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown report format {fmt!r}; available: csv, json")
     if isinstance(obj, CovarianceReport):
-        header, columns = _covariance_columns(obj)
         kind = "covariance_report"
+        header = [
+            "tau",
+            "t",
+            "fidelity",
+            "norm_psi",
+            "norm_phi",
+            "energy_t",
+            "energy_tau",
+            "Tprime",
+            "energy_transform_residual",
+        ]
+        columns = [
+            obj.tau,
+            obj.t,
+            obj.fidelity,
+            obj.norm_psi,
+            obj.norm_phi,
+            obj.energy_t,
+            obj.energy_tau,
+            obj.tprime,
+            obj.energy_transform_residual,
+        ]
         summary = {}
         if len(obj.fidelity):
             summary = {
@@ -104,18 +80,19 @@ def render_report(obj, fmt: str) -> str:
             }
         flags = obj.flags
     elif isinstance(obj, EvolutionRecord):
-        header, columns = _record_columns(obj)
         kind = "evolution_record"
-        norms = obj.norms()
+        header = ["clock", "t_equivalent", "norm", "energy"]
+        columns = [obj.clocks, obj.t_values(), obj.norms, obj.energies]
         summary = {
             "clock_kind": obj.clock_kind.value,
-            "n_snapshots": len(obj.snapshots),
-            "max_norm_deviation": float(np.max(np.abs(norms - norms[0]))),
+            "n_snapshots": len(obj.clocks),
+            "max_norm_deviation": float(np.max(np.abs(obj.norms - obj.norms[0]))),
         }
         flags = obj.flags
     elif isinstance(obj, Trajectory):
-        header, columns = _trajectory_columns(obj)
         kind = "trajectory"
+        header = ["clock", "t_equivalent", "q", "pm"]
+        columns = [obj.clocks, obj.t_values(), obj.q, obj.pm]
         summary = {"clock_kind": obj.clock_kind.value, "n_samples": int(len(obj.clocks))}
         flags = ()
     else:

@@ -242,24 +242,14 @@ def run_scenario(
             # traceback, and fail this scenario instead of the whole batch.
             traceback.print_exc(file=sys.stderr)
             detail = f"internal error: {type(exc).__name__}: {exc}"
-        return RunSummary(
-            name=scenario.name,
-            kind=scenario.kind.value,
-            status=Status.FAIL,
-            metrics={},
-            tolerances={},
-            artifacts=(),
-            wall_time_s=time.perf_counter() - start,
-            detail=detail,
-        )
-    wall = time.perf_counter() - start
-
-    if misses:
-        status, detail = Status.FAIL, "; ".join(misses)
-    elif flags:
-        status, detail = Status.FLAGGED, "; ".join(flags[:4])
+        metrics, used, artifacts, status = {}, {}, (), Status.FAIL
     else:
-        status, detail = Status.PASS, ""
+        if misses:
+            status, detail = Status.FAIL, "; ".join(misses)
+        elif flags:
+            status, detail = Status.FLAGGED, "; ".join(flags[:4])
+        else:
+            status, detail = Status.PASS, ""
     return RunSummary(
         name=scenario.name,
         kind=scenario.kind.value,
@@ -267,7 +257,7 @@ def run_scenario(
         metrics=metrics,
         tolerances=used,
         artifacts=tuple(artifacts),
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - start,
         detail=detail,
     )
 

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partialmethod
 from pathlib import Path
 
 from .errors import ScenarioError, ValidationError
@@ -133,25 +134,18 @@ class _Section:
         self.data = dict(data)
         self.seen: set[str] = set()
 
-    def take(self, key: str, default=None, required: bool = False) -> str | None:
+    def take(self, key: str, default=None, required: bool = False, parse=None):
+        """The key's raw text, or ``parse(raw, where)`` of it; ``default`` if absent."""
         self.seen.add(key)
-        if key in self.data:
-            return self.data[key]
-        if required:
-            raise ScenarioError(f"[{self.name}] missing required key {key!r}")
-        return default
-
-    def take_float(self, key: str, default=None, required: bool = False):
-        raw = self.take(key, required=required)
-        if raw is None:
+        if key not in self.data:
+            if required:
+                raise ScenarioError(f"[{self.name}] missing required key {key!r}")
             return default
-        return _parse_float(raw, f"[{self.name}] {key}")
+        raw = self.data[key]
+        return raw if parse is None else parse(raw, f"[{self.name}] {key}")
 
-    def take_int(self, key: str, default=None, required: bool = False):
-        raw = self.take(key, required=required)
-        if raw is None:
-            return default
-        return _parse_int(raw, f"[{self.name}] {key}")
+    take_float = partialmethod(take, parse=_parse_float)
+    take_int = partialmethod(take, parse=_parse_int)
 
     def finish(self):
         unknown = sorted(set(self.data) - self.seen)
@@ -249,12 +243,13 @@ def parse_scenario(path) -> Scenario:
 
     sections = {name: _Section(name, dict(parser.items(name))) for name in parser.sections()}
 
-    def section(name: str, required: bool = True) -> _Section | None:
+    def section(name: str, required: bool = True) -> _Section:
+        # A missing optional section reads as an empty one: every key takes its default.
         if name in sections:
             return sections[name]
         if required:
             raise ScenarioError(f"{path}: missing required section [{name}]")
-        return None
+        return _Section(name, {})
 
     head = section("scenario")
     version = head.take_int("schema_version", required=True)
@@ -288,17 +283,14 @@ def parse_scenario(path) -> Scenario:
         )
 
     cst_sec = section("constants", required=False)
-    if cst_sec is None:
-        constants = PhysicalConstants()
-    else:
-        try:
-            constants = PhysicalConstants(
-                hbar=cst_sec.take_float("hbar", default=1.0),
-                mass=cst_sec.take_float("mass", default=1.0),
-            )
-        except ValidationError as exc:
-            raise ScenarioError(f"[constants] {exc}") from exc
-        cst_sec.finish()
+    try:
+        constants = PhysicalConstants(
+            hbar=cst_sec.take_float("hbar", default=1.0),
+            mass=cst_sec.take_float("mass", default=1.0),
+        )
+    except ValidationError as exc:
+        raise ScenarioError(f"[constants] {exc}") from exc
+    cst_sec.finish()
 
     span_sec = section("span")
     tau0 = span_sec.take_float("tau0", required=True)
@@ -373,28 +365,22 @@ def parse_scenario(path) -> Scenario:
     num_sec.finish()
 
     tol_sec = section("tolerances", required=False)
-    if tol_sec is None:
-        tolerances = Tolerances()
-    else:
-        # Only the kind's own keys are read; finish() rejects any other.
-        fields = _TOLERANCE_KEYS[kind]
-        tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in fields.items()})
-        tol_sec.finish()
+    # Only the kind's own keys are read; finish() rejects any other.
+    fields = _TOLERANCE_KEYS[kind]
+    tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in fields.items()})
+    tol_sec.finish()
 
     out_sec = section("outputs", required=False)
-    if out_sec is None:
-        outputs = OutputSpec()
-    else:
-        directory = out_sec.take("directory", default="reports")
-        fmt_raw = out_sec.take("formats", default="csv")
-        formats = tuple(tok.strip() for tok in fmt_raw.split(",") if tok.strip())
-        bad = [f for f in formats if f not in ("csv", "json")]
-        if bad or not formats:
-            raise ScenarioError(
-                f"[outputs] formats must be a comma list drawn from csv, json; got {fmt_raw!r}"
-            )
-        outputs = OutputSpec(directory=directory, formats=formats)
-        out_sec.finish()
+    directory = out_sec.take("directory", default="reports")
+    fmt_raw = out_sec.take("formats", default="csv")
+    formats = tuple(tok.strip() for tok in fmt_raw.split(",") if tok.strip())
+    bad = [f for f in formats if f not in ("csv", "json")]
+    if bad or not formats:
+        raise ScenarioError(
+            f"[outputs] formats must be a comma list drawn from csv, json; got {fmt_raw!r}"
+        )
+    outputs = OutputSpec(directory=directory, formats=formats)
+    out_sec.finish()
 
     return Scenario(
         name=name,

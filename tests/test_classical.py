@@ -298,3 +298,17 @@ def test_trajectory_validation():
             q=np.zeros(2),
             pm=np.zeros(2),
         )
+
+
+def test_hamiltonians_reject_a_non_finite_phase_space_point():
+    pot, tmap = HarmonicPotential(), LinearMap(2.0)
+    calls = [
+        ("x", lambda: hamiltonian_tau(pot, CST, tmap, 0.5, math.inf, 1.0)),
+        ("p", lambda: hamiltonian_tau(pot, CST, tmap, 0.5, 0.0, -math.inf)),
+        ("p", lambda: hamiltonian_t(pot, CST, 0.0, 1.0, math.nan)),
+        ("t", lambda: hamiltonian_t(pot, CST, math.inf, 1.0, 0.0)),
+        ("x", lambda: hamiltonian_t(pot, CST, 0.0, "1", 0.0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite real number"):
+            call()

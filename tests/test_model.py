@@ -214,6 +214,18 @@ def test_prepare_gaussian_rejects_wall_contact():
         prepare_gaussian(grid, center=0.0, width=0.0)
 
 
+def test_prepare_gaussian_rejects_momenta_at_the_nyquist_limit():
+    # Beyond pi hbar / dx the phase twist per point aliases onto a lower momentum.
+    grid = SpatialGrid(-12.0, 12.0, 64)
+    limit = math.pi / grid.dx
+    for momentum in (1e300, limit, -limit):
+        with pytest.raises(ValidationError, match=r"momentum .* Nyquist limit .* = 8\.24668;"):
+            prepare_gaussian(grid, 0.0, 1.0, momentum)
+    assert abs(prepare_gaussian(grid, 0.0, 1.0, 0.99 * limit).norm() - 1.0) <= 1e-12
+    # The limit scales with hbar.
+    prepare_gaussian(grid, 0.0, 1.0, 1.5 * limit, PhysicalConstants(hbar=2.0))
+
+
 def test_clock_kind_values():
     assert ClockKind.CONVENTIONAL_T.value == "t"
     assert ClockKind.PARAMETER_TAU.value == "tau"

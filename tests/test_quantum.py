@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from reclock.quantum import (
     CovarianceScenario,
     EvolutionRecord,
     PropagatorConfig,
-    Snapshot,
     _step_boundaries,
     apply_hamiltonian,
     covariance_experiment,
@@ -78,7 +78,9 @@ def test_propagator_config_validation():
         PropagatorConfig(dt=1e-3, edge_guard=0.5)
 
 
-@pytest.mark.parametrize("bad", ["2", None, 10**400, math.inf], ids=["str", "None", "huge", "inf"])
+@pytest.mark.parametrize(
+    "bad", ["2", None, 10**400, math.inf, True], ids=["str", "None", "huge", "inf", "bool"]
+)
 def test_every_number_field_rejects_non_numbers_and_overflow(bad):
     # Each call names the rejected field in a ValidationError: no stray
     # TypeError or OverflowError from the check, and no scipy ValueError.
@@ -252,7 +254,7 @@ def test_propagate_t_norm_is_preserved():
     rec = propagate_t(
         GROUND, HarmonicPotential(), CST, (0.0, 2.0), PropagatorConfig(dt=1e-3, record_every=100)
     )
-    drift = float(np.max(np.abs(rec.norms() - rec.norms()[0])))
+    drift = float(np.max(np.abs(rec.norms - rec.norms[0])))
     assert drift < 1e-12
     assert rec.is_valid
 
@@ -330,6 +332,50 @@ def test_wall_collision_sets_flags():
     assert any("edge-leak" in f for f in rec.flags)
 
 
+def test_leak_flags_are_the_per_record_formulas():
+    # The monitors run on blocks of records; the flags must be those that
+    # per-record sums give, in the same order and with the same digits.
+    grid = SpatialGrid(-12.0, 12.0, 256)
+    cfg = PropagatorConfig(dt=1e-3, record_every=200)
+    fast = prepare_gaussian(grid, 0.0, 1.0, momentum=8.0)
+    rec = propagate_t(fast, FreePotential(), CST, (0.0, 2.0), cfg)
+    x = grid.points()
+    width = (grid.x_max - grid.x_min) * cfg.edge_guard
+    strip = (x <= grid.x_min + width) | (x >= grid.x_max - width)
+    expected = []
+    for clock, amps in zip(rec.clocks.tolist(), rec.amplitudes):
+        drift = abs(Wavefunction(grid, amps).norm() - fast.norm())
+        if drift > quantum.NORM_DRIFT_TOL:
+            expected.append(f"norm-drift {drift:.3e} at clock {clock:.6g}")
+        leak = float(np.sum(np.abs(amps[strip]) ** 2) * grid.dx)
+        if leak >= quantum.EDGE_MASS_TOL:
+            expected.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
+    assert list(rec.flags) == expected == [
+        "edge-leak 1.800e-06 at clock 0.8",
+        "edge-leak 3.439e-03 at clock 1",
+        "edge-leak 1.678e-01 at clock 1.2",
+        "edge-leak 7.084e-01 at clock 1.4",
+        "edge-leak 9.574e-01 at clock 1.6",
+        "edge-leak 8.809e-01 at clock 1.8",
+        "edge-leak 4.624e-01 at clock 2",
+    ]
+
+
+def test_snapshots_view_rebuilds_each_row():
+    rec = propagate_t(
+        GROUND, HarmonicPotential(), CST, (0.0, 0.1), PropagatorConfig(dt=1e-3, record_every=7)
+    )
+    snaps = rec.snapshots
+    assert len(snaps) == len(rec.clocks) == rec.amplitudes.shape[0] > 2
+    for i, snap in enumerate(snaps):
+        assert np.array_equal(snap.state.amplitudes, rec.amplitudes[i])
+        assert snap.clock == rec.clocks[i]
+        assert (snap.norm, snap.energy) == (rec.norms[i], rec.energies[i])
+    assert np.array_equal(rec.final_state.amplitudes, rec.amplitudes[-1])
+    for column in (rec.amplitudes, rec.clocks, rec.rates, rec.t, rec.norms, rec.energies):
+        assert not column.flags.writeable
+
+
 def test_residual_check_is_second_order():
     pot = HarmonicPotential()
     runs = {
@@ -351,6 +397,21 @@ def test_residual_check_matches_between_identical_runs():
     assert residual_check(direct, pot, CST) == residual_check(relabeled, pot, CST)
 
 
+def _record_of_ground_states(clocks):
+    """A conventional-clock record holding GROUND at each clock, norm 1, energy 0.5."""
+    k = len(clocks)
+    return EvolutionRecord(
+        clock_kind=ClockKind.CONVENTIONAL_T,
+        grid=GRID,
+        clocks=clocks,
+        rates=np.ones(k),
+        t=clocks,
+        amplitudes=np.tile(GROUND.amplitudes, (k, 1)),
+        norms=np.ones(k),
+        energies=np.full(k, 0.5),
+    )
+
+
 def test_residual_check_input_validation():
     pot = FreePotential()
     rec = propagate_t(
@@ -359,12 +420,7 @@ def test_residual_check_input_validation():
     with pytest.raises(ValidationError, match="3 snapshots"):
         residual_check(rec, pot, CST)
     # Snapshots present but no uniformly spaced triple to difference.
-    snaps = tuple(
-        Snapshot(clock=c, state=GROUND, norm=1.0, energy=0.5) for c in (0.0, 1.0, 1.5)
-    )
-    lopsided = EvolutionRecord(
-        clock_kind=rec.clock_kind, snapshots=snaps, timemap=None, flags=()
-    )
+    lopsided = _record_of_ground_states((0.0, 1.0, 1.5))
     with pytest.raises(ValidationError, match="uniform"):
         residual_check(lopsided, pot, CST)
 
@@ -438,12 +494,12 @@ def test_covariance_report_rejects_out_of_range_fidelity():
 
 
 def test_evolution_record_validation():
-    snap = Snapshot(clock=0.0, state=GROUND, norm=1.0, energy=0.5)
     with pytest.raises(ValidationError, match="at least one"):
-        EvolutionRecord(clock_kind=ClockKind.CONVENTIONAL_T, snapshots=())
-    stalled = Snapshot(clock=0.0, state=GROUND, norm=1.0, energy=0.5)
+        _record_of_ground_states(())
     with pytest.raises(ValidationError, match="increasing"):
-        EvolutionRecord(clock_kind=ClockKind.CONVENTIONAL_T, snapshots=(snap, stalled))
+        _record_of_ground_states((0.0, 0.0))
+    with pytest.raises(ValidationError, match=r"one entry per sample in norms, got shape \(3,\)"):
+        replace(_record_of_ground_states((0.0, 1.0)), norms=np.ones(3))
 
 
 def _banded_reference_run(psi0, pot, span, cfg, timemap=None, landmarks=(), landmarks_only=False):
@@ -512,6 +568,7 @@ def _assert_record_matches(record, reference):
         assert snap.clock == clock
         assert np.array_equal(snap.state.amplitudes, amps)
         assert snap.energy == energy
+        assert snap.norm == Wavefunction(snap.state.grid, amps).norm()
 
 
 _EQUIV_SPAN = (0.0, 0.4)
