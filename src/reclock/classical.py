@@ -92,9 +92,11 @@ class Trajectory:
             raise ValidationError("trajectory clock values must be strictly increasing")
         if (self.timemap is not None) != (self.clock_kind is ClockKind.PARAMETER_TAU):
             raise ValidationError("timemap must be attached exactly for relabeled trajectories")
+        # Freeze views: np.asarray may return the caller's own arrays.
         for name, arr in (("clocks", clocks), ("q", q), ("pm", pm)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def t_values(self) -> np.ndarray:
         """Conventional-clock readings of the samples (T(tau) for tau runs)."""

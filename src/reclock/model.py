@@ -74,8 +74,8 @@ def check_span(name: str, pair) -> tuple[float, float]:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a (start, end) pair, got {pair!r}") from exc
     lo, hi = check_real(f"{name} start", lo), check_real(f"{name} end", hi)
-    if not lo < hi:
-        raise ValidationError(f"{name} must be increasing, got ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValidationError(f"{name} must be increasing with a finite length, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -126,7 +126,9 @@ class TimeMap(abc.ABC):
         # sample the rate densely and require a positive margin.
         lo, hi = self.domain
         taus = np.linspace(lo, hi, MONOTONE_SAMPLES)
-        rates = np.asarray(self.rate(taus), dtype=float)
+        # A rate that overflows somewhere on the domain reads as NaN and fails.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.asarray(self.rate(taus), dtype=float)
         worst = float(rates.min())
         if not worst >= MONOTONE_MARGIN:
             raise ValidationError(
@@ -356,8 +358,12 @@ class SpatialGrid:
     n_points: int
 
     def __post_init__(self):
-        if not check_real("x_max", self.x_max) > check_real("x_min", self.x_min):
-            raise ValidationError(f"need x_max > x_min, got [{self.x_min}, {self.x_max}]")
+        hi, lo = check_real("x_max", self.x_max), check_real("x_min", self.x_min)
+        if not (hi > lo and math.isfinite(hi - lo)):
+            raise ValidationError(
+                f"need x_max > x_min and a finite width x_max - x_min, "
+                f"got [{self.x_min}, {self.x_max}]"
+            )
         object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 8))
 
     @property
@@ -435,8 +441,19 @@ def prepare_gaussian(
             f"[{grid.x_min:g}, {grid.x_max:g}]; the packet would touch the hard walls"
         )
     x = grid.points()
-    amps = np.exp(-((x - center) ** 2) / (2.0 * width**2) + 1j * momentum * x / constants.hbar)
+    # A width far below the grid spacing overflows, divides by a zero width**2
+    # or leaves no nonzero amplitude; the norm check rejects what results.
+    # numpy's pow overflows to inf where Python's raises, and rounds the same.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spread = 2.0 * np.float64(width) ** 2
+        amps = np.exp(-((x - center) ** 2) / spread + 1j * momentum * x / constants.hbar)
     amps[0] = 0.0
     amps[-1] = 0.0
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.dx)
+    norm2 = float(np.sum(np.abs(amps) ** 2)) * grid.dx
+    if not 0.0 < norm2 < math.inf:
+        raise ValidationError(
+            f"width {width} is too narrow for the grid spacing dx = {grid.dx:.6g}: "
+            f"the packet has no finite nonzero amplitude on the grid"
+        )
+    amps /= math.sqrt(norm2)
     return Wavefunction(grid, amps)

@@ -34,6 +34,7 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,7 +127,8 @@ class EvolutionRecord:
         k = np.size(self.clocks)
         for name in ("clocks", "rates", "t", "norms", "energies", "amplitudes"):
             rows = name == "amplitudes"
-            arr = np.asarray(getattr(self, name), dtype=complex if rows else float)
+            # A view, so that freezing it leaves the caller's array writeable.
+            arr = np.asarray(getattr(self, name), dtype=complex if rows else float).view()
             if k < 1 or arr.shape != ((k, self.grid.n_points) if rows else (k,)):
                 raise ValidationError(
                     f"a record needs at least one sample and one {'row' if rows else 'entry'} "
@@ -237,6 +239,12 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     """
     if not b > a:
         raise ValidationError(f"span must satisfy b > a, got ({a}, {b})")
+    # A step count past sys.maxsize (or inf) cannot index a ladder.
+    count = (b - a) / dt
+    if not count <= sys.maxsize:
+        raise ValidationError(
+            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.3g} steps"
+        )
     snap = LANDMARK_SNAP_FRACTION * dt
     marks = sorted(set(float(v) for v in landmarks))
     for lo, hi in zip(marks, marks[1:]):
@@ -251,7 +259,7 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     if not marks or b - marks[-1] > snap:
         marks.append(b)
     fixed = np.array([a, *marks])
-    n = max(1, math.ceil((b - a) / dt - 1e-9))
+    n = max(1, math.ceil(count - 1e-9))
     rungs = a + dt * np.arange(1, n)
     # Keep the rungs more than snap from both fixed neighbours; far from the
     # origin rounding can put the last rung onto b itself.
@@ -312,8 +320,6 @@ def _run_crank_nicolson(
     ).T
     clocks = edges[rec]
     rates, t_rec = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
-    lams = 0.5 * steps / hbar
-    ioffs = (1j * lams * (-prefs * kin)).tolist()
 
     amplitudes = np.zeros((len(rec), grid.n_points), dtype=complex)
     amplitudes[0] = psi0.amplitudes
@@ -352,27 +358,40 @@ def _run_crank_nicolson(
             j1 = j0 + int(np.count_nonzero(keys[n1 - n0:] < limit))
         stop = min(n1, limit // 2)
         rows = stop - n0
-        d = np.add(2.0 * kin, v[:rows], out=diag[:rows])
-        d *= prefs[n0:stop, None]
-        ild = np.multiply(1j * lams[n0:stop, None], d, out=lhs[:rows])
-        np.subtract(1.0, ild, out=rmul[:rows])
-        np.add(1.0, ild, out=ild)
+        pref = prefs[n0:stop]
+        try:
+            # An overflow raises here instead of warning; a finite run's
+            # floats do not depend on it.
+            with np.errstate(over="raise", invalid="raise"):
+                lam = 0.5 * steps[n0:stop] / hbar
+                ioffs = (1j * lam * (-pref * kin)).tolist()
+                d = np.add(2.0 * kin, v[:rows], out=diag[:rows])
+                d *= pref[:, None]
+                ild = np.multiply(1j * lam[:, None], d, out=lhs[:rows])
+                np.subtract(1.0, ild, out=rmul[:rows])
+                np.add(1.0, ild, out=ild)
 
-        for k, n in enumerate(range(n0, stop)):
-            ioff = ioffs[n]
-            rhs = rmul[k] * u
-            rhs[:-1] -= ioff * u[1:]
-            rhs[1:] -= ioff * u[:-1]
+                for k, n in enumerate(range(n0, stop)):
+                    ioff = ioffs[k]
+                    rhs = rmul[k] * u
+                    rhs[:-1] -= ioff * u[1:]
+                    rhs[1:] -= ioff * u[:-1]
 
-            dl.fill(ioff)
-            du.fill(ioff)
-            _, _, _, u, info = gtsv(dl, lhs[k], du, rhs, True, True, True, True)
-            if info != 0:
-                raise NumericalError(
-                    f"tridiagonal solve failed at step {n}: LAPACK ?gtsv info={info}"
-                )
-            if n + 1 in slot:
-                amplitudes[slot[n + 1], 1:-1] = u
+                    dl.fill(ioff)
+                    du.fill(ioff)
+                    _, _, _, u, info = gtsv(dl, lhs[k], du, rhs, True, True, True, True)
+                    if info != 0:
+                        raise NumericalError(
+                            f"tridiagonal solve failed at step {n}: LAPACK ?gtsv info={info}"
+                        )
+                    if n + 1 in slot:
+                        amplitudes[slot[n + 1], 1:-1] = u
+        except FloatingPointError as exc:
+            raise NumericalError(
+                f"step arithmetic overflows between clock {edges[n0]:.6g} and "
+                f"{edges[stop]:.6g}: clock rate up to {pref.max():.3g}, dt = {cfg.dt:g} "
+                f"and hbar = {hbar:g} put the coefficients past the floating-point range"
+            ) from exc
 
         if j1 > j0:
             a = amplitudes[j0:j1]

@@ -130,12 +130,8 @@ def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
             f"max_energy_transform_residual {report.max_energy_transform_residual:.3e} "
             f"> {tol.max_energy_transform_residual:.3e}"
         )
-    used = {
-        "min_fidelity": tol.min_fidelity,
-        "max_energy_transform_residual": tol.max_energy_transform_residual,
-    }
     artifacts = _emit(report, "report", out_dir, formats)
-    return metrics, used, misses, report.flags, artifacts
+    return metrics, misses, report.flags, artifacts
 
 
 def _run_classical(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
@@ -162,10 +158,9 @@ def _run_classical(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
     misses = []
     if error > tol.max_trajectory_error:
         misses.append(f"max_trajectory_error {error:.3e} > {tol.max_trajectory_error:.3e}")
-    used = {"max_trajectory_error": tol.max_trajectory_error}
     artifacts = _emit(traj_tau, "trajectory-tau", out_dir, formats)
     artifacts += _emit(traj_t, "trajectory-t", out_dir, formats)
-    return metrics, used, misses, (), artifacts
+    return metrics, misses, (), artifacts
 
 
 def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
@@ -196,7 +191,6 @@ def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
         misses.append(
             f"estimated_order {slope:.3f} outside [{tol.order_min:g}, {tol.order_max:g}]"
         )
-    used = {"order_min": tol.order_min, "order_max": tol.order_max}
 
     header = ["dt", "min_fidelity", "fidelity_error", "max_energy_transform_residual"]
     columns = [dts, min_fid, discrepancy, residual]
@@ -207,7 +201,7 @@ def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
     if "json" in formats:
         text = json_document("convergence_sweep", header, columns, summary, flags)
         artifacts.append(str(write_artifact(text, out_dir / "sweep.json")))
-    return metrics, used, misses, tuple(flags), artifacts
+    return metrics, misses, tuple(flags), artifacts
 
 
 _DISPATCH = {
@@ -231,7 +225,7 @@ def run_scenario(
 
     start = time.perf_counter()
     try:
-        metrics, used, misses, flags, artifacts = _DISPATCH[scenario.kind](
+        metrics, misses, flags, artifacts = _DISPATCH[scenario.kind](
             scenario, tol, out_dir, used_formats
         )
     except Exception as exc:
@@ -244,6 +238,9 @@ def run_scenario(
             detail = f"internal error: {type(exc).__name__}: {exc}"
         metrics, used, artifacts, status = {}, {}, (), Status.FAIL
     else:
+        # The thresholds the kind checks are the ones its defaults set.
+        defaults = vars(DEFAULT_TOLERANCES[scenario.kind])
+        used = {name: getattr(tol, name) for name, value in defaults.items() if value is not None}
         if misses:
             status, detail = Status.FAIL, "; ".join(misses)
         elif flags:

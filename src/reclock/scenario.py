@@ -1,10 +1,14 @@
 """Scenario files: sectioned key-value descriptions of one experiment each.
 
 A scenario is a plain-text INI-style file with a mandatory schema version.
-Parsing is strict: unknown sections or keys are errors, every embedded
-object (clock map, potential, grid, initial state) is constructed and
-validated immediately, and the derived t-interval is computed from the
-declared map, so an invalid scenario never reaches the runner.
+Each section that describes an object is read against that object's class:
+its keys are the class's constructor fields, a field without a default is a
+required key, and an omitted key takes the class default. ``[timemap]`` and
+``[potential]`` pick the class with their ``family`` key. Parsing is strict:
+unknown sections or keys are errors, every embedded object (clock map,
+potential, grid, initial state) is constructed and validated immediately,
+and the derived t-interval is computed from the declared map, so an invalid
+scenario never reaches the runner.
 
 Example::
 
@@ -28,11 +32,12 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import partialmethod
 from pathlib import Path
 
+from .classical import DEFAULT_TOL
 from .errors import ScenarioError, ValidationError
 from .model import (
     DrivenHarmonicPotential,
@@ -155,8 +160,18 @@ class _Section:
             )
 
 
-_TIMEMAP_FAMILIES = ("identity", "linear", "sine_perturbed", "smooth_ramp")
-_POTENTIAL_FAMILIES = ("free", "harmonic", "driven_harmonic", "moving_well")
+_TIMEMAPS = {
+    "identity": IdentityMap,
+    "linear": LinearMap,
+    "sine_perturbed": SinePerturbedMap,
+    "smooth_ramp": SmoothRampMap,
+}
+_POTENTIALS = {
+    "free": FreePotential,
+    "harmonic": HarmonicPotential,
+    "driven_harmonic": DrivenHarmonicPotential,
+    "moving_well": MovingWellPotential,
+}
 
 # The [tolerances] keys each kind reads, mapped to their Tolerances fields.
 _TOLERANCE_KEYS = {
@@ -169,60 +184,42 @@ _TOLERANCE_KEYS = {
 }
 
 
-def _build_timemap(sec: _Section, domain: tuple[float, float]) -> TimeMap:
-    family = sec.take("family", required=True)
+def _build(cls, sec: _Section, **given):
+    """``cls`` built from ``given`` plus one key of ``sec`` per other init field.
+
+    A field without a default is a required key, and an omitted optional key
+    leaves the class default in place. ``int`` fields parse as integers and
+    all others as finite floats. The constructor's ValidationError is
+    reported under the section's name, and then every key of the section
+    must have been read.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.init and f.name not in given:
+            required = f.default is MISSING and f.default_factory is MISSING
+            parse = _parse_int if f.type in (int, "int") else _parse_float
+            value = sec.take(f.name, default=MISSING, required=required, parse=parse)
+            if value is not MISSING:
+                values[f.name] = value
     try:
-        if family == "identity":
-            return IdentityMap(domain=domain)
-        if family == "linear":
-            return LinearMap(alpha=sec.take_float("alpha", required=True), domain=domain)
-        if family == "sine_perturbed":
-            return SinePerturbedMap(
-                amplitude=sec.take_float("amplitude", required=True),
-                frequency=sec.take_float("frequency", required=True),
-                domain=domain,
-            )
-        if family == "smooth_ramp":
-            return SmoothRampMap(
-                rate_start=sec.take_float("rate_start", required=True),
-                rate_end=sec.take_float("rate_end", required=True),
-                center=sec.take_float("center", required=True),
-                sharpness=sec.take_float("sharpness", required=True),
-                domain=domain,
-            )
+        built = cls(**values)
     except ValidationError as exc:
-        raise ScenarioError(f"[timemap] {exc}") from exc
-    raise ScenarioError(
-        f"[timemap] unknown family {family!r}; available: {', '.join(_TIMEMAP_FAMILIES)}"
-    )
+        raise ScenarioError(f"[{sec.name}] {exc}") from exc
+    sec.finish()
+    return built
 
 
-def _build_potential(sec: _Section, constants: PhysicalConstants) -> PotentialSpec:
+def _build_family(table: dict, sec: _Section, **given):
+    """The ``family`` key's class from ``table``, built by ``_build``; of ``given``
+    only the values that class has a field for are passed."""
     family = sec.take("family", required=True)
-    try:
-        if family == "free":
-            return FreePotential()
-        if family == "harmonic":
-            return HarmonicPotential(
-                omega=sec.take_float("omega", default=1.0), mass=constants.mass
-            )
-        if family == "driven_harmonic":
-            return DrivenHarmonicPotential(
-                omega0=sec.take_float("omega0", default=1.0),
-                ramp=sec.take_float("ramp", default=0.0),
-                mass=constants.mass,
-            )
-        if family == "moving_well":
-            return MovingWellPotential(
-                center0=sec.take_float("center0", default=0.0),
-                velocity=sec.take_float("velocity", default=0.0),
-                stiffness=sec.take_float("stiffness", default=1.0),
-            )
-    except ValidationError as exc:
-        raise ScenarioError(f"[potential] {exc}") from exc
-    raise ScenarioError(
-        f"[potential] unknown family {family!r}; available: {', '.join(_POTENTIAL_FAMILIES)}"
-    )
+    if family not in table:
+        raise ScenarioError(
+            f"[{sec.name}] unknown family {family!r}; available: {', '.join(table)}"
+        )
+    cls = table[family]
+    names = {f.name for f in fields(cls) if f.init}
+    return _build(cls, sec, **{k: v for k, v in given.items() if k in names})
 
 
 def parse_scenario(path) -> Scenario:
@@ -282,15 +279,7 @@ def parse_scenario(path) -> Scenario:
             f"{', '.join('[' + s + ']' for s in unexpected)}"
         )
 
-    cst_sec = section("constants", required=False)
-    try:
-        constants = PhysicalConstants(
-            hbar=cst_sec.take_float("hbar", default=1.0),
-            mass=cst_sec.take_float("mass", default=1.0),
-        )
-    except ValidationError as exc:
-        raise ScenarioError(f"[constants] {exc}") from exc
-    cst_sec.finish()
+    constants = _build(PhysicalConstants, section("constants", required=False))
 
     span_sec = section("span")
     tau0 = span_sec.take_float("tau0", required=True)
@@ -299,35 +288,17 @@ def parse_scenario(path) -> Scenario:
     if not tau1 > tau0:
         raise ScenarioError(f"[span] need tau1 > tau0, got ({tau0}, {tau1})")
 
-    map_sec = section("timemap")
-    timemap = _build_timemap(map_sec, (tau0, tau1))
-    map_sec.finish()
+    timemap = _build_family(_TIMEMAPS, section("timemap"), domain=(tau0, tau1))
     t_span = (float(timemap.value(tau0)), float(timemap.value(tau1)))
-
-    pot_sec = section("potential")
-    potential = _build_potential(pot_sec, constants)
-    pot_sec.finish()
+    potential = _build_family(_POTENTIALS, section("potential"), mass=constants.mass)
 
     grid = None
     gaussian = None
     classical_initial = None
     init_sec = section("initial_state")
     if quantum:
-        grid_sec = section("grid")
-        try:
-            grid = SpatialGrid(
-                x_min=grid_sec.take_float("x_min", required=True),
-                x_max=grid_sec.take_float("x_max", required=True),
-                n_points=grid_sec.take_int("n_points", required=True),
-            )
-        except ValidationError as exc:
-            raise ScenarioError(f"[grid] {exc}") from exc
-        grid_sec.finish()
-        gaussian = GaussianSpec(
-            center=init_sec.take_float("center", required=True),
-            width=init_sec.take_float("width", required=True),
-            momentum=init_sec.take_float("momentum", default=0.0),
-        )
+        grid = _build(SpatialGrid, section("grid"))
+        gaussian = _build(GaussianSpec, init_sec)
         try:
             # Build once now so support/normalization problems fail at parse time.
             prepare_gaussian(grid, gaussian.center, gaussian.width, gaussian.momentum, constants)
@@ -338,14 +309,14 @@ def parse_scenario(path) -> Scenario:
             init_sec.take_float("x0", required=True),
             init_sec.take_float("p0", required=True),
         )
-    init_sec.finish()
+        init_sec.finish()
 
     propagator = None
     sweep_dts = None
     integrator_tol = None
     num_sec = section("numerics")
     if kind is ScenarioKind.QUANTUM_COVARIANCE:
-        propagator = _propagator_from(num_sec, dt=num_sec.take_float("dt", required=True))
+        propagator = _build(PropagatorConfig, num_sec, dt=num_sec.take_float("dt", required=True))
     elif kind is ScenarioKind.CONVERGENCE_SWEEP:
         raw = num_sec.take("dts", required=True)
         dts = tuple(
@@ -357,22 +328,22 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError("[numerics] dts must be strictly decreasing")
         sweep_dts = dts
         # Validate the shared stepping knobs against the finest step.
-        propagator = _propagator_from(num_sec, dt=dts[-1])
+        propagator = _build(PropagatorConfig, num_sec, dt=dts[-1])
     else:
-        integrator_tol = num_sec.take_float("tol", default=1e-9)
+        integrator_tol = num_sec.take_float("tol", default=DEFAULT_TOL)
         if not integrator_tol > 0:
             raise ScenarioError(f"[numerics] tol must be positive, got {integrator_tol}")
-    num_sec.finish()
+        num_sec.finish()
 
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.
-    fields = _TOLERANCE_KEYS[kind]
-    tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in fields.items()})
+    keys = _TOLERANCE_KEYS[kind]
+    tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in keys.items()})
     tol_sec.finish()
 
     out_sec = section("outputs", required=False)
-    directory = out_sec.take("directory", default="reports")
-    fmt_raw = out_sec.take("formats", default="csv")
+    directory = out_sec.take("directory", default=OutputSpec.directory)
+    fmt_raw = out_sec.take("formats", default=",".join(OutputSpec.formats))
     formats = tuple(tok.strip() for tok in fmt_raw.split(",") if tok.strip())
     bad = [f for f in formats if f not in ("csv", "json")]
     if bad or not formats:
@@ -399,14 +370,3 @@ def parse_scenario(path) -> Scenario:
         tolerances=tolerances,
         outputs=outputs,
     )
-
-
-def _propagator_from(num_sec: _Section, dt: float) -> PropagatorConfig:
-    try:
-        return PropagatorConfig(
-            dt=dt,
-            record_every=num_sec.take_int("record_every", default=1),
-            edge_guard=num_sec.take_float("edge_guard", default=0.1),
-        )
-    except ValidationError as exc:
-        raise ScenarioError(f"[numerics] {exc}") from exc

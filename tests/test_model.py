@@ -165,6 +165,9 @@ def test_grid_spacing_and_validation():
             SpatialGrid(-1.0, 1.0, n)
     with pytest.raises(ValidationError):
         SpatialGrid(1.0, -1.0, 64)
+    # Each edge is a finite double, but their distance is not.
+    with pytest.raises(ValidationError, match=r"finite width .* \[-1e\+308, 1e\+308\]$"):
+        SpatialGrid(-1e308, 1e308, 64)
 
 
 def test_wavefunction_norm_and_edge_rule():
@@ -212,6 +215,15 @@ def test_prepare_gaussian_rejects_wall_contact():
         prepare_gaussian(grid, center=0.0, width=2.0)  # needs +/- 16
     with pytest.raises(ValidationError, match="width"):
         prepare_gaussian(grid, center=0.0, width=0.0)
+
+
+def test_prepare_gaussian_rejects_widths_the_grid_cannot_represent():
+    # Far below the grid spacing every amplitude underflows to zero, and at
+    # 1e-300 so does width**2: a ValidationError, not a RuntimeWarning.
+    grid = SpatialGrid(-12.0, 12.0, 64)
+    for width in (1e-10, 1e-300):
+        with pytest.raises(ValidationError, match=f"^width {width} is too narrow"):
+            prepare_gaussian(grid, 1.0, width)
 
 
 def test_prepare_gaussian_rejects_momenta_at_the_nyquist_limit():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_banded
 
 import reclock.quantum as quantum
-from reclock.classical import LagrangianPoint, integrate_t, integrate_tau
+from reclock.classical import LagrangianPoint, Trajectory, integrate_t, integrate_tau
 from reclock.errors import (
     ClockDomainError,
     NumericalError,
@@ -410,6 +410,34 @@ def _record_of_ground_states(clocks):
         norms=np.ones(k),
         energies=np.full(k, 0.5),
     )
+
+
+def test_records_freeze_views_and_leave_the_callers_arrays_writeable():
+    clocks, ones = np.arange(3.0), np.ones(3)
+    amps = np.tile(GROUND.amplitudes, (3, 1))
+    rec = EvolutionRecord(ClockKind.CONVENTIONAL_T, GRID, clocks, ones, clocks, amps, ones, ones)
+    traj = Trajectory(ClockKind.CONVENTIONAL_T, clocks, ones, ones)
+    assert clocks.flags.writeable and ones.flags.writeable and amps.flags.writeable
+    frozen = [rec.clocks, rec.rates, rec.t, rec.amplitudes, rec.norms, rec.energies]
+    frozen += [traj.clocks, traj.q, traj.pm]
+    assert not any(arr.flags.writeable for arr in frozen)
+    # The amplitude block is shared, not copied.
+    assert np.shares_memory(rec.amplitudes, amps)
+
+
+def test_overflowing_step_arithmetic_is_a_reclock_error():
+    # A clock rate whose product with the generator overflows, and a dt
+    # whose step count overflows, fail by name instead of as a numpy
+    # RuntimeWarning or a bare OverflowError.
+    grid = SpatialGrid(-12.0, 12.0, 64)
+    psi0, pot = prepare_gaussian(grid, 0.0, 1.0), HarmonicPotential()
+    fast = LinearMap(1e-307, (0.0, 0.01))
+    with pytest.raises(NumericalError, match=r"clock rate up to 1e\+307, dt = 0\.001"):
+        propagate_tau(psi0, pot, CST, fast, (0.0, 0.01), PropagatorConfig(dt=1e-3))
+    with pytest.raises(ValidationError, match="^dt = 1e-320 is too small"):
+        _step_boundaries(0.0, 1.0, 1e-320)
+    with pytest.raises(ValidationError, match="^dt = 1e-320 is too small"):
+        propagate_t(psi0, pot, CST, (0.0, 1.0), PropagatorConfig(dt=1e-320))
 
 
 def test_residual_check_input_validation():

@@ -1,10 +1,20 @@
 """Strict parsing of scenario files into validated experiment descriptions."""
 
+import re
+
 import pytest
 
+from reclock.classical import DEFAULT_TOL
 from reclock.errors import ScenarioError
-from reclock.model import HarmonicPotential, IdentityMap, LinearMap
-from reclock.scenario import ScenarioKind, parse_scenario
+from reclock.model import (
+    HarmonicPotential,
+    IdentityMap,
+    LinearMap,
+    MovingWellPotential,
+    PhysicalConstants,
+)
+from reclock.quantum import PropagatorConfig
+from reclock.scenario import OutputSpec, ScenarioKind, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -266,3 +276,34 @@ def test_wrong_tolerance_keys_for_kind(tmp_path):
     text = QUANTUM_TEXT + "\n[tolerances]\norder_min = 1.8\n"
     with pytest.raises(ScenarioError, match=r"unknown key\(s\): order_min"):
         parse_scenario(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("alpha = 2.0\n", "", "[timemap] missing required key 'alpha'"),
+        ("n_points = 128", "n_points = z", "[grid] n_points: not an integer: 'z'"),
+        ("record_every = 10", "record_every = q", "[numerics] record_every: not an integer: 'q'"),
+        ("[span]", "[constants]\nhbar = w\n\n[span]", "[constants] hbar: not a number: 'w'"),
+    ],
+    ids=["missing-key", "bad-count", "bad-record-every", "bad-number"],
+)
+def test_a_section_error_carries_one_section_prefix(tmp_path, old, new, message):
+    text = QUANTUM_TEXT.replace(old, new)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(_write(tmp_path, text))
+
+
+def test_omitted_keys_take_the_class_defaults(tmp_path):
+    text = QUANTUM_TEXT.replace("family = harmonic\nomega = 1.0", "family = moving_well")
+    sc = parse_scenario(_write(tmp_path, text.replace("record_every = 10\n", "")))
+    assert sc.constants == PhysicalConstants()
+    assert sc.potential == MovingWellPotential()
+    assert sc.propagator == PropagatorConfig(dt=1e-3)
+    assert sc.outputs == OutputSpec()
+    # A potential with a mass field takes the [constants] mass.
+    sc = parse_scenario(_write(tmp_path, QUANTUM_TEXT + "\n[constants]\nmass = 2.0\n"))
+    assert sc.potential == HarmonicPotential(omega=1.0, mass=2.0)
+    sc = parse_scenario(_write(tmp_path, CLASSICAL_TEXT.replace("tol = 1e-10\n", "")))
+    assert sc.integrator_tol == DEFAULT_TOL
+
