@@ -288,6 +288,10 @@ class HarmonicPotential(PotentialSpec):
     def __post_init__(self):
         check_real("omega", self.omega)
         check_real("mass", self.mass, positive=True)
+        try:
+            float(self.omega**2)
+        except OverflowError as exc:
+            raise ValidationError(f"omega**2 overflows for omega = {self.omega!r}") from exc
 
     def value(self, t, x):
         return 0.5 * self.mass * self.omega**2 * x * x

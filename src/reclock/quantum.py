@@ -14,9 +14,10 @@ alpha H(alpha t) is the linear relabeling T(tau) = alpha tau, so
 Each step is one tridiagonal solve with LAPACK's ``?gtsv`` (Gaussian
 elimination with partial pivoting), called directly on the three diagonals.
 What does not depend on the state (the potential at every step's and every
-record's clock, its finiteness check and both sides' diagonal coefficients)
-is built for a block of steps at once with the same floating-point
-operations as a per-step build, so blocking changes no result.
+record's clock and both sides' diagonal coefficients) is built for a block
+of steps at once with the same floating-point operations as a per-step
+build, so blocking changes no result. A non-finite V(t, x) stops the run
+before its block steps, with a NumericalError naming the earliest bad t.
 
 A run's ``EvolutionRecord`` is arrays with one row per recorded sample: a
 read-only (records, n_points) amplitude array and the clock, rate T',
@@ -34,7 +35,6 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +66,10 @@ FIDELITY_CAP_SLACK = 1e-12
 # A step boundary within this fraction of dt of a requested landing time is
 # moved onto it instead of spawning a degenerate micro-step.
 LANDMARK_SNAP_FRACTION = 1e-9
+
+# A run's step schedule costs ~184 B per step (boundaries, midpoint clock
+# readings and their lists), so this cap keeps it near 1.8 GB.
+MAX_STEPS = 10**7
 
 # The kernel builds the state-independent coefficients of this many grid
 # points' worth of steps at once: 32 steps at n=512, where per-call overhead
@@ -160,23 +164,41 @@ class EvolutionRecord:
         )
 
 
-def _potential_rows(pot: PotentialSpec, tevals, x_interior: np.ndarray):
-    """V at each clock of ``tevals`` as (k, m) rows over the interior points,
-    and which rows are finite."""
+def _potential_rows(pot: PotentialSpec, tevals, x_interior: np.ndarray) -> np.ndarray:
+    """V at each clock of ``tevals`` as (k, m) rows over the interior points.
+
+    The one non-finite-potential check: it names the earliest bad t, which in
+    a run, where t only increases, is the first bad evaluation in run order.
+    """
     tevals = np.asarray(tevals, dtype=float)
-    v = np.asarray(pot.value(tevals[:, None], x_interior), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.asarray(pot.value(tevals[:, None], x_interior), dtype=float)
     v = np.broadcast_to(v, (len(tevals), len(x_interior)))
-    return v, np.isfinite(v).all(axis=1)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        t_bad = float(tevals[~finite].min())
+        raise NumericalError(f"potential produced non-finite values at t={t_bad}")
+    return v
 
 
-def _non_finite_potential(t) -> NumericalError:
-    return NumericalError(f"potential produced non-finite values at t={t}")
+def _kinetic_weight(constants: PhysicalConstants, dx: float) -> float:
+    """hbar^2 / (2 mass dx^2), the Laplacian's weight in H, if it is finite."""
+    try:
+        kin = constants.hbar**2 / (2.0 * constants.mass * dx**2)
+    except (OverflowError, ZeroDivisionError):
+        kin = math.inf
+    if not math.isfinite(kin):
+        raise NumericalError(
+            f"the kinetic weight hbar**2 / (2 mass dx**2) is not finite for "
+            f"hbar = {constants.hbar!r}, mass = {constants.mass!r} and dx = {dx!r}"
+        )
+    return kin
 
 
 def _h_rows(amps: np.ndarray, v: np.ndarray, constants: PhysicalConstants, dx: float):
     """H psi for each (full-grid) row of ``amps`` with its interior potential
     row of ``v``: central Laplacian with hard-wall closure."""
-    kin = constants.hbar**2 / (2.0 * constants.mass * dx**2)
+    kin = _kinetic_weight(constants, dx)
     out = np.zeros_like(amps)
     out[:, 1:-1] = -kin * (amps[:, 2:] - 2.0 * amps[:, 1:-1] + amps[:, :-2]) + v * amps[:, 1:-1]
     return out
@@ -193,9 +215,7 @@ def apply_hamiltonian(
 ) -> Wavefunction:
     """H(t) psi with the second-order central Laplacian; output is unnormalized."""
     grid = psi.grid
-    v, finite = _potential_rows(pot, [t], grid.points()[1:-1])
-    if not finite[0]:
-        raise _non_finite_potential(t)
+    v = _potential_rows(pot, [t], grid.points()[1:-1])
     return Wavefunction(grid, _h_rows(psi.amplitudes[None], v, constants, grid.dx)[0])
 
 
@@ -239,11 +259,12 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     """
     if not b > a:
         raise ValidationError(f"span must satisfy b > a, got ({a}, {b})")
-    # A step count past sys.maxsize (or inf) cannot index a ladder.
+    # Checked before the ladder is allocated; inf and NaN fail too.
     count = (b - a) / dt
-    if not count <= sys.maxsize:
+    if not count <= MAX_STEPS:
         raise ValidationError(
-            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.3g} steps"
+            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.10g} steps, "
+            f"more than the {MAX_STEPS} a run may take"
         )
     snap = LANDMARK_SNAP_FRACTION * dt
     marks = sorted(set(float(v) for v in landmarks))
@@ -296,7 +317,7 @@ def _run_crank_nicolson(
     # Edge-leak monitor: the grid points within edge_guard of either wall.
     width = (grid.x_max - grid.x_min) * cfg.edge_guard
     strip = (x <= grid.x_min + width) | (x >= grid.x_max - width)
-    kin = hbar**2 / (2.0 * constants.mass * dx**2)
+    kin = _kinetic_weight(constants, dx)
     m = grid.n_points - 2
 
     bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
@@ -346,24 +367,14 @@ def _run_crank_nicolson(
     js = np.searchsorted(rec, [n0 + (n0 > 0) for n0 in starts]).tolist() + [len(rec)]
     for n0, j0, j1 in zip(starts, js, js[1:]):
         n1 = min(n0 + block, last)
-        t_block = np.concatenate([tevals[n0:n1], t_rec[j0:j1]])
-        v, finite = _potential_rows(pot, t_block, x_int)
-        limit = 2 * n1 + 1
-        if not finite.all():
-            # Run order is record 0, step 0, record 1, step 1, ...: key 2n + 1
-            # for step n, 2b for the record at bound b. What precedes the first
-            # non-finite row still runs, as with a per-step, per-record check.
-            keys = np.concatenate([2 * np.arange(n0, n1) + 1, 2 * rec[j0:j1]])
-            limit = int(keys[~finite].min())
-            j1 = j0 + int(np.count_nonzero(keys[n1 - n0:] < limit))
-        stop = min(n1, limit // 2)
-        rows = stop - n0
-        pref = prefs[n0:stop]
+        rows = n1 - n0
+        v = _potential_rows(pot, np.concatenate([tevals[n0:n1], t_rec[j0:j1]]), x_int)
+        pref = prefs[n0:n1]
         try:
             # An overflow raises here instead of warning; a finite run's
             # floats do not depend on it.
             with np.errstate(over="raise", invalid="raise"):
-                lam = 0.5 * steps[n0:stop] / hbar
+                lam = 0.5 * steps[n0:n1] / hbar
                 ioffs = (1j * lam * (-pref * kin)).tolist()
                 d = np.add(2.0 * kin, v[:rows], out=diag[:rows])
                 d *= pref[:, None]
@@ -371,7 +382,7 @@ def _run_crank_nicolson(
                 np.subtract(1.0, ild, out=rmul[:rows])
                 np.add(1.0, ild, out=ild)
 
-                for k, n in enumerate(range(n0, stop)):
+                for k, n in enumerate(range(n0, n1)):
                     ioff = ioffs[k]
                     rhs = rmul[k] * u
                     rhs[:-1] -= ioff * u[1:]
@@ -389,14 +400,14 @@ def _run_crank_nicolson(
         except FloatingPointError as exc:
             raise NumericalError(
                 f"step arithmetic overflows between clock {edges[n0]:.6g} and "
-                f"{edges[stop]:.6g}: clock rate up to {pref.max():.3g}, dt = {cfg.dt:g} "
+                f"{edges[n1]:.6g}: clock rate up to {pref.max():.3g}, dt = {cfg.dt:g} "
                 f"and hbar = {hbar:g} put the coefficients past the floating-point range"
             ) from exc
 
         if j1 > j0:
             a = amplitudes[j0:j1]
             norms[j0:j1] = row_norms(a, dx)
-            h_a = _h_rows(a, v[n1 - n0:][: j1 - j0], constants, dx)
+            h_a = _h_rows(a, v[rows:], constants, dx)
             energies[j0:j1] = rates[j0:j1] * _energies(a, h_a, dx)
             # A boolean column mask leaves the rows strided, and a strided
             # row sums in another order; contiguous rows match a 1D sum.
@@ -408,8 +419,6 @@ def _run_crank_nicolson(
                     flags.append(f"norm-drift {abs(norm - norm0):.3e} at clock {clock:.6g}")
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
-        if limit <= 2 * n1:
-            raise _non_finite_potential(float(t_block[keys == limit][0]))
 
     return EvolutionRecord(
         clock_kind=ClockKind.CONVENTIONAL_T if timemap is None else ClockKind.PARAMETER_TAU,
@@ -497,9 +506,7 @@ def residual_check(
     block = max(1, _BLOCK_POINTS // record.grid.n_points)
     for lo in range(0, len(uniform), block):
         n = uniform[lo:lo + block]
-        v, finite = _potential_rows(pot, record.t[n], x_int)
-        if not finite.all():
-            raise _non_finite_potential(float(record.t[n[np.argmin(finite)]]))
+        v = _potential_rows(pot, record.t[n], x_int)
         gen = record.rates[n, None] * _h_rows(amps[n], v, constants, record.grid.dx)
         deriv = 1j * constants.hbar * (amps[n + 1] - amps[n - 1])
         dt_eff = 0.5 * (clocks[n + 1] - clocks[n - 1])

@@ -1,4 +1,4 @@
-"""Bit-stable CSV/JSON emission for records, reports, trajectories, sweeps.
+"""Every artifact's layout, and its bit-stable CSV/JSON text.
 
 Numeric cells are printed with 17 significant digits (``%.16e``), which
 round-trips IEEE doubles exactly, so re-running an identical scenario on
@@ -19,58 +19,42 @@ from .quantum import CovarianceReport, EvolutionRecord
 
 REPORT_SCHEMA_VERSION = 1
 
-_FORMATS = ("csv", "json")
 
-
-def csv_table(header: list[str], columns: list[np.ndarray]) -> str:
-    """A CSV document with exact 17-significant-digit cells."""
-    lines = [",".join(header)]
-    n_rows = len(columns[0]) if columns else 0
-    for i in range(n_rows):
-        lines.append(",".join(f"{float(col[i]):.16e}" for col in columns))
+def csv_table(table: dict) -> str:
+    """A CSV document of ``table``'s named columns with exact 17-significant-digit cells."""
+    lines = [",".join(table)]
+    for row in zip(*table.values(), strict=True):
+        lines.append(",".join(f"{float(v):.16e}" for v in row))
     return "\n".join(lines) + "\n"
 
 
-def json_document(kind: str, header, columns, summary: dict, flags=()) -> str:
+def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
     """A JSON document mirroring a CSV table, with schema version and summary."""
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": kind,
-        "samples": {name: [float(v) for v in col] for name, col in zip(header, columns)},
+        "samples": {name: [float(v) for v in col] for name, col in table.items()},
         "summary": summary,
         "flags": list(flags),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_report(obj, fmt: str) -> str:
-    """The exact artifact text for ``obj`` in the requested format."""
-    if fmt not in _FORMATS:
-        raise ValidationError(f"unknown report format {fmt!r}; available: csv, json")
+def layout(obj):
+    """``obj``'s artifact as (kind, table, summary, flags): ``table`` maps
+    each column name, in file order, to its values."""
     if isinstance(obj, CovarianceReport):
-        kind = "covariance_report"
-        header = [
-            "tau",
-            "t",
-            "fidelity",
-            "norm_psi",
-            "norm_phi",
-            "energy_t",
-            "energy_tau",
-            "Tprime",
-            "energy_transform_residual",
-        ]
-        columns = [
-            obj.tau,
-            obj.t,
-            obj.fidelity,
-            obj.norm_psi,
-            obj.norm_phi,
-            obj.energy_t,
-            obj.energy_tau,
-            obj.tprime,
-            obj.energy_transform_residual,
-        ]
+        table = {
+            "tau": obj.tau,
+            "t": obj.t,
+            "fidelity": obj.fidelity,
+            "norm_psi": obj.norm_psi,
+            "norm_phi": obj.norm_phi,
+            "energy_t": obj.energy_t,
+            "energy_tau": obj.energy_tau,
+            "Tprime": obj.tprime,
+            "energy_transform_residual": obj.energy_transform_residual,
+        }
         summary = {}
         if len(obj.fidelity):
             summary = {
@@ -78,29 +62,50 @@ def render_report(obj, fmt: str) -> str:
                 "max_energy_transform_residual": float(obj.max_energy_transform_residual),
                 "max_norm_deviation": float(obj.max_norm_deviation),
             }
-        flags = obj.flags
-    elif isinstance(obj, EvolutionRecord):
-        kind = "evolution_record"
-        header = ["clock", "t_equivalent", "norm", "energy"]
-        columns = [obj.clocks, obj.t_values(), obj.norms, obj.energies]
+        return "covariance_report", table, summary, obj.flags
+    if isinstance(obj, EvolutionRecord):
+        table = {
+            "clock": obj.clocks,
+            "t_equivalent": obj.t_values(),
+            "norm": obj.norms,
+            "energy": obj.energies,
+        }
         summary = {
             "clock_kind": obj.clock_kind.value,
             "n_snapshots": len(obj.clocks),
             "max_norm_deviation": float(np.max(np.abs(obj.norms - obj.norms[0]))),
         }
-        flags = obj.flags
-    elif isinstance(obj, Trajectory):
-        kind = "trajectory"
-        header = ["clock", "t_equivalent", "q", "pm"]
-        columns = [obj.clocks, obj.t_values(), obj.q, obj.pm]
+        return "evolution_record", table, summary, obj.flags
+    if isinstance(obj, Trajectory):
+        table = {"clock": obj.clocks, "t_equivalent": obj.t_values(), "q": obj.q, "pm": obj.pm}
         summary = {"clock_kind": obj.clock_kind.value, "n_samples": int(len(obj.clocks))}
-        flags = ()
-    else:
-        raise ValidationError(f"cannot render a report for {type(obj).__name__}")
+        return "trajectory", table, summary, ()
+    raise ValidationError(f"cannot render a report for {type(obj).__name__}")
 
+
+def sweep_layout(dts, min_fidelity, fidelity_error, residual, estimated_order, flags):
+    """A convergence sweep's artifact as (kind, table, summary, flags), one row per dt."""
+    table = {
+        "dt": dts,
+        "min_fidelity": min_fidelity,
+        "fidelity_error": fidelity_error,
+        "max_energy_transform_residual": residual,
+    }
+    return "convergence_sweep", table, {"estimated_order": estimated_order}, flags
+
+
+def render_table(kind: str, table: dict, summary: dict, flags, fmt: str) -> str:
+    """The exact artifact text of a layout in the requested format."""
     if fmt == "csv":
-        return csv_table(header, columns)
-    return json_document(kind, header, columns, summary, flags)
+        return csv_table(table)
+    if fmt == "json":
+        return json_document(kind, table, summary, flags)
+    raise ValidationError(f"unknown report format {fmt!r}; available: csv, json")
+
+
+def render_report(obj, fmt: str) -> str:
+    """The exact artifact text for ``obj`` in the requested format."""
+    return render_table(*layout(obj), fmt)
 
 
 def emit_report(obj, fmt: str, path) -> Path:

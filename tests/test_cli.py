@@ -1,6 +1,7 @@
 """Command-line behaviour: verbs, exit codes, artifacts, determinism."""
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from reclock import cli, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
+from reclock.errors import ScenarioError
 from reclock.runner import TOLERANCE_PROFILES, Status, run_many
 from reclock.scenario import ScenarioKind, parse_scenario
 
@@ -154,6 +156,19 @@ def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "ok: cli-quantum" in captured.out  # good files still reported
+
+
+def test_validate_rejects_a_mapped_t_span_past_the_float_range(tmp_path, capsys):
+    # t = tau / alpha with alpha = 0.5 sends tau1 = 1e308 to t = inf.
+    source = next(p for p in catalogue_paths() if p.name == "linear-alpha2-harmonic.scenario")
+    text = source.read_text(encoding="utf-8").replace("alpha = 2.0", "alpha = 0.5")
+    text = text.replace("tau1 = 6.283185307179586", "tau1 = 1e308")
+    path = _write(tmp_path, text, "inf.scenario")
+    message = "[span] t_span end must be a finite real number, got inf"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        parse_scenario(path)
+    assert entrypoint(["validate", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_writes_artifacts_and_passes(tmp_path, capsys):

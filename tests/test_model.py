@@ -149,6 +149,12 @@ def test_potential_values():
         DrivenHarmonicPotential(mass=0.0)
 
 
+@pytest.mark.parametrize("omega", [1e200, -1e200, 10**200])
+def test_harmonic_omega_whose_square_overflows_is_rejected(omega):
+    with pytest.raises(ValidationError, match=r"^omega\*\*2 overflows for omega = "):
+        HarmonicPotential(omega=omega)
+
+
 def test_eval_potential_requires_finite_arguments():
     with pytest.raises(ValidationError, match="finite"):
         eval_potential(HarmonicPotential(), float("inf"), 0.0)

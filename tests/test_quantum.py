@@ -440,6 +440,33 @@ def test_overflowing_step_arithmetic_is_a_reclock_error():
         propagate_t(psi0, pot, CST, (0.0, 1.0), PropagatorConfig(dt=1e-320))
 
 
+def test_a_step_count_past_the_cap_is_rejected_before_the_ladder_is_built():
+    # 1e18 steps would ask numpy for exabytes; one step past the cap is
+    # rejected just the same, before any allocation.
+    with pytest.raises(ValidationError, match="^dt = 1e-18 is too small"):
+        _step_boundaries(0.0, 1.0, 1e-18)
+    with pytest.raises(ValidationError, match="^dt = 1.0 is too small .*10000001 steps"):
+        _step_boundaries(0.0, float(quantum.MAX_STEPS + 1), 1.0)
+
+
+def test_a_kinetic_weight_past_the_float_range_is_a_numerical_error():
+    # hbar**2 overflows, and on a tiny box dx**2 underflows to zero; both
+    # fail by name instead of as a bare OverflowError or ZeroDivisionError.
+    cfg = PropagatorConfig(dt=1e-3)
+    big = PhysicalConstants(hbar=1e200)
+    psi0 = prepare_gaussian(SpatialGrid(-12.0, 12.0, 64), 0.0, 1.0, 0.0, big)
+    with pytest.raises(NumericalError, match=r"not finite for hbar = 1e\+200, mass = 1\.0 and dx"):
+        propagate_t(psi0, HarmonicPotential(), big, (0.0, 0.01), cfg)
+    tiny = SpatialGrid(0.0, 1e-190, 64)
+    amps = np.zeros(64, dtype=complex)
+    amps[1:-1] = 1.0
+    psi0 = Wavefunction(tiny, amps)
+    with pytest.raises(NumericalError, match=re.escape(f"and dx = {tiny.dx!r}")):
+        propagate_t(psi0, FreePotential(), CST, (0.0, 0.01), cfg)
+    with pytest.raises(NumericalError, match="kinetic weight"):
+        apply_hamiltonian(psi0, FreePotential(), CST, 0.0)
+
+
 def test_residual_check_input_validation():
     pot = FreePotential()
     rec = propagate_t(

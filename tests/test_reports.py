@@ -49,7 +49,7 @@ def _small_report() -> CovarianceReport:
 
 def test_csv_cells_round_trip_doubles_exactly():
     values = np.array([0.1, 1.0 / 3.0, math.pi, -1.2345678901234567e-300, 6.02e23])
-    text = csv_table(["v"], [values])
+    text = csv_table({"v": values})
     lines = text.strip().split("\n")
     assert lines[0] == "v"
     parsed = [float(line) for line in lines[1:]]
@@ -110,7 +110,7 @@ def test_json_documents_round_trip():
     assert doc["summary"]["min_fidelity"] == report.min_fidelity
     assert doc["flags"] == []
 
-    generic = json.loads(json_document("demo", ["a"], [np.array([0.1])], {"s": 1}))
+    generic = json.loads(json_document("demo", {"a": np.array([0.1])}, {"s": 1}))
     assert generic["samples"]["a"] == [0.1]
 
 
