@@ -26,6 +26,7 @@ from .errors import (
     ClockDomainError,
     CoverageError,
     IntegrationError,
+    NumericalError,
     ValidationError,
 )
 from .model import (
@@ -228,26 +229,37 @@ def _integrate(
     are exact, so the derivatives are xdot = p/m, pdot = -dV/dx float for float.
     """
     tol = check_real("tol", tol, positive=True)
-    a, b = check_span("t_span" if timemap is None else "tau_span", span)
+    span_name = "t_span" if timemap is None else "tau_span"
+    a, b = check_span(span_name, span)
     if timemap is not None:
         timemap.require(a, b)
     y0 = (check_real("initial position", q0), check_real("initial momentum", p0))
     m = constants.mass
+    where = f"integration over {span_name} ({a:g}, {b:g}) failed"
 
     def rhs(clock, y):
         q, p = y
-        rate, t = clock_reading(timemap, clock)
-        return (rate * p / m, -rate * float(pot.gradient_x(t, q)))
+        try:
+            rate, t = clock_reading(timemap, clock)
+            return (rate * p / m, -rate * float(pot.gradient_x(t, q)))
+        except FloatingPointError as exc:
+            raise NumericalError(f"{where} at clock {clock:.6g}: {exc}") from exc
 
-    sol = solve_ivp(
-        rhs,
-        (a, b),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-    )
+    # An overflow would otherwise pass as a warning and can leave the
+    # step-size control shrinking the step without end.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(
+                rhs,
+                (a, b),
+                y0,
+                method="DOP853",
+                rtol=tol,
+                atol=tol,
+                dense_output=True,
+            )
+    except FloatingPointError as exc:
+        raise NumericalError(f"{where}: {exc}") from exc
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     return Trajectory(

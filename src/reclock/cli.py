@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Verbs:
-  run <scenario>...   execute scenarios and write CSV/JSON artifacts
-  sweep <scenario>    execute one convergence-sweep scenario
+  run <scenario>...       execute scenarios of any kind, convergence sweeps
+                          included, and write CSV/JSON artifacts
   validate <scenario>...  parse and validate without running
-  catalogue           list the bundled scenario files
+  catalogue               list the bundled scenario files
 
 Exit codes: 0 all Pass, 1 any Fail, 2 usage or parse error, 3 Flagged only.
 """
@@ -16,37 +16,11 @@ import sys
 from importlib.resources import files
 
 from .errors import ScenarioError, ValidationError
-from .runner import TOLERANCE_PROFILES, RunSummary, Status, run_many, run_scenarios
-from .scenario import ScenarioKind, parse_scenario
+from .runner import RunSummary, Status, run_many
+from .scenario import parse_scenario
 
-
-def _add_run_flags(sp: argparse.ArgumentParser):
-    sp.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="report root directory (default: the scenario's outputs.directory)",
-    )
-    sp.add_argument(
-        "--format",
-        choices=("csv", "json", "both"),
-        default=None,
-        help="artifact format(s); default: the scenario's outputs.formats",
-    )
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N scenarios in parallel worker processes",
-    )
-    sp.add_argument(
-        "--tolerance-profile",
-        choices=sorted(TOLERANCE_PROFILES),
-        default="default",
-        dest="profile",
-        help="named tolerance preset applied on top of scenario tolerances",
-    )
+# Each --format choice and the artifact formats it writes.
+_FORMATS = {"csv": ("csv",), "json": ("json",), "both": ("csv", "json")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,25 +33,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute scenario files and write reports")
     run_p.add_argument("files", nargs="+", metavar="scenario")
-    _add_run_flags(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="execute one convergence-sweep scenario")
-    sweep_p.add_argument("file", metavar="scenario")
-    _add_run_flags(sweep_p)
+    run_p.add_argument(
+        "--out",
+        default="reports",
+        metavar="DIR",
+        help="report root directory (default: reports)",
+    )
+    run_p.add_argument(
+        "--format",
+        choices=_FORMATS,
+        default="csv",
+        help="artifact format(s) (default: csv)",
+    )
+    run_p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run up to N scenarios in parallel worker processes",
+    )
 
     val_p = sub.add_parser("validate", help="parse and validate scenario files")
     val_p.add_argument("files", nargs="+", metavar="scenario")
 
     sub.add_parser("catalogue", help="list bundled scenarios")
     return parser
-
-
-def _resolve_formats(arg: str | None):
-    if arg is None:
-        return None
-    if arg == "both":
-        return ("csv", "json")
-    return (arg,)
 
 
 def _print_summary(summary: RunSummary):
@@ -98,28 +78,12 @@ def _aggregate_exit(summaries) -> int:
     return 0
 
 
-def _cmd_run(args, run, items) -> int:
-    """Execute ``items`` with ``run`` (run_many on paths, run_scenarios on scenarios)."""
-    summaries = run(
-        items,
-        out_root=args.out,
-        formats=_resolve_formats(args.format),
-        profile=args.profile,
-        jobs=args.jobs,
-    )
+def _cmd_run(args) -> int:
+    formats = _FORMATS[args.format]
+    summaries = run_many(args.files, out_root=args.out, formats=formats, jobs=args.jobs)
     for summary in summaries:
         _print_summary(summary)
     return _aggregate_exit(summaries)
-
-
-def _cmd_sweep(args) -> int:
-    scenario = parse_scenario(args.file)
-    if scenario.kind is not ScenarioKind.CONVERGENCE_SWEEP:
-        # entrypoint reports it as "error: ..." and exits 2, like a parse error.
-        raise ScenarioError(
-            f"{args.file}: sweep requires kind = convergence_sweep, got {scenario.kind.value}"
-        )
-    return _cmd_run(args, run_scenarios, [scenario])
 
 
 def _cmd_validate(paths) -> int:
@@ -155,9 +119,7 @@ def entrypoint(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args, run_many, args.files)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
+            return _cmd_run(args)
         if args.command == "validate":
             return _cmd_validate(args.files)
         return _cmd_catalogue()

@@ -234,7 +234,10 @@ class SmoothRampMap(TimeMap):
         # exact limit, so the overflow is expected and silenced.
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-(tau - self.center) / self.sharpness))
-        return self.rate_start + (self.rate_end - self.rate_start) * sig
+        rate = self.rate_start + (self.rate_end - self.rate_start) * sig
+        # The exact rate never falls below the smaller end rate, but the sum
+        # above can round a small end rate away next to a large start rate.
+        return np.maximum(rate, min(self.rate_start, self.rate_end))
 
 
 def clock_reading(timemap: TimeMap | None, clock: float) -> tuple[float, float]:

@@ -35,20 +35,6 @@ DEFAULT_TOLERANCES = {
     ScenarioKind.CONVERGENCE_SWEEP: Tolerances(order_min=1.8, order_max=2.2),
 }
 
-# Named tolerance profiles selectable from the command line. "strict" pins
-# every threshold at an unattainable level and exists to exercise the
-# failure paths (exit codes, Fail summaries) on demand.
-TOLERANCE_PROFILES: dict[str, Tolerances | None] = {
-    "default": None,
-    "strict": Tolerances(
-        min_fidelity=1.0 - 1e-14,
-        max_energy_transform_residual=1e-14,
-        max_trajectory_error=1e-14,
-        order_min=2.0 - 1e-14,
-        order_max=2.0 + 1e-14,
-    ),
-}
-
 
 class Status(Enum):
     PASS = "Pass"
@@ -68,23 +54,9 @@ class RunSummary:
     detail: str = ""
 
 
-def _effective_tolerances(scenario: Scenario, profile: str) -> Tolerances:
-    if profile not in TOLERANCE_PROFILES:
-        raise ValidationError(
-            f"unknown tolerance profile {profile!r}; "
-            f"available: {', '.join(sorted(TOLERANCE_PROFILES))}"
-        )
-    merged = DEFAULT_TOLERANCES[scenario.kind]
-    for source in (scenario.tolerances, TOLERANCE_PROFILES[profile]):
-        if source is None:
-            continue
-        overrides = {
-            name: value
-            for name, value in vars(source).items()
-            if value is not None
-        }
-        merged = replace(merged, **overrides)
-    return merged
+def _effective_tolerances(scenario: Scenario) -> Tolerances:
+    own = {k: v for k, v in vars(scenario.tolerances).items() if v is not None}
+    return replace(DEFAULT_TOLERANCES[scenario.kind], **own)
 
 
 def _emit(artifact, stem: str, out_dir: Path, formats) -> list[str]:
@@ -208,22 +180,16 @@ _DISPATCH = {
 }
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_root=None,
-    formats: tuple[str, ...] | None = None,
-    profile: str = "default",
-) -> RunSummary:
-    """Execute one scenario, write its artifacts, and summarize the outcome."""
-    tol = _effective_tolerances(scenario, profile)
-    out_dir = Path(out_root if out_root is not None else scenario.outputs.directory)
-    out_dir = out_dir / scenario.name
-    used_formats = tuple(formats) if formats else scenario.outputs.formats
+def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> RunSummary:
+    """Execute one scenario, write its artifacts under ``<out_root>/<name>/``
+    once per format, and summarize the outcome."""
+    tol = _effective_tolerances(scenario)
+    out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
         metrics, misses, flags, artifacts = _DISPATCH[scenario.kind](
-            scenario, tol, out_dir, used_formats
+            scenario, tol, out_dir, formats
         )
     except Exception as exc:
         if isinstance(exc, ReclockError):
@@ -256,36 +222,19 @@ def run_scenario(
     )
 
 
-def run_many(
-    paths,
-    out_root=None,
-    formats=None,
-    profile: str = "default",
-    jobs: int = 1,
-) -> list[RunSummary]:
-    """Parse several scenario files, then execute them with ``run_scenarios``.
+def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list[RunSummary]:
+    """Parse several scenario files, then execute them in order with ``run_scenario``,
+    across up to ``jobs`` worker processes.
 
     Every file is parsed here, in the calling process, before any run
     starts, so a bad file raises ScenarioError before any work is done.
     """
-    return run_scenarios([parse_scenario(p) for p in paths], out_root, formats, profile, jobs)
-
-
-def run_scenarios(
-    scenarios,
-    out_root=None,
-    formats=None,
-    profile: str = "default",
-    jobs: int = 1,
-) -> list[RunSummary]:
-    """Execute parsed scenarios in order, optionally across worker processes."""
+    scenarios = [parse_scenario(p) for p in paths]
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(scenarios) <= 1:
-        return [run_scenario(s, out_root, formats, profile) for s in scenarios]
+        return [run_scenario(s, out_root, formats) for s in scenarios]
     workers = min(jobs, len(scenarios))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(run_scenario, s, out_root, formats, profile) for s in scenarios
-        ]
+        futures = [pool.submit(run_scenario, s, out_root, formats) for s in scenarios]
         return [f.result() for f in futures]

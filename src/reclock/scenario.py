@@ -89,12 +89,6 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    directory: str = "reports"
-    formats: tuple[str, ...] = ("csv",)
-
-
-@dataclass(frozen=True)
 class Scenario:
     """A fully validated experiment description."""
 
@@ -112,7 +106,6 @@ class Scenario:
     sweep_dts: tuple[float, ...] | None = None
     integrator_tol: float | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
-    outputs: OutputSpec = field(default_factory=OutputSpec)
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -270,7 +263,7 @@ def parse_scenario(path) -> Scenario:
 
     quantum = kind in (ScenarioKind.QUANTUM_COVARIANCE, ScenarioKind.CONVERGENCE_SWEEP)
     expected = {"scenario", "span", "timemap", "potential", "initial_state", "numerics"}
-    optional = {"constants", "tolerances", "outputs"}
+    optional = {"constants", "tolerances"}
     if quantum:
         expected.add("grid")
     unexpected = sorted(set(sections) - expected - optional)
@@ -345,18 +338,6 @@ def parse_scenario(path) -> Scenario:
     tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in keys.items()})
     tol_sec.finish()
 
-    out_sec = section("outputs", required=False)
-    directory = out_sec.take("directory", default=OutputSpec.directory)
-    fmt_raw = out_sec.take("formats", default=",".join(OutputSpec.formats))
-    formats = tuple(tok.strip() for tok in fmt_raw.split(",") if tok.strip())
-    bad = [f for f in formats if f not in ("csv", "json")]
-    if bad or not formats:
-        raise ScenarioError(
-            f"[outputs] formats must be a comma list drawn from csv, json; got {fmt_raw!r}"
-        )
-    outputs = OutputSpec(directory=directory, formats=formats)
-    out_sec.finish()
-
     return Scenario(
         name=name,
         kind=kind,
@@ -372,5 +353,4 @@ def parse_scenario(path) -> Scenario:
         sweep_dts=sweep_dts,
         integrator_tol=integrator_tol,
         tolerances=tolerances,
-        outputs=outputs,
     )

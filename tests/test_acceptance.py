@@ -8,6 +8,7 @@ once and shared between the criteria that consume them.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -370,8 +371,12 @@ def test_criterion_9_deterministic_artifacts_and_exit_codes(tmp_path, capsys):
 
     gauge = next(path for path in paths if "gauge-identity" in path)
     code_pass = entrypoint(["run", gauge, "--out", str(tmp_path / "ok")])
-    code_fail = entrypoint(["run", gauge, "--out", str(tmp_path / "strict"),
-                            "--tolerance-profile", "strict"])
+    # The same run held to an unattainable fidelity must fail.
+    strict = tmp_path / "gauge-identity-strict.scenario"
+    strict.write_text(Path(gauge).read_text(encoding="utf-8").replace(
+        "min_fidelity = 0.999999999999", f"min_fidelity = {1.0 - 1e-14!r}"),
+        encoding="utf-8")
+    code_fail = entrypoint(["run", str(strict), "--out", str(tmp_path / "strict")])
     code_usage = entrypoint(["run", str(tmp_path / "no-such.scenario")])
     capsys.readouterr()  # drop the CLI chatter; keep only the verdict line
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from reclock.errors import ClockDomainError, CoverageError, ValidationError
+from reclock.errors import ClockDomainError, CoverageError, NumericalError, ValidationError
 from reclock.classical import (
     LagrangianPoint,
     Trajectory,
@@ -23,6 +23,7 @@ from reclock.classical import (
 )
 from reclock.model import (
     ClockKind,
+    DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
     IdentityMap,
@@ -312,3 +313,24 @@ def test_hamiltonians_reject_a_non_finite_phase_space_point():
     for name, call in calls:
         with pytest.raises(ValidationError, match=f"^{name} must be a finite real number"):
             call()
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [
+        DrivenHarmonicPotential(omega0=1e154, ramp=1e160),
+        MovingWellPotential(center0=1e200, stiffness=1e200),
+        HarmonicPotential(omega=1e150),
+    ],
+    ids=["driven", "moving-well", "harmonic"],
+)
+@pytest.mark.parametrize("clock", ["t", "tau"])
+def test_an_overflowing_orbit_is_a_numerical_error_naming_the_span(pot, clock):
+    # The force, or solve_ivp's own step-size norms, overflow at once. Left
+    # to numpy that is a RuntimeWarning, and with warnings ignored the step
+    # size control can shrink the step without end.
+    with pytest.raises(NumericalError, match=rf"^integration over {clock}_span \(0, 1\) failed"):
+        if clock == "t":
+            integrate_t(pot, CST, 0.0, 1.0, (0.0, 1.0))
+        else:
+            integrate_tau(pot, CST, SinePerturbedMap(0.3, 1.0), 0.0, 1.0, (0.0, 1.0))

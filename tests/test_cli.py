@@ -1,5 +1,7 @@
 """Command-line behaviour: verbs, exit codes, artifacts, determinism."""
 
+import argparse
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -10,7 +12,8 @@ import pytest
 from reclock import cli, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError
-from reclock.runner import TOLERANCE_PROFILES, Status, run_many
+from reclock.quantum import PropagatorConfig
+from reclock.runner import Status, run_many
 from reclock.scenario import ScenarioKind, parse_scenario
 
 QUANTUM_TEXT = """\
@@ -215,14 +218,15 @@ def test_parallel_run_matches_sequential(tmp_path):
 
 
 def test_strict_profile_turns_pass_into_fail(tmp_path, capsys):
-    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
-    code = entrypoint(
-        ["run", q, "--out", str(tmp_path / "r"), "--tolerance-profile", "strict"]
+    strict = (
+        "\n[tolerances]\nmin_fidelity = 0.99999999999999\n"
+        "max_energy_transform_residual = 1e-14\n"
     )
+    q = _write(tmp_path, QUANTUM_TEXT + strict, "q.scenario")
+    code = entrypoint(["run", q, "--out", str(tmp_path / "r")])
     assert code == 1
     stdout = capsys.readouterr().out
     assert "Fail" in stdout
-    assert TOLERANCE_PROFILES["strict"].min_fidelity == 1.0 - 1e-14
 
 
 def test_monitor_flags_exit_three(tmp_path, capsys):
@@ -235,7 +239,7 @@ def test_monitor_flags_exit_three(tmp_path, capsys):
 def test_sweep_verb(tmp_path, capsys):
     s = _write(tmp_path, SWEEP_TEXT, "s.scenario")
     out = tmp_path / "r"
-    assert entrypoint(["sweep", s, "--out", str(out), "--format", "both"]) == 0
+    assert entrypoint(["run", s, "--out", str(out), "--format", "both"]) == 0
     stdout = capsys.readouterr().out
     assert "estimated_order=" in stdout
     sweep = json.loads((out / "cli-sweep/sweep.json").read_text(encoding="utf-8"))
@@ -243,17 +247,13 @@ def test_sweep_verb(tmp_path, capsys):
     header = (out / "cli-sweep/sweep.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "dt,min_fidelity,fidelity_error,max_energy_transform_residual"
 
-    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
-    assert entrypoint(["sweep", q]) == 2
-    assert "requires kind = convergence_sweep" in capsys.readouterr().err
-
 
 def test_sweep_to_an_unwritable_out_fails_cleanly(tmp_path, capsys):
     # The sweep table goes through the report writer: a clean Fail, no traceback.
     s = _write(tmp_path, SWEEP_TEXT, "s.scenario")
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")
-    assert entrypoint(["sweep", s, "--out", str(blocker)]) == 1
+    assert entrypoint(["run", s, "--out", str(blocker)]) == 1
     captured = capsys.readouterr()
     assert "ReclockError: cannot write report to" in captured.out
     assert "internal error" not in captured.out and "Traceback" not in captured.err
@@ -272,11 +272,6 @@ def test_each_scenario_file_is_parsed_once(tmp_path, monkeypatch):
     c = _write(tmp_path, CLASSICAL_TEXT, "c.scenario")
     assert entrypoint(["run", q, c, "--out", str(tmp_path / "r"), "--jobs", "1"]) == 0
     assert parsed == {q: 1, c: 1}
-
-    parsed.clear()
-    s = _write(tmp_path, SWEEP_TEXT, "s.scenario")
-    assert entrypoint(["sweep", s, "--out", str(tmp_path / "r")]) == 0
-    assert parsed == {s: 1}
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):
@@ -314,6 +309,40 @@ def test_usage_errors_raise_system_exit():
     with pytest.raises(SystemExit) as exc:
         entrypoint(["run", "x", "--tolerance-profile", "mystery"])
     assert exc.value.code == 2
+
+
+def _exit_code(argv) -> int:
+    """The code ``reclock <argv>`` exits with, whether argparse or a verb ends it."""
+    try:
+        return entrypoint(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_knob_census(tmp_path, capsys):
+    # Scenarios run one way, and each setting has one home: the run flags for
+    # where and how artifacts are written, the scenario file for the rest.
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(verbs.choices) == {"run", "validate", "catalogue"}
+    run_options = {opt for a in verbs.choices["run"]._actions for opt in a.option_strings}
+    assert run_options - {"-h", "--help"} == {"--out", "--format", "--jobs"}
+    assert [f.name for f in dataclasses.fields(PropagatorConfig)] == ["dt", "record_every"]
+
+    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    outputs = _write(tmp_path, QUANTUM_TEXT + "\n[outputs]\nformats = json\n", "o.scenario")
+    guard = QUANTUM_TEXT.replace("record_every = 25", "record_every = 25\nedge_guard = 0.2")
+    guard = _write(tmp_path, guard, "g.scenario")
+    removed = [
+        (["sweep", q], "invalid choice: 'sweep'"),
+        (["run", q, "--tolerance-profile", "strict"], "unrecognized arguments: --tolerance"),
+        (["run", outputs], "unexpected section(s) for kind quantum_covariance: [outputs]"),
+        (["run", guard], "[numerics] unknown key(s): edge_guard"),
+    ]
+    for argv, message in removed:
+        assert _exit_code([*argv, "--out", str(tmp_path / "r")]) == 2, argv
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_many_validates_jobs(tmp_path):

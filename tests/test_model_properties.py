@@ -1,0 +1,85 @@
+"""Property tests of the clock-map families' monotone regions.
+
+Each family is accepted on its analytic monotone region, with a margin of
+two MONOTONE_MARGIN, and every rejection is a ValidationError that emits no
+warning. Parameters are drawn from every double, NaN and the infinities
+included; domains are drawn from a moderate range, since their own checks
+are tested elsewhere.
+"""
+
+import math
+import warnings
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from reclock.errors import ValidationError  # noqa: E402
+from reclock.model import (  # noqa: E402
+    MONOTONE_MARGIN,
+    LinearMap,
+    SinePerturbedMap,
+    SmoothRampMap,
+)
+
+_ANY = st.floats()
+_DOMAINS = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda p: (p[0], p[0] + p[1]))
+_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _accepted(build) -> bool:
+    """True if ``build()`` returns a map; False if it raises a ValidationError.
+    Any warning, or any other exception, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build()
+        except ValidationError:
+            return False
+    return True
+
+
+@_SETTINGS
+@given(alpha=_ANY, domain=_DOMAINS)
+@example(alpha=5e-324, domain=(0.0, 1.0))
+def test_a_linear_map_is_accepted_exactly_for_a_finite_positive_alpha(alpha, domain):
+    expected = math.isfinite(alpha) and alpha > 0
+    assert _accepted(lambda: LinearMap(alpha, domain)) == expected
+
+
+@_SETTINGS
+@given(amplitude=_ANY, frequency=_ANY, domain=_DOMAINS)
+@example(amplitude=0.999998, frequency=1.0, domain=(0.0, 10.0))
+@example(amplitude=1e-300, frequency=1e300, domain=(0.0, 1.0))
+def test_a_sine_map_is_accepted_on_its_monotone_region(amplitude, frequency, domain):
+    accepted = _accepted(lambda: SinePerturbedMap(amplitude, frequency, domain))
+    if not (math.isfinite(amplitude) and math.isfinite(frequency)):
+        assert not accepted
+        return
+    slope = abs(amplitude * frequency)
+    # The clock is T = tau + a sin(f tau): it is defined only where the
+    # phase f tau is a double.
+    phase = frequency * max(abs(domain[0]), abs(domain[1]))
+    if 1.0 - slope >= 2 * MONOTONE_MARGIN and math.isfinite(phase):
+        assert accepted
+    if slope >= 1.0:
+        assert not accepted
+
+
+@_SETTINGS
+@given(rates=st.tuples(_ANY, _ANY), center=_ANY, sharpness=_ANY, domain=_DOMAINS)
+# A small end rate next to a large start rate, the two meeting in one sum.
+@example(rates=(1e11, 2e-6), center=0.0, sharpness=0.01, domain=(0.0, 1.0))
+@example(rates=(1.7e308, 2e-6), center=-1e300, sharpness=1e-300, domain=(0.0, 1.0))
+def test_a_smooth_ramp_is_accepted_when_both_rates_clear_the_margin(
+    rates, center, sharpness, domain
+):
+    accepted = _accepted(lambda: SmoothRampMap(*rates, center, sharpness, domain))
+    if not all(math.isfinite(v) for v in (*rates, center, sharpness)) or not sharpness > 0:
+        assert not accepted
+    elif min(rates) >= 2 * MONOTONE_MARGIN:
+        assert accepted
+    elif min(rates) <= 0:
+        assert not accepted

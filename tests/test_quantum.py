@@ -74,8 +74,6 @@ def test_propagator_config_validation():
     for every in (0, float("inf"), float("nan"), "3", 10**400):
         with pytest.raises(ValidationError, match="record_every"):
             PropagatorConfig(dt=1e-3, record_every=every)
-    with pytest.raises(ValidationError, match="edge_guard"):
-        PropagatorConfig(dt=1e-3, edge_guard=0.5)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +107,6 @@ def test_every_number_field_rejects_non_numbers_and_overflow(bad):
         ("center", lambda: prepare_gaussian(GRID, bad, 1.0)),
         ("momentum", lambda: prepare_gaussian(GRID, 0.0, 1.0, bad)),
         ("dt", lambda: PropagatorConfig(dt=bad)),
-        ("edge_guard", lambda: PropagatorConfig(dt=1e-3, edge_guard=bad)),
         ("alpha", lambda: propagate_rescaled(
             GROUND, FreePotential(), CST, bad, (0.0, 1.0), PropagatorConfig(dt=0.1)
         )),
@@ -340,7 +337,7 @@ def test_leak_flags_are_the_per_record_formulas():
     fast = prepare_gaussian(grid, 0.0, 1.0, momentum=8.0)
     rec = propagate_t(fast, FreePotential(), CST, (0.0, 2.0), cfg)
     x = grid.points()
-    width = (grid.x_max - grid.x_min) * cfg.edge_guard
+    width = (grid.x_max - grid.x_min) * quantum.EDGE_GUARD
     strip = (x <= grid.x_min + width) | (x >= grid.x_max - width)
     expected = []
     for clock, amps in zip(rec.clocks.tolist(), rec.amplitudes):

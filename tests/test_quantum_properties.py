@@ -3,6 +3,8 @@
 * A non-finite potential stops every run, and the residual check, with a
   NumericalError naming the earliest t at which V is evaluated and bad.
 * The identity clock reproduces the conventional run float for float.
+* A covariance run keeps both records' norms within NORM_DRIFT_TOL and its
+  fidelities in [0, 1 + FIDELITY_CAP_SLACK], for every clock family.
 """
 
 import math
@@ -21,6 +23,7 @@ from reclock.model import (  # noqa: E402
     FreePotential,
     HarmonicPotential,
     IdentityMap,
+    LinearMap,
     MovingWellPotential,
     PhysicalConstants,
     PotentialSpec,
@@ -197,3 +200,49 @@ def test_the_identity_clock_reproduces_the_conventional_run_exactly(
     tau_rec, t_rec = report.tau_record, report.t_record
     assert np.array_equal(tau_rec.amplitudes, t_rec.amplitudes)
     assert np.array_equal(tau_rec.energies, t_rec.energies)
+
+
+@st.composite
+def _clocks(draw, span):
+    """A linear, sine or smooth-ramp clock on ``span``."""
+    kind = draw(st.sampled_from(["linear", "sine", "ramp"]))
+    if kind == "linear":
+        return LinearMap(draw(st.floats(0.25, 4.0)), domain=span)
+    if kind == "sine":
+        frequency = draw(st.floats(0.1, 10.0))
+        return SinePerturbedMap(draw(st.floats(-0.9, 0.9)) / frequency, frequency, domain=span)
+    rates = draw(st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)))
+    center = draw(st.floats(span[0], span[1]))
+    return SmoothRampMap(*rates, center, draw(st.floats(0.01, 1.0)), domain=span)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    pot=_potentials(),
+    n=st.integers(16, 128),
+    packet=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 1.2), st.floats(-1.5, 1.5)),
+    a=st.floats(-2.0, 2.0),
+    length=st.floats(0.01, 2.0),
+    n_steps=st.integers(1, 60),
+    stretch=st.floats(0.5, 1.5),
+    record_every=st.integers(1, 8),
+    data=st.data(),
+)
+def test_a_covariance_run_keeps_its_norm_and_its_fidelity_in_range(
+    pot, n, packet, a, length, n_steps, stretch, record_every, data
+):
+    span = (a, a + length)
+    # CovarianceReport raises a NumericalError for a fidelity outside
+    # [0, 1 + FIDELITY_CAP_SLACK], so the run must simply complete.
+    report = covariance_experiment(
+        CovarianceScenario(
+            constants=CST,
+            potential=pot,
+            timemap=data.draw(_clocks(span)),
+            initial_state=prepare_gaussian(SpatialGrid(-12.0, 12.0, n), *packet),
+            tau_span=span,
+            config=PropagatorConfig(dt=length / n_steps * stretch, record_every=record_every),
+        )
+    )
+    for record in (report.tau_record, report.t_record):
+        assert not [flag for flag in record.flags if flag.startswith("norm-drift")]

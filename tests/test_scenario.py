@@ -14,7 +14,7 @@ from reclock.model import (
     PhysicalConstants,
 )
 from reclock.quantum import PropagatorConfig
-from reclock.scenario import OutputSpec, ScenarioKind, parse_scenario
+from reclock.scenario import ScenarioKind, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -134,7 +134,6 @@ def test_parse_quantum_scenario(tmp_path):
     assert sc.propagator.dt == 1e-3 and sc.propagator.record_every == 10
     assert sc.classical_initial is None and sc.sweep_dts is None
     assert sc.tolerances.min_fidelity is None
-    assert sc.outputs.formats == ("csv",)
 
 
 def test_parse_classical_scenario(tmp_path):
@@ -257,12 +256,9 @@ def test_classical_tolerance_and_outputs(tmp_path):
     text = CLASSICAL_TEXT.replace("tol = 1e-10", "tol = -1e-10")
     with pytest.raises(ScenarioError, match="tol must be positive"):
         parse_scenario(_write(tmp_path, text))
+    # Where and in which formats artifacts go is set on the command line only.
     text = CLASSICAL_TEXT + "\n[outputs]\ndirectory = out\nformats = csv, json\n"
-    sc = parse_scenario(_write(tmp_path, text))
-    assert sc.outputs.directory == "out"
-    assert sc.outputs.formats == ("csv", "json")
-    text = CLASSICAL_TEXT + "\n[outputs]\nformats = xml\n"
-    with pytest.raises(ScenarioError, match="formats"):
+    with pytest.raises(ScenarioError, match=r"unexpected section\(s\) .*: \[outputs\]"):
         parse_scenario(_write(tmp_path, text))
 
 
@@ -300,7 +296,6 @@ def test_omitted_keys_take_the_class_defaults(tmp_path):
     assert sc.constants == PhysicalConstants()
     assert sc.potential == MovingWellPotential()
     assert sc.propagator == PropagatorConfig(dt=1e-3)
-    assert sc.outputs == OutputSpec()
     # A potential with a mass field takes the [constants] mass.
     sc = parse_scenario(_write(tmp_path, QUANTUM_TEXT + "\n[constants]\nmass = 2.0\n"))
     assert sc.potential == HarmonicPotential(omega=1.0, mass=2.0)
