@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    ClockKind,
     PhysicalConstants,
     PotentialSpec,
     TimeMap,
@@ -73,10 +72,10 @@ class Trajectory:
     ``pm`` is the momentum conjugate to q in the trajectory's own clock:
     p = m dx/dt for conventional runs, pi = m xi' / T' for relabeled ones.
     A dense interpolant over the full span is kept so another trajectory
-    can be compared against this one between samples.
+    can be compared against this one between samples. ``timemap`` is None
+    exactly for a conventional-clock run.
     """
 
-    clock_kind: ClockKind
     clocks: np.ndarray
     q: np.ndarray
     pm: np.ndarray
@@ -91,8 +90,6 @@ class Trajectory:
             raise ValidationError("trajectory needs matching 1D clock/q/pm arrays (>= 2 samples)")
         if np.any(np.diff(clocks) <= 0):
             raise ValidationError("trajectory clock values must be strictly increasing")
-        if (self.timemap is not None) != (self.clock_kind is ClockKind.PARAMETER_TAU):
-            raise ValidationError("timemap must be attached exactly for relabeled trajectories")
         # Freeze views: np.asarray may return the caller's own arrays.
         for name, arr in (("clocks", clocks), ("q", q), ("pm", pm)):
             view = arr.view()
@@ -263,7 +260,6 @@ def _integrate(
     if not sol.success:
         raise IntegrationError(f"integration failed: {sol.message}")
     return Trajectory(
-        clock_kind=ClockKind.CONVENTIONAL_T if timemap is None else ClockKind.PARAMETER_TAU,
         clocks=sol.t,
         q=sol.y[0],
         pm=sol.y[1],
@@ -309,9 +305,9 @@ def trajectory_equivalence(
     interpolant, so the comparison is not limited to coincident sample
     points. traj_t must cover the mapped span [T(tau0), T(tau1)].
     """
-    if traj_t.clock_kind is not ClockKind.CONVENTIONAL_T:
+    if traj_t.timemap is not None:
         raise ValidationError("traj_t must be a conventional-clock trajectory")
-    if traj_tau.clock_kind is not ClockKind.PARAMETER_TAU:
+    if traj_tau.timemap is None:
         raise ValidationError("traj_tau must be a relabeled-clock trajectory")
     if traj_t.dense is None:
         raise ValidationError("traj_t carries no dense interpolant")

@@ -17,7 +17,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -30,12 +29,9 @@ MONOTONE_MARGIN = 1e-6
 # A prepared Gaussian must keep this many widths of clearance inside the box.
 GAUSSIAN_SUPPORT_WIDTHS = 8.0
 
-
-class ClockKind(Enum):
-    """Which clock a state or trajectory is stamped with."""
-
-    CONVENTIONAL_T = "t"
-    PARAMETER_TAU = "tau"
+# One complex state on a grid this size is 256 MiB, and a run holds several;
+# the largest grid in use (the wide-grid benchmark's) has 16384 points.
+MAX_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,13 @@ class LinearMap(TimeMap):
 
     def __post_init__(self):
         object.__setattr__(self, "domain", check_span("domain", self.domain))
-        check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
+        alpha = check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
+        # A run reads the rate and T at both ends of the domain.
+        if not all(math.isfinite(v) for v in (1.0 / alpha, *(tau / alpha for tau in self.domain))):
+            raise ValidationError(
+                f"alpha = {alpha!r} puts the clock rate 1/alpha or T = tau/alpha at an end "
+                f"of the domain {self.domain} past the floating-point range"
+            )
 
     def value(self, tau):
         return tau / self.alpha
@@ -187,6 +189,12 @@ class SinePerturbedMap(TimeMap):
             raise ValidationError(
                 f"|amplitude*frequency| = {abs(slope):.3g} >= 1 "
                 f"would let the clock rate dT/dtau touch zero (monotonicity violated)"
+            )
+        # The phase is linear in tau, so its two ends bound it on the domain.
+        if not all(math.isfinite(self.frequency * tau) for tau in self.domain):
+            raise ValidationError(
+                f"the phase frequency * tau overflows on the domain {self.domain} "
+                f"for frequency = {self.frequency!r}"
             )
         self._dense_rate_check()
 
@@ -366,12 +374,16 @@ class SpatialGrid:
 
     def __post_init__(self):
         hi, lo = check_real("x_max", self.x_max), check_real("x_min", self.x_min)
-        if not (hi > lo and math.isfinite(hi - lo)):
+        n = check_count("n_points", self.n_points, 8)
+        if n > MAX_POINTS:
+            raise ValidationError(f"n_points = {n} is more than the {MAX_POINTS} a grid may hold")
+        # A finite, ordered box can still have a spacing that underflows to 0.
+        if not (hi > lo and math.isfinite(hi - lo) and (hi - lo) / (n - 1) > 0):
             raise ValidationError(
-                f"need x_max > x_min and a finite width x_max - x_min, "
-                f"got [{self.x_min}, {self.x_max}]"
+                f"need x_max > x_min, a finite width x_max - x_min and a nonzero "
+                f"spacing dx over {n} points, got [{self.x_min}, {self.x_max}]"
             )
-        object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 8))
+        object.__setattr__(self, "n_points", n)
 
     @property
     def dx(self) -> float:

@@ -42,7 +42,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import CoverageError, NumericalError, ValidationError
 from .model import (
-    ClockKind,
     LinearMap,
     PhysicalConstants,
     PotentialSpec,
@@ -112,7 +111,6 @@ class EvolutionRecord:
     conventional-clock run and T'(tau)<H(T(tau))> for a relabeled one.
     """
 
-    clock_kind: ClockKind
     grid: SpatialGrid
     clocks: np.ndarray
     rates: np.ndarray
@@ -120,7 +118,6 @@ class EvolutionRecord:
     amplitudes: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
-    timemap: TimeMap | None = None
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -138,14 +135,6 @@ class EvolutionRecord:
             object.__setattr__(self, name, arr)
         if np.any(np.diff(self.clocks) <= 0):
             raise ValidationError("record clocks must be strictly increasing")
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.flags
-
-    def t_values(self) -> np.ndarray:
-        """Conventional-clock readings of the samples (T(tau) for tau runs)."""
-        return self.t
 
     @property
     def final_state(self) -> Wavefunction:
@@ -417,7 +406,6 @@ def _run_crank_nicolson(
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
 
     return EvolutionRecord(
-        clock_kind=ClockKind.CONVENTIONAL_T if timemap is None else ClockKind.PARAMETER_TAU,
         grid=grid,
         clocks=clocks,
         rates=rates,
@@ -425,7 +413,6 @@ def _run_crank_nicolson(
         amplitudes=amplitudes,
         norms=norms,
         energies=energies,
-        timemap=timemap,
         flags=tuple(flags),
     )
 
@@ -468,7 +455,7 @@ def propagate_rescaled(
     This is the linear relabeling T(tau) = alpha * tau, run as
     ``propagate_tau`` with ``LinearMap(1 / alpha)`` (LinearMap follows the
     T(tau) = tau / alpha convention) over the domain ``t_span``: the
-    record's clock is the compressed time t and ``t_values()`` exposes
+    record's clock is the compressed time t and its ``t`` column holds
     alpha * t.
     """
     compressed = LinearMap(alpha=1.0 / check_real("alpha", alpha, positive=True), domain=t_span)
@@ -554,10 +541,6 @@ class CovarianceReport:
             )
 
     @property
-    def is_valid(self) -> bool:
-        return not self.flags
-
-    @property
     def min_fidelity(self) -> float:
         return float(np.min(self.fidelity))
 
@@ -587,7 +570,7 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
         psi0, scenario.potential, cst, scenario.timemap, scenario.tau_span, scenario.config
     )
 
-    t_marks = tau_rec.t_values()
+    t_marks = tau_rec.t
     if np.any(np.diff(t_marks) <= 0):
         raise CoverageError("clock map failed to produce increasing comparison times")
 

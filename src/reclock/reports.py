@@ -11,11 +11,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .classical import Trajectory
 from .errors import ReclockError, ValidationError
-from .quantum import CovarianceReport, EvolutionRecord
+from .quantum import CovarianceReport
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -41,8 +39,8 @@ def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
 
 
 def layout(obj):
-    """``obj``'s artifact as (kind, table, summary, flags): ``table`` maps
-    each column name, in file order, to its values."""
+    """A covariance report's or a trajectory's artifact as (kind, table,
+    summary, flags): ``table`` maps each column name, in file order, to its values."""
     if isinstance(obj, CovarianceReport):
         table = {
             "tau": obj.tau,
@@ -63,22 +61,10 @@ def layout(obj):
                 "max_norm_deviation": float(obj.max_norm_deviation),
             }
         return "covariance_report", table, summary, obj.flags
-    if isinstance(obj, EvolutionRecord):
-        table = {
-            "clock": obj.clocks,
-            "t_equivalent": obj.t_values(),
-            "norm": obj.norms,
-            "energy": obj.energies,
-        }
-        summary = {
-            "clock_kind": obj.clock_kind.value,
-            "n_snapshots": len(obj.clocks),
-            "max_norm_deviation": float(np.max(np.abs(obj.norms - obj.norms[0]))),
-        }
-        return "evolution_record", table, summary, obj.flags
     if isinstance(obj, Trajectory):
         table = {"clock": obj.clocks, "t_equivalent": obj.t_values(), "q": obj.q, "pm": obj.pm}
-        summary = {"clock_kind": obj.clock_kind.value, "n_samples": int(len(obj.clocks))}
+        clock_kind = "t" if obj.timemap is None else "tau"
+        summary = {"clock_kind": clock_kind, "n_samples": int(len(obj.clocks))}
         return "trajectory", table, summary, ()
     raise ValidationError(f"cannot render a report for {type(obj).__name__}")
 
@@ -106,11 +92,6 @@ def render_table(kind: str, table: dict, summary: dict, flags, fmt: str) -> str:
 def render_report(obj, fmt: str) -> str:
     """The exact artifact text for ``obj`` in the requested format."""
     return render_table(*layout(obj), fmt)
-
-
-def emit_report(obj, fmt: str, path) -> Path:
-    """Write ``obj`` to ``path`` in the requested format and return the path."""
-    return write_artifact(render_report(obj, fmt), path)
 
 
 def write_artifact(text: str, path) -> Path:

@@ -26,15 +26,6 @@ from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
 from .scenario import Scenario, ScenarioKind, Tolerances, parse_scenario
 
-# Falls back per kind when a scenario does not pin its own thresholds.
-DEFAULT_TOLERANCES = {
-    ScenarioKind.QUANTUM_COVARIANCE: Tolerances(
-        min_fidelity=1.0 - 1e-5, max_energy_transform_residual=1e-6
-    ),
-    ScenarioKind.CLASSICAL_EQUIVALENCE: Tolerances(max_trajectory_error=1e-5),
-    ScenarioKind.CONVERGENCE_SWEEP: Tolerances(order_min=1.8, order_max=2.2),
-}
-
 
 class Status(Enum):
     PASS = "Pass"
@@ -48,15 +39,9 @@ class RunSummary:
     kind: str
     status: Status
     metrics: dict[str, float]
-    tolerances: dict[str, float]
     artifacts: tuple[str, ...]
     wall_time_s: float
     detail: str = ""
-
-
-def _effective_tolerances(scenario: Scenario) -> Tolerances:
-    own = {k: v for k, v in vars(scenario.tolerances).items() if v is not None}
-    return replace(DEFAULT_TOLERANCES[scenario.kind], **own)
 
 
 def _emit(artifact, stem: str, out_dir: Path, formats) -> list[str]:
@@ -183,13 +168,12 @@ _DISPATCH = {
 def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> RunSummary:
     """Execute one scenario, write its artifacts under ``<out_root>/<name>/``
     once per format, and summarize the outcome."""
-    tol = _effective_tolerances(scenario)
     out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
         metrics, misses, flags, artifacts = _DISPATCH[scenario.kind](
-            scenario, tol, out_dir, formats
+            scenario, scenario.tolerances, out_dir, formats
         )
     except Exception as exc:
         if isinstance(exc, ReclockError):
@@ -199,11 +183,8 @@ def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> Ru
             # traceback, and fail this scenario instead of the whole batch.
             traceback.print_exc(file=sys.stderr)
             detail = f"internal error: {type(exc).__name__}: {exc}"
-        metrics, used, artifacts, status = {}, {}, (), Status.FAIL
+        metrics, artifacts, status = {}, (), Status.FAIL
     else:
-        # The thresholds the kind checks are the ones its defaults set.
-        defaults = vars(DEFAULT_TOLERANCES[scenario.kind])
-        used = {name: getattr(tol, name) for name, value in defaults.items() if value is not None}
         if misses:
             status, detail = Status.FAIL, "; ".join(misses)
         elif flags:
@@ -215,7 +196,6 @@ def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> Ru
         kind=scenario.kind.value,
         status=status,
         metrics=metrics,
-        tolerances=used,
         artifacts=tuple(artifacts),
         wall_time_s=time.perf_counter() - start,
         detail=detail,

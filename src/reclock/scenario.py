@@ -79,13 +79,13 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Per-scenario acceptance thresholds; None falls back to kind defaults."""
+    """Acceptance thresholds with their defaults; each is one kind's (see ``_TOLERANCE_KEYS``)."""
 
-    min_fidelity: float | None = None
-    max_energy_transform_residual: float | None = None
-    max_trajectory_error: float | None = None
-    order_min: float | None = None
-    order_max: float | None = None
+    min_fidelity: float = 1.0 - 1e-5
+    max_energy_transform_residual: float = 1e-6
+    max_trajectory_error: float = 1e-5
+    order_min: float = 1.8
+    order_max: float = 2.2
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,8 @@ def parse_scenario(path) -> Scenario:
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.
     keys = _TOLERANCE_KEYS[kind]
-    tolerances = Tolerances(**{f: tol_sec.take_float(key) for key, f in keys.items()})
+    given = {f: tol_sec.take_float(key) for key, f in keys.items() if key in tol_sec.data}
+    tolerances = Tolerances(**given)
     tol_sec.finish()
 
     return Scenario(

@@ -22,7 +22,6 @@ from reclock.classical import (
     trajectory_equivalence,
 )
 from reclock.model import (
-    ClockKind,
     DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
@@ -202,7 +201,7 @@ def test_hamiltonians_and_reparametrized_scaling():
 
 def test_integrate_t_free_particle_and_harmonic_oracles():
     free = integrate_t(FreePotential(), CST, 0.5, 2.0, (0.0, 3.0))
-    assert free.clock_kind is ClockKind.CONVENTIONAL_T
+    assert free.timemap is None
     assert_allclose(free.q, 0.5 + 2.0 * free.clocks, rtol=0, atol=1e-7)
     assert_allclose(free.pm, 2.0, rtol=0, atol=1e-9)
 
@@ -219,7 +218,7 @@ def test_integrate_tau_identity_matches_conventional_run():
     viatau = integrate_tau(
         pot, CST, IdentityMap(domain=(0.0, 5.0)), 1.0, 0.5, (0.0, 5.0), tol=1e-12
     )
-    assert viatau.clock_kind is ClockKind.PARAMETER_TAU
+    assert viatau.timemap is not None
     # The identity relabeling yields the same right-hand side, so the
     # adaptive integrator retraces the same solution.
     assert_allclose(viatau.clocks, direct.clocks, rtol=0, atol=1e-12)
@@ -287,17 +286,9 @@ def test_trajectory_validation():
         LagrangianPoint(T=float("nan"), xi=0.0, Tprime=1.0, xiprime=0.0)
     with pytest.raises(ValidationError, match="increasing"):
         Trajectory(
-            clock_kind=ClockKind.CONVENTIONAL_T,
             clocks=np.array([0.0, 0.0, 1.0]),
             q=np.zeros(3),
             pm=np.zeros(3),
-        )
-    with pytest.raises(ValidationError, match="timemap"):
-        Trajectory(
-            clock_kind=ClockKind.PARAMETER_TAU,
-            clocks=np.array([0.0, 1.0]),
-            q=np.zeros(2),
-            pm=np.zeros(2),
         )
 
 

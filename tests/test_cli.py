@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import reclock
 from reclock import cli, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError
-from reclock.quantum import PropagatorConfig
-from reclock.runner import Status, run_many
-from reclock.scenario import ScenarioKind, parse_scenario
+from reclock.quantum import EvolutionRecord, PropagatorConfig
+from reclock.runner import RunSummary, Status, run_many
+from reclock.scenario import ScenarioKind, Tolerances, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -162,16 +163,27 @@ def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):
 
 
 def test_validate_rejects_a_mapped_t_span_past_the_float_range(tmp_path, capsys):
-    # t = tau / alpha with alpha = 0.5 sends tau1 = 1e308 to t = inf.
+    # t = tau / alpha with alpha = 0.5 sends tau1 = 1e308 to t = inf, which
+    # the map itself rejects.
     source = next(p for p in catalogue_paths() if p.name == "linear-alpha2-harmonic.scenario")
     text = source.read_text(encoding="utf-8").replace("alpha = 2.0", "alpha = 0.5")
     text = text.replace("tau1 = 6.283185307179586", "tau1 = 1e308")
     path = _write(tmp_path, text, "inf.scenario")
-    message = "[span] t_span end must be a finite real number, got inf"
+    message = (
+        "[timemap] alpha = 0.5 puts the clock rate 1/alpha or T = tau/alpha at an end "
+        "of the domain (0.0, 1e+308) past the floating-point range"
+    )
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         parse_scenario(path)
     assert entrypoint(["validate", path]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):
+    text = QUANTUM_TEXT.replace("n_points = 256", f"n_points = {2**62}")
+    path = _write(tmp_path, text, "huge.scenario")
+    assert entrypoint(["validate", path]) == 2
+    assert f"[grid] n_points = {2**62} is more than the 16777216" in capsys.readouterr().err
 
 
 def test_run_writes_artifacts_and_passes(tmp_path, capsys):
@@ -328,6 +340,15 @@ def test_knob_census(tmp_path, capsys):
     run_options = {opt for a in verbs.choices["run"]._actions for opt in a.option_strings}
     assert run_options - {"-h", "--help"} == {"--out", "--format", "--jobs"}
     assert [f.name for f in dataclasses.fields(PropagatorConfig)] == ["dt", "record_every"]
+    # Each fact has one home: every threshold's default in Tolerances (the
+    # values perfbench/checks.py holds on its own), a run's clock in its map,
+    # and a result keeps only the fields a run reads.
+    assert dataclasses.astuple(Tolerances()) == (1.0 - 1e-5, 1e-6, 1e-5, 1.8, 2.2)
+    summary_fields = "name kind status metrics artifacts wall_time_s detail"
+    assert [f.name for f in dataclasses.fields(RunSummary)] == summary_fields.split()
+    record_fields = "grid clocks rates t amplitudes norms energies flags"
+    assert [f.name for f in dataclasses.fields(EvolutionRecord)] == record_fields.split()
+    assert not hasattr(reclock, "ClockKind") and not hasattr(reclock, "emit_report")
 
     q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
     outputs = _write(tmp_path, QUANTUM_TEXT + "\n[outputs]\nformats = json\n", "o.scenario")

@@ -40,6 +40,6 @@ def test_the_compressed_clock_saves_no_generator_applications(alpha, span, n_ste
     slow = propagate_t(PSI0, POT, CST, (0.0, alpha * span), PropagatorConfig(dt=alpha * dt))
     # record_every=1 records every step, so equal lengths mean equal step counts.
     assert len(fast.clocks) == len(slow.clocks) == n_steps + 1
-    assert_allclose(fast.t_values(), slow.t_values(), rtol=1e-13, atol=0)
+    assert_allclose(fast.t, slow.t, rtol=1e-13, atol=0)
     assert_allclose(fast.clocks, slow.clocks / alpha, rtol=1e-13, atol=0)
     assert_allclose(fast.amplitudes, slow.amplitudes, rtol=0, atol=1e-13)

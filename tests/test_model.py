@@ -8,7 +8,7 @@ import pytest
 
 from reclock.errors import ClockDomainError, ValidationError
 from reclock.model import (
-    ClockKind,
+    MAX_POINTS,
     DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
@@ -70,6 +70,22 @@ def test_linear_map_convention_and_monotonicity():
         LinearMap(alpha=0.0, domain=(0.0, 1.0))
     with pytest.raises(ValidationError, match="monotone"):
         LinearMap(alpha=-2.0, domain=(0.0, 1.0))
+
+
+def test_a_linear_map_rejects_an_alpha_whose_clock_leaves_the_doubles():
+    # The rate 1/alpha overflows, or T = tau/alpha does at the domain's end.
+    for alpha, domain in ((1e-310, (0.0, 1e-300)), (1e-306, (0.0, 1e3)), (1e-306, (-1e3, 0.0))):
+        with pytest.raises(ValidationError, match=rf"^alpha = {alpha!r} puts the clock rate"):
+            LinearMap(alpha, domain)
+    assert LinearMap(1e-306, (0.0, 1.0)).value(1.0) == 1e306
+
+
+def test_a_sine_map_rejects_a_domain_where_its_phase_overflows():
+    for domain in ((0.0, 1e3), (-1e3, 0.0)):
+        with pytest.raises(ValidationError, match=r"^the phase frequency \* tau overflows"):
+            SinePerturbedMap(1e-307, 1e306, domain)
+    # Inside its monotone region the same map stands on a shorter domain.
+    SinePerturbedMap(1e-307, 1e306, (0.0, 1.0))
 
 
 def test_sine_perturbed_map_rate_and_limits():
@@ -176,6 +192,17 @@ def test_grid_spacing_and_validation():
         SpatialGrid(-1e308, 1e308, 64)
 
 
+def test_a_grid_has_at_most_max_points_and_a_nonzero_spacing():
+    # A SpatialGrid holds no array, so building one costs no memory even
+    # where the bound is missing.
+    with pytest.raises(ValidationError, match=rf"^n_points = {MAX_POINTS + 1} is more than"):
+        SpatialGrid(-1.0, 1.0, MAX_POINTS + 1)
+    assert SpatialGrid(-1.0, 1.0, MAX_POINTS).n_points == MAX_POINTS
+    # Ordered and finite, but (x_max - x_min) / 7 underflows to 0.
+    with pytest.raises(ValidationError, match=r"nonzero spacing dx over 8 points"):
+        SpatialGrid(0.0, 5e-324, 8)
+
+
 def test_wavefunction_norm_and_edge_rule():
     grid = SpatialGrid(-1.0, 1.0, 9)
     amps = np.zeros(9, dtype=complex)
@@ -242,8 +269,3 @@ def test_prepare_gaussian_rejects_momenta_at_the_nyquist_limit():
     assert abs(prepare_gaussian(grid, 0.0, 1.0, 0.99 * limit).norm() - 1.0) <= 1e-12
     # The limit scales with hbar.
     prepare_gaussian(grid, 0.0, 1.0, 1.5 * limit, PhysicalConstants(hbar=2.0))
-
-
-def test_clock_kind_values():
-    assert ClockKind.CONVENTIONAL_T.value == "t"
-    assert ClockKind.PARAMETER_TAU.value == "tau"

@@ -44,8 +44,12 @@ def _accepted(build) -> bool:
 @_SETTINGS
 @given(alpha=_ANY, domain=_DOMAINS)
 @example(alpha=5e-324, domain=(0.0, 1.0))
+@example(alpha=1e-306, domain=(0.0, 1e3))
 def test_a_linear_map_is_accepted_exactly_for_a_finite_positive_alpha(alpha, domain):
+    # A run reads the rate 1/alpha and T = tau/alpha at both ends, so each
+    # must be a double too: alpha = 5e-324 has an infinite rate.
     expected = math.isfinite(alpha) and alpha > 0
+    expected = expected and all(math.isfinite(v / alpha) for v in (1.0, *domain))
     assert _accepted(lambda: LinearMap(alpha, domain)) == expected
 
 

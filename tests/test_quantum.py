@@ -17,7 +17,6 @@ from reclock.errors import (
     ValidationError,
 )
 from reclock.model import (
-    ClockKind,
     DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
@@ -240,7 +239,7 @@ def test_propagate_t_stationary_state_accrues_only_phase():
     rec = propagate_t(
         psi0, HarmonicPotential(), CST, (0.0, 1.0), PropagatorConfig(dt=1e-3, record_every=10**9)
     )
-    assert rec.is_valid
+    assert not rec.flags
     assert abs(fidelity(rec.final_state, psi0) - 1.0) < 1e-8
     # The phase itself is e^{-i E t / hbar}, E = 0.5 up to discretization.
     overlap = np.vdot(psi0.amplitudes, rec.final_state.amplitudes) * grid.dx
@@ -253,7 +252,7 @@ def test_propagate_t_norm_is_preserved():
     )
     drift = float(np.max(np.abs(rec.norms - rec.norms[0])))
     assert drift < 1e-12
-    assert rec.is_valid
+    assert not rec.flags
 
 
 def test_propagate_t_free_packet_spreads_at_the_analytic_rate():
@@ -325,7 +324,7 @@ def test_wall_collision_sets_flags():
     rec = propagate_t(
         fast, FreePotential(), CST, (0.0, 2.0), PropagatorConfig(dt=1e-3, record_every=200)
     )
-    assert not rec.is_valid
+    assert rec.flags
     assert any("edge-leak" in f for f in rec.flags)
 
 
@@ -398,7 +397,6 @@ def _record_of_ground_states(clocks):
     """A conventional-clock record holding GROUND at each clock, norm 1, energy 0.5."""
     k = len(clocks)
     return EvolutionRecord(
-        clock_kind=ClockKind.CONVENTIONAL_T,
         grid=GRID,
         clocks=clocks,
         rates=np.ones(k),
@@ -412,8 +410,8 @@ def _record_of_ground_states(clocks):
 def test_records_freeze_views_and_leave_the_callers_arrays_writeable():
     clocks, ones = np.arange(3.0), np.ones(3)
     amps = np.tile(GROUND.amplitudes, (3, 1))
-    rec = EvolutionRecord(ClockKind.CONVENTIONAL_T, GRID, clocks, ones, clocks, amps, ones, ones)
-    traj = Trajectory(ClockKind.CONVENTIONAL_T, clocks, ones, ones)
+    rec = EvolutionRecord(GRID, clocks, ones, clocks, amps, ones, ones)
+    traj = Trajectory(clocks, ones, ones)
     assert clocks.flags.writeable and ones.flags.writeable and amps.flags.writeable
     frozen = [rec.clocks, rec.rates, rec.t, rec.amplitudes, rec.norms, rec.energies]
     frozen += [traj.clocks, traj.q, traj.pm]
@@ -487,7 +485,7 @@ def test_covariance_identity_map_is_exact():
         config=PropagatorConfig(dt=1e-3, record_every=10),
     )
     report = covariance_experiment(scenario)
-    assert report.is_valid
+    assert not report.flags
     assert abs(report.min_fidelity - 1.0) < 1e-12
     assert report.max_energy_transform_residual == 0.0
     assert report.max_norm_deviation < 1e-12

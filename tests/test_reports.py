@@ -1,4 +1,4 @@
-"""Artifact rendering: exact-round-trip CSV/JSON for records and reports."""
+"""Artifact rendering: exact-round-trip CSV/JSON for trajectories and reports."""
 
 import json
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from reclock.classical import integrate_t
+from reclock.classical import integrate_t, integrate_tau
 from reclock.errors import ReclockError, ValidationError
 from reclock.model import (
     FreePotential,
@@ -21,14 +21,13 @@ from reclock.quantum import (
     CovarianceScenario,
     PropagatorConfig,
     covariance_experiment,
-    propagate_t,
 )
 from reclock.reports import (
     REPORT_SCHEMA_VERSION,
     csv_table,
-    emit_report,
     json_document,
     render_report,
+    write_artifact,
 )
 
 CST = PhysicalConstants()
@@ -72,21 +71,13 @@ def test_covariance_report_csv_layout():
 
 
 def test_evolution_record_and_trajectory_csv_layout():
-    grid = SpatialGrid(-12.0, 12.0, 128)
-    rec = propagate_t(
-        prepare_gaussian(grid, 0.0, 1.0),
-        HarmonicPotential(),
-        CST,
-        (0.0, 0.02),
-        PropagatorConfig(dt=1e-2),
-    )
-    text = render_report(rec, "csv")
-    assert text.startswith("clock,t_equivalent,norm,energy\n")
-    assert len(text.strip().split("\n")) == 1 + len(rec.snapshots)
-
     traj = integrate_t(FreePotential(), CST, 0.0, 1.0, (0.0, 1.0))
     ttext = render_report(traj, "csv")
     assert ttext.startswith("clock,t_equivalent,q,pm\n")
+    # The artifact names the run's clock: "tau" exactly when it has a map.
+    tau_traj = integrate_tau(FreePotential(), CST, IdentityMap(), 0.0, 1.0, (0.0, 1.0))
+    for run, clock in ((traj, "t"), (tau_traj, "tau")):
+        assert json.loads(render_report(run, "json"))["summary"]["clock_kind"] == clock
 
 
 def test_json_documents_round_trip():
@@ -151,13 +142,13 @@ def test_render_report_rejects_bad_inputs():
 def test_emit_report_creates_directories_and_wraps_os_errors(tmp_path):
     report = _small_report()
     target = tmp_path / "deep" / "nested" / "report.csv"
-    path = emit_report(report, "csv", target)
+    path = write_artifact(render_report(report, "csv"), target)
     assert path == target and target.is_file()
     assert target.read_text(encoding="utf-8") == render_report(report, "csv")
     first_bytes = target.read_bytes()
-    emit_report(report, "csv", target)
+    write_artifact(render_report(report, "csv"), target)
     assert target.read_bytes() == first_bytes
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")
     with pytest.raises(ReclockError, match="cannot write report"):
-        emit_report(report, "csv", blocker / "sub" / "x.csv")
+        write_artifact(render_report(report, "csv"), blocker / "sub" / "x.csv")

@@ -133,7 +133,7 @@ def test_parse_quantum_scenario(tmp_path):
     assert sc.gaussian.center == 1.0 and sc.gaussian.momentum == 0.0
     assert sc.propagator.dt == 1e-3 and sc.propagator.record_every == 10
     assert sc.classical_initial is None and sc.sweep_dts is None
-    assert sc.tolerances.min_fidelity is None
+    assert sc.tolerances.min_fidelity == 1.0 - 1e-5
 
 
 def test_parse_classical_scenario(tmp_path):
