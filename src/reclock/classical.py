@@ -36,7 +36,6 @@ from .model import (
     check_real,
     check_span,
     clock_reading,
-    eval_timemap,
 )
 
 # Finite-difference step for the homogeneity check; chosen so truncation
@@ -71,9 +70,10 @@ class Trajectory:
 
     ``pm`` is the momentum conjugate to q in the trajectory's own clock:
     p = m dx/dt for conventional runs, pi = m xi' / T' for relabeled ones.
-    A dense interpolant over the full span is kept so another trajectory
-    can be compared against this one between samples. ``timemap`` is None
-    exactly for a conventional-clock run.
+    ``timemap`` is None exactly for a conventional-clock run. Such a run
+    keeps a dense interpolant over its full span in ``dense``, so a relabeled
+    trajectory can be compared against it between samples; a relabeled run
+    keeps none.
     """
 
     clocks: np.ndarray
@@ -152,7 +152,8 @@ def hamiltonian_tau(
     pi: float,
 ) -> float:
     """Htilde = T'(tau) * H(T(tau), xi, pi): the generator of tau-evolution."""
-    t, rate = eval_timemap(timemap, tau)
+    timemap.require(tau)
+    rate, t = clock_reading(timemap, tau)
     return rate * hamiltonian_t(pot, constants, t, xi, pi)
 
 
@@ -204,7 +205,8 @@ def check_constraint(
     Both sides are evaluated in closed form, so the residual is accumulated
     rounding only; it vanishes identically in exact arithmetic.
     """
-    t, rate = eval_timemap(timemap, tau)
+    timemap.require(tau)
+    rate, t = clock_reading(timemap, tau)
     pt = LagrangianPoint(T=t, xi=xi, Tprime=rate, xiprime=xiprime)
     pi, pi_t = momenta_tau(pot, constants, pt)
     htilde = rate * hamiltonian_t(pot, constants, t, xi, pi)
@@ -253,7 +255,7 @@ def _integrate(
                 method="DOP853",
                 rtol=tol,
                 atol=tol,
-                dense_output=True,
+                dense_output=timemap is None,
             )
     except FloatingPointError as exc:
         raise NumericalError(f"{where}: {exc}") from exc

@@ -226,6 +226,14 @@ class SmoothRampMap(TimeMap):
         for name in ("rate_start", "rate_end", "sharpness"):
             check_real(name, getattr(self, name), positive=True)
         self._dense_rate_check()
+        # A run reads T at both ends of the domain, where far-out parameters
+        # can overflow the closed form (inf - inf, inf * 0).
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = tuple(float(self.value(tau)) for tau in self.domain)
+        if not all(math.isfinite(v) for v in ends):
+            raise ValidationError(
+                f"T at the ends of the domain {self.domain} is {ends}, not a finite double"
+            )
 
     @staticmethod
     def _softplus(z):
@@ -253,13 +261,6 @@ def clock_reading(timemap: TimeMap | None, clock: float) -> tuple[float, float]:
     if timemap is None:
         return 1.0, clock
     return float(timemap.rate(clock)), float(timemap.value(clock))
-
-
-def eval_timemap(timemap: TimeMap, tau: float) -> tuple[float, float]:
-    """Evaluate (T(tau), dT/dtau) for a clock value inside the map's domain."""
-    timemap.require(tau)
-    rate, t = clock_reading(timemap, tau)
-    return t, rate
 
 
 class PotentialSpec(abc.ABC):

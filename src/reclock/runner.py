@@ -24,7 +24,7 @@ from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
-from .scenario import Scenario, ScenarioKind, Tolerances, parse_scenario
+from .scenario import CHECKS, Scenario, ScenarioKind, Tolerances, parse_scenario
 
 
 class Status(Enum):
@@ -44,14 +44,15 @@ class RunSummary:
     detail: str = ""
 
 
-def _emit(artifact, stem: str, out_dir: Path, formats) -> list[str]:
-    """Write ``artifact``, a (kind, table, summary, flags) layout, once per format."""
+def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
+    """Write each ``{stem: (kind, table, summary, flags)}`` layout once per format, in order."""
     paths = []
-    for fmt in formats:
-        # No local holds the text: it would live on while the next format
-        # renders (+1.4 MB peak RSS for a 6283-row covariance report).
-        path = write_artifact(render_table(*artifact, fmt), out_dir / f"{stem}.{fmt}")
-        paths.append(str(path))
+    for stem, artifact in layouts.items():
+        for fmt in formats:
+            # No local holds the text: it would live on while the next format
+            # renders (+1.4 MB peak RSS for a 6283-row covariance report).
+            path = write_artifact(render_table(*artifact, fmt), out_dir / f"{stem}.{fmt}")
+            paths.append(str(path))
     return paths
 
 
@@ -76,59 +77,25 @@ def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
     )
 
 
-def _run_quantum(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
-    report = _covariance(scenario, scenario.propagator.dt)
-    metrics = {
-        "min_fidelity": report.min_fidelity,
-        "max_energy_transform_residual": report.max_energy_transform_residual,
-        "max_norm_deviation": report.max_norm_deviation,
-    }
-    misses = []
-    if report.min_fidelity < tol.min_fidelity:
-        misses.append(f"min_fidelity {report.min_fidelity:.12g} < {tol.min_fidelity:.12g}")
-    if report.max_energy_transform_residual > tol.max_energy_transform_residual:
-        misses.append(
-            f"max_energy_transform_residual {report.max_energy_transform_residual:.3e} "
-            f"> {tol.max_energy_transform_residual:.3e}"
-        )
-    artifacts = _emit(layout(report), "report", out_dir, formats)
-    return metrics, misses, report.flags, artifacts
+def _run_quantum(scenario: Scenario):
+    artifact = layout(_covariance(scenario, scenario.propagator.dt))
+    _, _, summary, flags = artifact
+    return summary, flags, {"report": artifact}
 
 
-def _run_classical(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
+def _run_classical(scenario: Scenario):
     x0, p0 = scenario.classical_initial
-    traj_tau = integrate_tau(
-        scenario.potential,
-        scenario.constants,
-        scenario.timemap,
-        x0,
-        p0,
-        scenario.tau_span,
-        scenario.integrator_tol,
-    )
-    traj_t = integrate_t(
-        scenario.potential,
-        scenario.constants,
-        x0,
-        p0,
-        scenario.t_span,
-        scenario.integrator_tol,
-    )
+    pot, cst, tol = scenario.potential, scenario.constants, scenario.integrator_tol
+    traj_tau = integrate_tau(pot, cst, scenario.timemap, x0, p0, scenario.tau_span, tol)
+    traj_t = integrate_t(pot, cst, x0, p0, scenario.t_span, tol)
     error = trajectory_equivalence(traj_t, traj_tau, scenario.timemap)
-    metrics = {"max_trajectory_error": error}
-    misses = []
-    if error > tol.max_trajectory_error:
-        misses.append(f"max_trajectory_error {error:.3e} > {tol.max_trajectory_error:.3e}")
-    artifacts = _emit(layout(traj_tau), "trajectory-tau", out_dir, formats)
-    artifacts += _emit(layout(traj_t), "trajectory-t", out_dir, formats)
-    return metrics, misses, (), artifacts
+    layouts = {"trajectory-tau": layout(traj_tau), "trajectory-t": layout(traj_t)}
+    return {"max_trajectory_error": error}, (), layouts
 
 
-def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
+def _run_sweep(scenario: Scenario):
     dts = np.array(scenario.sweep_dts)
-    min_fid = []
-    residual = []
-    flags: list[str] = []
+    min_fid, residual, flags = [], [], []
     for dt in dts:
         report = _covariance(scenario, float(dt))
         min_fid.append(report.min_fidelity)
@@ -147,17 +114,11 @@ def _run_sweep(scenario: Scenario, tol: Tolerances, out_dir: Path, formats):
         "min_fidelity_finest": float(min_fid[-1]),
         "fidelity_error_finest": float(discrepancy[-1]),
     }
-    misses = []
-    if not (tol.order_min <= slope <= tol.order_max):
-        misses.append(
-            f"estimated_order {slope:.3f} outside [{tol.order_min:g}, {tol.order_max:g}]"
-        )
-
     artifact = sweep_layout(dts, min_fid, discrepancy, residual, slope, flags)
-    artifacts = _emit(artifact, "sweep", out_dir, formats)
-    return metrics, misses, tuple(flags), artifacts
+    return metrics, tuple(flags), {"sweep": artifact}
 
 
+# Each kind's runner: scenario -> (metrics, monitor flags, {artifact stem: layout}).
 _DISPATCH = {
     ScenarioKind.QUANTUM_COVARIANCE: _run_quantum,
     ScenarioKind.CLASSICAL_EQUIVALENCE: _run_classical,
@@ -165,16 +126,29 @@ _DISPATCH = {
 }
 
 
+def _misses(kind: ScenarioKind, metrics: dict[str, float], tol: Tolerances) -> list[str]:
+    """One detail line per ``CHECKS`` row of ``kind`` whose metric is not on its
+    bound's side; a NaN metric misses every row."""
+    misses = []
+    for _, bound_name, metric, sense in CHECKS[kind]:
+        value, bound = metrics[metric], getattr(tol, bound_name)
+        if sense == ">=" and not (value >= bound):
+            misses.append(f"{metric} {value:.12g} < {bound:.12g}")
+        elif sense == "<=" and not (value <= bound):
+            misses.append(f"{metric} {value:.12g} > {bound:.12g}")
+    return misses
+
+
 def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> RunSummary:
-    """Execute one scenario, write its artifacts under ``<out_root>/<name>/``
-    once per format, and summarize the outcome."""
+    """Execute one scenario, check its metrics against its tolerances, write its
+    artifacts under ``<out_root>/<name>/`` once per format, and summarize the outcome."""
     out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
-        metrics, misses, flags, artifacts = _DISPATCH[scenario.kind](
-            scenario, scenario.tolerances, out_dir, formats
-        )
+        metrics, flags, layouts = _DISPATCH[scenario.kind](scenario)
+        misses = _misses(scenario.kind, metrics, scenario.tolerances)
+        artifacts = _emit(layouts, out_dir, formats)
     except Exception as exc:
         if isinstance(exc, ReclockError):
             detail = f"{type(exc).__name__}: {exc}"

@@ -79,13 +79,35 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Acceptance thresholds with their defaults; each is one kind's (see ``_TOLERANCE_KEYS``)."""
+    """Acceptance thresholds with their defaults; ``CHECKS`` gives the metric each bounds."""
 
     min_fidelity: float = 1.0 - 1e-5
     max_energy_transform_residual: float = 1e-6
     max_trajectory_error: float = 1e-5
     order_min: float = 1.8
     order_max: float = 2.2
+
+
+# Each kind's checks as ([tolerances] key, Tolerances field, metric, sense): a
+# run passes a row when ``metric sense field`` holds. A file sets only its kind's keys.
+CHECKS = {
+    ScenarioKind.QUANTUM_COVARIANCE: (
+        ("min_fidelity", "min_fidelity", "min_fidelity", ">="),
+        (
+            "max_energy_transform_residual",
+            "max_energy_transform_residual",
+            "max_energy_transform_residual",
+            "<=",
+        ),
+    ),
+    ScenarioKind.CLASSICAL_EQUIVALENCE: (
+        ("max_error", "max_trajectory_error", "max_trajectory_error", "<="),
+    ),
+    ScenarioKind.CONVERGENCE_SWEEP: (
+        ("order_min", "order_min", "estimated_order", ">="),
+        ("order_max", "order_max", "estimated_order", "<="),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -165,16 +187,6 @@ _POTENTIALS = {
     "harmonic": HarmonicPotential,
     "driven_harmonic": DrivenHarmonicPotential,
     "moving_well": MovingWellPotential,
-}
-
-# The [tolerances] keys each kind reads, mapped to their Tolerances fields.
-_TOLERANCE_KEYS = {
-    ScenarioKind.QUANTUM_COVARIANCE: {
-        "min_fidelity": "min_fidelity",
-        "max_energy_transform_residual": "max_energy_transform_residual",
-    },
-    ScenarioKind.CLASSICAL_EQUIVALENCE: {"max_error": "max_trajectory_error"},
-    ScenarioKind.CONVERGENCE_SWEEP: {"order_min": "order_min", "order_max": "order_max"},
 }
 
 
@@ -334,8 +346,7 @@ def parse_scenario(path) -> Scenario:
 
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.
-    keys = _TOLERANCE_KEYS[kind]
-    given = {f: tol_sec.take_float(key) for key, f in keys.items() if key in tol_sec.data}
+    given = {f: tol_sec.take_float(key) for key, f, _, _ in CHECKS[kind] if key in tol_sec.data}
     tolerances = Tolerances(**given)
     tol_sec.finish()
 

@@ -236,6 +236,15 @@ def test_integrate_tau_linear_map_stretches_the_orbit():
     assert run.q[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_only_a_conventional_run_keeps_a_dense_interpolant():
+    # trajectory_equivalence reads the conventional run between its samples
+    # and a relabeled run only at its own.
+    pot = HarmonicPotential(omega=1.0)
+    m = LinearMap(alpha=2.0, domain=(0.0, 2.0))
+    assert integrate_tau(pot, CST, m, 1.0, 0.0, (0.0, 2.0)).dense is None
+    assert integrate_t(pot, CST, 1.0, 0.0, (0.0, 1.0)).dense is not None
+
+
 def test_trajectory_equivalence_bound_tightens_with_tolerance():
     pot = MovingWellPotential(center0=0.0, velocity=0.3, stiffness=1.5)
     m = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=(0.0, 6.0))

@@ -15,7 +15,7 @@ from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError
 from reclock.quantum import EvolutionRecord, PropagatorConfig
 from reclock.runner import RunSummary, Status, run_many
-from reclock.scenario import ScenarioKind, Tolerances, parse_scenario
+from reclock.scenario import CHECKS, ScenarioKind, Tolerances, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -239,6 +239,41 @@ def test_strict_profile_turns_pass_into_fail(tmp_path, capsys):
     assert code == 1
     stdout = capsys.readouterr().out
     assert "Fail" in stdout
+
+
+_KIND_TEXTS = {
+    ScenarioKind.QUANTUM_COVARIANCE: QUANTUM_TEXT,
+    ScenarioKind.CLASSICAL_EQUIVALENCE: CLASSICAL_TEXT,
+    ScenarioKind.CONVERGENCE_SWEEP: SWEEP_TEXT,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, row", [pytest.param(kind, row, id=row[0]) for kind, rows in CHECKS.items() for row in rows]
+)
+def test_each_check_fails_a_run_and_keeps_its_artifacts(tmp_path, capsys, kind, row):
+    key, field, metric, sense = row
+    # A bound no run can meet, on the side the row checks.
+    bound = 1e300 if sense == ">=" else -1e300
+    path = _write(tmp_path, f"{_KIND_TEXTS[kind]}\n[tolerances]\n{key} = {bound}\n", "x.scenario")
+    scenario = parse_scenario(path)
+    assert getattr(scenario.tolerances, field) == bound
+
+    summary = runner.run_scenario(scenario, out_root=tmp_path / "r")
+    assert summary.status is Status.FAIL
+    sign = "<" if sense == ">=" else ">"
+    assert summary.detail == f"{metric} {summary.metrics[metric]:.12g} {sign} {bound:.12g}"
+    assert summary.artifacts and all(Path(p).is_file() for p in summary.artifacts)
+
+    assert entrypoint(["run", path, "--out", str(tmp_path / "cli")]) == 1
+    assert f"         {summary.detail}\n" in capsys.readouterr().out
+
+
+def test_a_nan_metric_misses_every_check():
+    nan = float("nan")
+    for kind, rows in CHECKS.items():
+        misses = runner._misses(kind, {metric: nan for _, _, metric, _ in rows}, Tolerances())
+        assert len(misses) == len(rows) and all(" nan " in m for m in misses)
 
 
 def test_monitor_flags_exit_three(tmp_path, capsys):

@@ -20,8 +20,8 @@ from reclock.model import (
     SmoothRampMap,
     SpatialGrid,
     Wavefunction,
+    clock_reading,
     eval_potential,
-    eval_timemap,
     prepare_gaussian,
 )
 
@@ -39,7 +39,8 @@ def test_constants_defaults_and_validation():
 
 def test_identity_map_is_exact():
     m = IdentityMap(domain=(0.0, 3.0))
-    t, rate = eval_timemap(m, 1.7)
+    m.require(1.7)
+    rate, t = clock_reading(m, 1.7)
     assert t == 1.7
     assert rate == 1.0
     taus = np.linspace(0.0, 3.0, 11)
@@ -127,10 +128,10 @@ def test_smooth_ramp_sharp_ramp_is_warning_free():
         assert m.rate(10.0) == 2.0
 
 
-def test_eval_timemap_rejects_out_of_domain():
+def test_require_rejects_out_of_domain():
     m = LinearMap(alpha=2.0, domain=(0.0, 1.0))
     with pytest.raises(ClockDomainError, match="domain"):
-        eval_timemap(m, 2.0)
+        m.require(2.0)
 
 
 def _fd_gradient(pot, t, x, h=1e-6):

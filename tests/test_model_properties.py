@@ -1,7 +1,8 @@
 """Property tests of the clock-map families' monotone regions.
 
 Each family is accepted on its analytic monotone region, with a margin of
-two MONOTONE_MARGIN, and every rejection is a ValidationError that emits no
+two MONOTONE_MARGIN, unless a clock reading it must give at an end of its
+domain is not a double; every rejection is a ValidationError that emits no
 warning. Parameters are drawn from every double, NaN and the infinities
 included; domains are drawn from a moderate range, since their own checks
 are tested elsewhere.
@@ -29,16 +30,20 @@ _DOMAINS = st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda p: (
 _SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
-def _accepted(build) -> bool:
-    """True if ``build()`` returns a map; False if it raises a ValidationError.
+def _built(build):
+    """The map ``build()`` returns, or the ValidationError it raises.
     Any warning, or any other exception, fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            build()
-        except ValidationError:
-            return False
-    return True
+            return build()
+        except ValidationError as exc:
+            return exc
+
+
+def _accepted(build) -> bool:
+    """True if ``build()`` returns a map; False if it raises a ValidationError."""
+    return not isinstance(_built(build), ValidationError)
 
 
 @_SETTINGS
@@ -77,13 +82,24 @@ def test_a_sine_map_is_accepted_on_its_monotone_region(amplitude, frequency, dom
 # A small end rate next to a large start rate, the two meeting in one sum.
 @example(rates=(1e11, 2e-6), center=0.0, sharpness=0.01, domain=(0.0, 1.0))
 @example(rates=(1.7e308, 2e-6), center=-1e300, sharpness=1e-300, domain=(0.0, 1.0))
+# The closed form of T overflows at an end: inf - inf in the softplus
+# difference, and (rate_end - rate_start) * sharpness = inf times a zero ramp.
+@example(rates=(0.9, 0.4), center=-1e16, sharpness=1e-294, domain=(-0.25, 0.2))
+@example(rates=(1.0, 1e308), center=0.5, sharpness=1e308, domain=(0.2, 1.4))
 def test_a_smooth_ramp_is_accepted_when_both_rates_clear_the_margin(
     rates, center, sharpness, domain
 ):
-    accepted = _accepted(lambda: SmoothRampMap(*rates, center, sharpness, domain))
+    built = _built(lambda: SmoothRampMap(*rates, center, sharpness, domain))
+    accepted = not isinstance(built, ValidationError)
+    if accepted:
+        # A run reads T at both ends of the domain.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(math.isfinite(built.value(tau)) for tau in domain)
     if not all(math.isfinite(v) for v in (*rates, center, sharpness)) or not sharpness > 0:
         assert not accepted
     elif min(rates) >= 2 * MONOTONE_MARGIN:
-        assert accepted
+        # Past the rates, only a T that is not a double at an end is refused.
+        assert accepted or "T at the ends of the domain" in str(built)
     elif min(rates) <= 0:
         assert not accepted
