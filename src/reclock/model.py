@@ -5,9 +5,9 @@ pure function, so instances can be shared freely between threads and between
 the classical and quantum layers.
 
 A time map is a monotone relabeling t = T(tau) of the evolution clock with a
-strictly positive rate dT/dtau. Monotonicity is enforced at construction
-(analytically where the family allows it, by dense rate sampling otherwise),
-never at evaluation time.
+strictly positive rate dT/dtau. Each family's construction ends in
+``TimeMap._check_clock``, which checks an exact lower bound on the rate and
+finite T' and T at both domain ends; nothing is checked at evaluation time.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import ClockDomainError, ValidationError
 
-# Dense monotonicity check: sample count and the smallest admissible rate.
-MONOTONE_SAMPLES = 10_000
+# The smallest rate a sine or ramp clock may reach on its domain.
 MONOTONE_MARGIN = 1e-6
 
 # A prepared Gaussian must keep this many widths of clearance inside the box.
@@ -117,19 +116,19 @@ class TimeMap(abc.ABC):
                     f"tau = {tau} outside the domain {self.domain} of {type(self).__name__}"
                 )
 
-    def _dense_rate_check(self):
-        # Generic fallback for families without an everywhere-analytic bound:
-        # sample the rate densely and require a positive margin.
-        lo, hi = self.domain
-        taus = np.linspace(lo, hi, MONOTONE_SAMPLES)
-        # A rate that overflows somewhere on the domain reads as NaN and fails.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.asarray(self.rate(taus), dtype=float)
-        worst = float(rates.min())
-        if not worst >= MONOTONE_MARGIN:
+    def _check_clock(self, floor: float | None = None, bound: str = ""):
+        """Raise a ValidationError unless ``floor``, the exact lower bound ``bound`` of the rate,
+        clears MONOTONE_MARGIN and T' and T, which a run reads, are finite at both ends."""
+        if floor is not None and not floor >= MONOTONE_MARGIN:
             raise ValidationError(
-                f"{type(self).__name__} is not monotone on {self.domain}: "
-                f"min clock rate {worst:.3e} violates dT/dtau > 0"
+                f"the clock rate dT/dtau >= {bound} = {floor:.3g} can fall below "
+                f"{MONOTONE_MARGIN:g} (monotonicity violated)"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = tuple(clock_reading(self, tau) for tau in self.domain)
+        if not all(math.isfinite(v) for reading in ends for v in reading):
+            raise ValidationError(
+                f"T' and T at the ends of the domain {self.domain} read {ends}, not finite doubles"
             )
 
 
@@ -142,13 +141,8 @@ class LinearMap(TimeMap):
 
     def __post_init__(self):
         object.__setattr__(self, "domain", check_span("domain", self.domain))
-        alpha = check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
-        # A run reads the rate and T at both ends of the domain.
-        if not all(math.isfinite(v) for v in (1.0 / alpha, *(tau / alpha for tau in self.domain))):
-            raise ValidationError(
-                f"alpha = {alpha!r} puts the clock rate 1/alpha or T = tau/alpha at an end "
-                f"of the domain {self.domain} past the floating-point range"
-            )
+        check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
+        self._check_clock()
 
     def value(self, tau):
         return tau / self.alpha
@@ -174,8 +168,8 @@ class IdentityMap(LinearMap):
 class SinePerturbedMap(TimeMap):
     """T(tau) = tau + amplitude * sin(frequency * tau).
 
-    Monotone iff |amplitude * frequency| < 1, checked analytically and then
-    confirmed by dense rate sampling.
+    The rate 1 + amplitude * frequency * cos(frequency * tau) is never below
+    1 - |amplitude * frequency|, which must clear MONOTONE_MARGIN.
     """
 
     amplitude: float
@@ -185,18 +179,7 @@ class SinePerturbedMap(TimeMap):
     def __post_init__(self):
         object.__setattr__(self, "domain", check_span("domain", self.domain))
         slope = check_real("amplitude", self.amplitude) * check_real("frequency", self.frequency)
-        if not abs(slope) < 1.0:
-            raise ValidationError(
-                f"|amplitude*frequency| = {abs(slope):.3g} >= 1 "
-                f"would let the clock rate dT/dtau touch zero (monotonicity violated)"
-            )
-        # The phase is linear in tau, so its two ends bound it on the domain.
-        if not all(math.isfinite(self.frequency * tau) for tau in self.domain):
-            raise ValidationError(
-                f"the phase frequency * tau overflows on the domain {self.domain} "
-                f"for frequency = {self.frequency!r}"
-            )
-        self._dense_rate_check()
+        self._check_clock(1.0 - abs(slope), "1 - |amplitude*frequency|")
 
     def value(self, tau):
         return tau + self.amplitude * np.sin(self.frequency * tau)
@@ -222,18 +205,9 @@ class SmoothRampMap(TimeMap):
     def __post_init__(self):
         object.__setattr__(self, "domain", check_span("domain", self.domain))
         check_real("center", self.center)
-        # The clock rate dT/dtau interpolates between the two rates.
         for name in ("rate_start", "rate_end", "sharpness"):
             check_real(name, getattr(self, name), positive=True)
-        self._dense_rate_check()
-        # A run reads T at both ends of the domain, where far-out parameters
-        # can overflow the closed form (inf - inf, inf * 0).
-        with np.errstate(over="ignore", invalid="ignore"):
-            ends = tuple(float(self.value(tau)) for tau in self.domain)
-        if not all(math.isfinite(v) for v in ends):
-            raise ValidationError(
-                f"T at the ends of the domain {self.domain} is {ends}, not a finite double"
-            )
+        self._check_clock(min(self.rate_start, self.rate_end), "min(rate_start, rate_end)")
 
     @staticmethod
     def _softplus(z):

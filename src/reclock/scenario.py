@@ -37,7 +37,7 @@ from enum import Enum
 from functools import partialmethod
 from pathlib import Path
 
-from .classical import DEFAULT_TOL
+from .classical import DEFAULT_TOL, check_tol
 from .errors import ScenarioError, ValidationError
 from .model import (
     DrivenHarmonicPotential,
@@ -340,8 +340,10 @@ def parse_scenario(path) -> Scenario:
         propagator = _build(PropagatorConfig, num_sec, dt=dts[-1])
     else:
         integrator_tol = num_sec.take_float("tol", default=DEFAULT_TOL)
-        if not integrator_tol > 0:
-            raise ScenarioError(f"[numerics] tol must be positive, got {integrator_tol}")
+        try:
+            check_tol(integrator_tol)
+        except ValidationError as exc:
+            raise ScenarioError(f"[numerics] {exc}") from exc
         num_sec.finish()
 
     tol_sec = section("tolerances", required=False)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from reclock import classical
 from reclock.errors import ClockDomainError, CoverageError, NumericalError, ValidationError
 from reclock.classical import (
+    MIN_TOL,
     LagrangianPoint,
     Trajectory,
     check_constraint,
@@ -334,3 +336,34 @@ def test_an_overflowing_orbit_is_a_numerical_error_naming_the_span(pot, clock):
             integrate_t(pot, CST, 0.0, 1.0, (0.0, 1.0))
         else:
             integrate_tau(pot, CST, SinePerturbedMap(0.3, 1.0), 0.0, 1.0, (0.0, 1.0))
+
+
+def test_a_tol_below_the_integrators_floor_is_refused():
+    # DOP853 honours no relative tolerance below 100 machine epsilons; scipy
+    # would warn and clamp it, so the run would pass at a looser tol.
+    assert MIN_TOL == 100 * np.finfo(float).eps
+    for tol in (1e-20, MIN_TOL / 2, 0.0, -1e-10):
+        with pytest.raises(ValidationError, match="^tol must be positive and at least"):
+            integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 1.0), tol=tol)
+    with pytest.raises(ValidationError, match="^tol must be a finite real number"):
+        integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 1.0), tol=math.nan)
+    integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 1.0), tol=MIN_TOL)
+
+
+@pytest.mark.parametrize("clock", ["t", "tau"])
+def test_an_orbit_past_the_evaluation_cap_is_a_numerical_error_naming_the_span(
+    monkeypatch, clock
+):
+    monkeypatch.setattr(classical, "MAX_RHS_EVALS", 200)
+    message = (
+        rf"^integration over {clock}_span \(0, 100\) failed: over 200 "
+        r"right-hand-side evaluations$"
+    )
+    with pytest.raises(NumericalError, match=message):
+        if clock == "t":
+            integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 100.0))
+        else:
+            tmap = LinearMap(2.0, (0.0, 100.0))
+            integrate_tau(HarmonicPotential(), CST, tmap, 1.0, 0.0, (0.0, 100.0))
+    # A short orbit stays under the same cap.
+    integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 1.0))

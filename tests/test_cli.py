@@ -3,14 +3,17 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import reclock
-from reclock import cli, runner
+from reclock import cli, quantum, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError
 from reclock.quantum import EvolutionRecord, PropagatorConfig
@@ -164,19 +167,68 @@ def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):
 
 def test_validate_rejects_a_mapped_t_span_past_the_float_range(tmp_path, capsys):
     # t = tau / alpha with alpha = 0.5 sends tau1 = 1e308 to t = inf, which
-    # the map itself rejects.
+    # the map itself rejects; with alpha = 0.6 both ends map to doubles,
+    # T = -1e308 and 1e308, but their distance does not.
     source = next(p for p in catalogue_paths() if p.name == "linear-alpha2-harmonic.scenario")
-    text = source.read_text(encoding="utf-8").replace("alpha = 2.0", "alpha = 0.5")
-    text = text.replace("tau1 = 6.283185307179586", "tau1 = 1e308")
-    path = _write(tmp_path, text, "inf.scenario")
-    message = (
-        "[timemap] alpha = 0.5 puts the clock rate 1/alpha or T = tau/alpha at an end "
-        "of the domain (0.0, 1e+308) past the floating-point range"
+    cases = (
+        (
+            "0.5",
+            "0.0",
+            "1e308",
+            "[timemap] T' and T at the ends of the domain (0.0, 1e+308) read "
+            "((2.0, 0.0), (2.0, inf)), not finite doubles",
+        ),
+        (
+            "0.6",
+            "-6e307",
+            "6e307",
+            "[span] t_span must be increasing with a finite length, got (-1e+308, 1e+308)",
+        ),
     )
-    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
-        parse_scenario(path)
+    for alpha, tau0, tau1, message in cases:
+        text = source.read_text(encoding="utf-8").replace("alpha = 2.0", f"alpha = {alpha}")
+        text = text.replace("tau0 = 0.0", f"tau0 = {tau0}")
+        text = text.replace("tau1 = 6.283185307179586", f"tau1 = {tau1}")
+        path = _write(tmp_path, text, "inf.scenario")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            parse_scenario(path)
+        assert entrypoint(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_validate_rejects_a_sine_clock_whose_t_overflows_at_an_end(tmp_path, capsys):
+    # |a f| = 0.5 keeps the clock monotone and the phase f tau1 = 0.75 is a
+    # double, but T(tau1) = tau1 + a sin(f tau1) overflows, with no warning.
+    source = next(p for p in catalogue_paths() if p.name == "classical-sine-driven.scenario")
+    text = source.read_text(encoding="utf-8").replace("tau1 = 6.283185307179586", "tau1 = 1.5e308")
+    text = text.replace("amplitude = 0.3", "amplitude = 1e308")
+    text = text.replace("frequency = 1.0", "frequency = 5e-309")
+    path = _write(tmp_path, text, "sine-inf.scenario")
     assert entrypoint(["validate", path]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = (
+        "error: [timemap] T' and T at the ends of the domain (0.0, 1.5e+308) read "
+        "((1.5, 0.0), ("
+    )
+    assert captured.err.startswith(prefix)
+    assert captured.err.endswith(", inf)), not finite doubles\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_validate_never_imports_the_integrator():
+    # Parsing and validating a scenario integrates nothing, so scipy.integrate
+    # stays out of a validate-only process.
+    code = (
+        "import sys\n"
+        "from reclock.cli import catalogue_paths, entrypoint\n"
+        "assert entrypoint(['validate', *map(str, catalogue_paths())]) == 0\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n"
+    )
+    src = str(Path(reclock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):
@@ -281,6 +333,17 @@ def test_monitor_flags_exit_three(tmp_path, capsys):
     assert entrypoint(["run", f, "--out", str(tmp_path / "r")]) == 3
     stdout = capsys.readouterr().out
     assert "Flagged" in stdout and "edge-leak" in stdout
+
+
+def test_norm_drift_flags_a_run_and_exits_three(tmp_path, monkeypatch, capsys):
+    # The run drifts by ~5.6e-15 in norm; the prepared state's norm is 1.0
+    # exactly, so a tolerance of 1e-15 lets it start and flags its drift.
+    monkeypatch.setattr(quantum, "NORM_DRIFT_TOL", 1e-15)
+    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    assert entrypoint(["run", q, "--out", str(tmp_path / "r")]) == 3
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("Flagged  cli-quantum")
+    assert re.search(r"norm-drift \d\.\d{3}e-1[45] at clock ", stdout)
 
 
 def test_sweep_verb(tmp_path, capsys):

@@ -1,11 +1,12 @@
 """Property tests of the clock-map families' monotone regions.
 
-Each family is accepted on its analytic monotone region, with a margin of
-two MONOTONE_MARGIN, unless a clock reading it must give at an end of its
-domain is not a double; every rejection is a ValidationError that emits no
-warning. Parameters are drawn from every double, NaN and the infinities
-included; domains are drawn from a moderate range, since their own checks
-are tested elsewhere.
+A sine or ramp map is accepted exactly where its rate's lower bound clears
+MONOTONE_MARGIN, and a linear map for every finite positive alpha, unless a
+clock reading it must give at an end of its domain is not a double; every
+accepted map reads finite doubles there, and every rejection is a
+ValidationError that emits no warning. Parameters are drawn from every
+double, NaN and the infinities included; domains are drawn from a moderate
+range, since their own checks are tested elsewhere.
 """
 
 import math
@@ -58,22 +59,37 @@ def test_a_linear_map_is_accepted_exactly_for_a_finite_positive_alpha(alpha, dom
     assert _accepted(lambda: LinearMap(alpha, domain)) == expected
 
 
+def _reads_finite_ends(timemap) -> bool:
+    """True if T' and T are doubles at both ends of the map's domain, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = [(timemap.rate(tau), timemap.value(tau)) for tau in timemap.domain]
+    return all(math.isfinite(v) for reading in ends for v in reading)
+
+
 @_SETTINGS
 @given(amplitude=_ANY, frequency=_ANY, domain=_DOMAINS)
 @example(amplitude=0.999998, frequency=1.0, domain=(0.0, 10.0))
 @example(amplitude=1e-300, frequency=1e300, domain=(0.0, 1.0))
+# The bound 1 - |a f| just clears the margin, and just misses it on a domain
+# too short for the rate to near it.
+@example(amplitude=1.0 - 2e-6, frequency=1.0, domain=(0.0, 1.0))
+@example(amplitude=1.0 - 5e-7, frequency=1.0, domain=(0.0, 1e-3))
+# The phase overflows at an end, and T = tau + a sin(f tau) overflows at one.
+@example(amplitude=1e-307, frequency=1e306, domain=(0.0, 1e3))
+@example(amplitude=1e308, frequency=5e-309, domain=(0.0, 1.5e308))
 def test_a_sine_map_is_accepted_on_its_monotone_region(amplitude, frequency, domain):
-    accepted = _accepted(lambda: SinePerturbedMap(amplitude, frequency, domain))
+    built = _built(lambda: SinePerturbedMap(amplitude, frequency, domain))
+    accepted = not isinstance(built, ValidationError)
+    if accepted:
+        assert _reads_finite_ends(built)
     if not (math.isfinite(amplitude) and math.isfinite(frequency)):
         assert not accepted
-        return
-    slope = abs(amplitude * frequency)
-    # The clock is T = tau + a sin(f tau): it is defined only where the
-    # phase f tau is a double.
-    phase = frequency * max(abs(domain[0]), abs(domain[1]))
-    if 1.0 - slope >= 2 * MONOTONE_MARGIN and math.isfinite(phase):
-        assert accepted
-    if slope >= 1.0:
+    elif 1.0 - abs(amplitude * frequency) >= MONOTONE_MARGIN:
+        # The rate is never below 1 - |a f|; past it, only a clock reading
+        # that is not a double at an end is refused.
+        assert accepted or "T at the ends of the domain" in str(built)
+    else:
         assert not accepted
 
 
@@ -86,20 +102,22 @@ def test_a_sine_map_is_accepted_on_its_monotone_region(amplitude, frequency, dom
 # difference, and (rate_end - rate_start) * sharpness = inf times a zero ramp.
 @example(rates=(0.9, 0.4), center=-1e16, sharpness=1e-294, domain=(-0.25, 0.2))
 @example(rates=(1.0, 1e308), center=0.5, sharpness=1e308, domain=(0.2, 1.4))
+# The smaller rate just clears the margin, and just misses it on a domain
+# the ramp never carries near that rate.
+@example(rates=(1e-6, 1.0), center=50.0, sharpness=1.0, domain=(0.0, 1.0))
+@example(rates=(1e-7, 1.0), center=-50.0, sharpness=1.0, domain=(0.0, 1.0))
 def test_a_smooth_ramp_is_accepted_when_both_rates_clear_the_margin(
     rates, center, sharpness, domain
 ):
     built = _built(lambda: SmoothRampMap(*rates, center, sharpness, domain))
     accepted = not isinstance(built, ValidationError)
     if accepted:
-        # A run reads T at both ends of the domain.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert all(math.isfinite(built.value(tau)) for tau in domain)
+        assert _reads_finite_ends(built)
     if not all(math.isfinite(v) for v in (*rates, center, sharpness)) or not sharpness > 0:
         assert not accepted
-    elif min(rates) >= 2 * MONOTONE_MARGIN:
-        # Past the rates, only a T that is not a double at an end is refused.
+    elif min(rates) >= MONOTONE_MARGIN:
+        # The rate is never below the smaller end rate; past it, only a T
+        # that is not a double at an end is refused.
         assert accepted or "T at the ends of the domain" in str(built)
-    elif min(rates) <= 0:
+    else:
         assert not accepted

@@ -256,6 +256,11 @@ def test_classical_tolerance_and_outputs(tmp_path):
     text = CLASSICAL_TEXT.replace("tol = 1e-10", "tol = -1e-10")
     with pytest.raises(ScenarioError, match="tol must be positive"):
         parse_scenario(_write(tmp_path, text))
+    # scipy would clamp a tol below 100 machine epsilons with a warning.
+    text = CLASSICAL_TEXT.replace("tol = 1e-10", "tol = 1e-20")
+    message = r"^\[numerics\] tol must be positive and at least .*, got 1e-20$"
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(_write(tmp_path, text))
     # Where and in which formats artifacts go is set on the command line only.
     text = CLASSICAL_TEXT + "\n[outputs]\ndirectory = out\nformats = csv, json\n"
     with pytest.raises(ScenarioError, match=r"unexpected section\(s\) .*: \[outputs\]"):
