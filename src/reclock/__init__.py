@@ -7,135 +7,9 @@ evolution at the relabeled instants. This package propagates both sides,
 measures their phase-invariant agreement, and checks the accompanying
 identities (degree-one homogeneity of the extended Lagrangian and the
 momentum constraint T' pi_T + Htilde = 0).
+
+Import each name from its own module, e.g. ``from reclock.quantum import
+propagate_t``; the package root holds only ``__version__``.
 """
 
-from .classical import (
-    LagrangianPoint,
-    Trajectory,
-    check_constraint,
-    check_euler_homogeneity,
-    hamiltonian_t,
-    hamiltonian_tau,
-    homogeneous_lagrangian,
-    integrate_t,
-    integrate_tau,
-    lagrangian_t,
-    momenta_tau,
-    trajectory_equivalence,
-)
-from .errors import (
-    ClockDomainError,
-    CoverageError,
-    IntegrationError,
-    NumericalError,
-    ReclockError,
-    ScenarioError,
-    ValidationError,
-)
-from .model import (
-    DrivenHarmonicPotential,
-    FreePotential,
-    HarmonicPotential,
-    IdentityMap,
-    LinearMap,
-    MovingWellPotential,
-    PhysicalConstants,
-    PotentialSpec,
-    SinePerturbedMap,
-    SmoothRampMap,
-    SpatialGrid,
-    TimeMap,
-    Wavefunction,
-    eval_potential,
-    prepare_gaussian,
-)
-from .quantum import (
-    CovarianceReport,
-    CovarianceScenario,
-    EvolutionRecord,
-    PropagatorConfig,
-    Snapshot,
-    apply_hamiltonian,
-    covariance_experiment,
-    expectation_energy,
-    expectation_position,
-    fidelity,
-    position_variance,
-    propagate_rescaled,
-    propagate_t,
-    propagate_tau,
-    residual_check,
-)
-from .reports import render_report
-from .runner import RunSummary, Status, run_many, run_scenario
-from .scenario import (
-    GaussianSpec,
-    Scenario,
-    ScenarioKind,
-    Tolerances,
-    parse_scenario,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClockDomainError",
-    "CovarianceReport",
-    "CovarianceScenario",
-    "CoverageError",
-    "DrivenHarmonicPotential",
-    "EvolutionRecord",
-    "FreePotential",
-    "GaussianSpec",
-    "HarmonicPotential",
-    "IdentityMap",
-    "IntegrationError",
-    "LagrangianPoint",
-    "LinearMap",
-    "MovingWellPotential",
-    "NumericalError",
-    "PhysicalConstants",
-    "PotentialSpec",
-    "PropagatorConfig",
-    "ReclockError",
-    "RunSummary",
-    "Scenario",
-    "ScenarioError",
-    "ScenarioKind",
-    "SinePerturbedMap",
-    "SmoothRampMap",
-    "Snapshot",
-    "SpatialGrid",
-    "Status",
-    "TimeMap",
-    "Tolerances",
-    "Trajectory",
-    "ValidationError",
-    "Wavefunction",
-    "apply_hamiltonian",
-    "check_constraint",
-    "check_euler_homogeneity",
-    "covariance_experiment",
-    "eval_potential",
-    "expectation_energy",
-    "expectation_position",
-    "fidelity",
-    "hamiltonian_t",
-    "hamiltonian_tau",
-    "homogeneous_lagrangian",
-    "integrate_t",
-    "integrate_tau",
-    "lagrangian_t",
-    "momenta_tau",
-    "parse_scenario",
-    "position_variance",
-    "prepare_gaussian",
-    "propagate_rescaled",
-    "propagate_t",
-    "propagate_tau",
-    "render_report",
-    "residual_check",
-    "run_many",
-    "run_scenario",
-    "trajectory_equivalence",
-]

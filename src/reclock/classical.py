@@ -36,6 +36,7 @@ from .model import (
     check_real,
     check_span,
     clock_reading,
+    span_slack,
 )
 
 # Finite-difference step for the homogeneity check; chosen so truncation
@@ -48,9 +49,9 @@ DEFAULT_TOL = 1e-9
 # and raises it to this floor, so check_tol refuses a smaller tol instead.
 MIN_TOL = 100 * float(np.finfo(float).eps)
 
-# The longest orbit in use (classical-orbits benchmark) makes ~25 000 right-hand-side
-# evaluations; at ~15 us each (2-vCPU Xeon) this cap stops a runaway orbit in minutes.
-MAX_RHS_EVALS = 10**7
+# The longest orbit in use (classical-orbits benchmark) makes ~25 400 right-hand-side
+# evaluations, 40x below this cap; at ~11 us each (2-vCPU Xeon) it stops a runaway in ~11 s.
+MAX_RHS_EVALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,7 @@ def trajectory_equivalence(
         raise ValidationError("traj_t carries no dense interpolant")
     t_marks = np.array([float(timemap.value(tau)) for tau in traj_tau.clocks])
     lo, hi = traj_t.clocks[0], traj_t.clocks[-1]
-    slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+    slack = span_slack(lo, hi)
     if t_marks[0] < lo - slack or t_marks[-1] > hi + slack:
         raise CoverageError(
             f"conventional run [{lo:g}, {hi:g}] does not cover the mapped span "

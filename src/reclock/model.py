@@ -62,6 +62,11 @@ def check_real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def span_slack(lo: float, hi: float) -> float:
+    """How far past [lo, hi] a clock still counts as inside it, for rounding at the ends."""
+    return 1e-9 * max(1.0, abs(lo), abs(hi))
+
+
 def check_span(name: str, pair) -> tuple[float, float]:
     """``pair`` as finite floats (lo, hi) with lo < hi, else a ValidationError naming it."""
     try:
@@ -105,7 +110,7 @@ class TimeMap(abc.ABC):
 
     def contains(self, tau: float) -> bool:
         lo, hi = self.domain
-        slack = 1e-9 * max(1.0, abs(lo), abs(hi))
+        slack = span_slack(lo, hi)
         return (lo - slack) <= tau <= (hi + slack)
 
     def require(self, *taus: float) -> None:

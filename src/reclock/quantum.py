@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import CoverageError, NumericalError, ValidationError
 from .model import (
@@ -295,6 +294,8 @@ def _run_crank_nicolson(
     of them and records only there (and at the start); otherwise it records
     every ``cfg.record_every`` steps and at the end.
     """
+    from scipy.linalg.lapack import get_lapack_funcs  # here, since validating never steps
+
     grid = psi0.grid
     hbar, dx = constants.hbar, grid.dx
     x = grid.points()

@@ -325,7 +325,7 @@ def parse_scenario(path) -> Scenario:
     integrator_tol = None
     num_sec = section("numerics")
     if kind is ScenarioKind.QUANTUM_COVARIANCE:
-        propagator = _build(PropagatorConfig, num_sec, dt=num_sec.take_float("dt", required=True))
+        propagator = _build(PropagatorConfig, num_sec)
     elif kind is ScenarioKind.CONVERGENCE_SWEEP:
         raw = num_sec.take("dts", required=True)
         dts = tuple(

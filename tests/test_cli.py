@@ -216,19 +216,39 @@ def test_validate_rejects_a_sine_clock_whose_t_overflows_at_an_end(tmp_path, cap
     assert captured.err.count("\n") == 1
 
 
-def test_validate_never_imports_the_integrator():
-    # Parsing and validating a scenario integrates nothing, so scipy.integrate
-    # stays out of a validate-only process.
-    code = (
-        "import sys\n"
-        "from reclock.cli import catalogue_paths, entrypoint\n"
-        "assert entrypoint(['validate', *map(str, catalogue_paths())]) == 0\n"
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n"
-    )
+def _run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout's reclock."""
     src = str(Path(reclock.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_validate_never_imports_scipy():
+    # Parsing and validating a scenario neither steps a state nor integrates
+    # an orbit, so no SciPy module enters a validate-only process.
+    _run_python(
+        "import sys\n"
+        "from reclock.cli import catalogue_paths, entrypoint\n"
+        "assert entrypoint(['validate', *map(str, catalogue_paths())]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
+    # The parent only parses and forks, so LAPACK can be in its modules only
+    # through run_many's pre-fork import, and a quantum-only batch never
+    # integrates an orbit.
+    paths = [_write(tmp_path, QUANTUM_TEXT, f"q{i}.scenario") for i in range(2)]
+    _run_python(
+        "import sys\n"
+        "from reclock.runner import Status, run_many\n"
+        f"summaries = run_many({paths!r}, {str(tmp_path / 'reports')!r}, jobs=2)\n"
+        "assert [s.status for s in summaries] == [Status.PASS] * 2, summaries\n"
+        "assert 'scipy.linalg.lapack' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+    )
 
 
 def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):

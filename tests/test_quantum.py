@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_banded
 
@@ -668,7 +669,7 @@ def test_kernel_matches_the_banded_reference_float_for_float(clock_name, pot_nam
 
 @pytest.mark.parametrize("info", [2, -4])
 def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeypatch, info):
-    real_get = quantum.get_lapack_funcs
+    real_get = scipy.linalg.lapack.get_lapack_funcs
 
     def get_failing(names, arrays):
         (gtsv,) = real_get(names, arrays)
@@ -681,7 +682,7 @@ def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeyp
 
         return (failing_gtsv,)
 
-    monkeypatch.setattr(quantum, "get_lapack_funcs", get_failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_failing)
     cfg = PropagatorConfig(dt=1e-2)
     with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
         propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
