@@ -22,13 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ClockDomainError,
-    CoverageError,
-    IntegrationError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import ClockDomainError, CoverageError, NumericalError, ValidationError
 from .model import (
     PhysicalConstants,
     PotentialSpec,
@@ -36,6 +30,7 @@ from .model import (
     check_real,
     check_span,
     clock_reading,
+    freeze_record,
     span_slack,
 )
 
@@ -79,6 +74,8 @@ class Trajectory:
 
     ``pm`` is the momentum conjugate to q in the trajectory's own clock:
     p = m dx/dt for conventional runs, pi = m xi' / T' for relabeled ones.
+    ``t`` holds the conventional-clock reading of each sample, read once at
+    construction: T(clock) for a relabeled run, the clock itself otherwise.
     ``timemap`` is None exactly for a conventional-clock run. Such a run
     keeps a dense interpolant over its full span in ``dense``, so a relabeled
     trajectory can be compared against it between samples; a relabeled run
@@ -90,26 +87,14 @@ class Trajectory:
     pm: np.ndarray
     timemap: TimeMap | None = None
     dense: Callable | None = field(default=None, repr=False, compare=False)
+    t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        clocks = np.asarray(self.clocks, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        pm = np.asarray(self.pm, dtype=float)
-        if not (clocks.shape == q.shape == pm.shape) or clocks.ndim != 1 or clocks.size < 2:
-            raise ValidationError("trajectory needs matching 1D clock/q/pm arrays (>= 2 samples)")
-        if np.any(np.diff(clocks) <= 0):
-            raise ValidationError("trajectory clock values must be strictly increasing")
-        # Freeze views: np.asarray may return the caller's own arrays.
-        for name, arr in (("clocks", clocks), ("q", q), ("pm", pm)):
-            view = arr.view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-
-    def t_values(self) -> np.ndarray:
-        """Conventional-clock readings of the samples (T(tau) for tau runs)."""
-        if self.timemap is None:
-            return self.clocks
-        return np.array([float(self.timemap.value(c)) for c in self.clocks])
+        freeze_record(self, ("clocks", "q", "pm"), 2)
+        tmap = self.timemap
+        t = self.clocks if tmap is None else [float(tmap.value(c)) for c in self.clocks]
+        object.__setattr__(self, "t", t)
+        freeze_record(self, ("clocks", "t"), 2)
 
 
 def lagrangian_t(
@@ -281,14 +266,8 @@ def _integrate(
     except FloatingPointError as exc:
         raise NumericalError(f"{where}: {exc}") from exc
     if not sol.success:
-        raise IntegrationError(f"integration failed: {sol.message}")
-    return Trajectory(
-        clocks=sol.t,
-        q=sol.y[0],
-        pm=sol.y[1],
-        timemap=timemap,
-        dense=sol.sol,
-    )
+        raise NumericalError(f"{where}: {sol.message}")
+    return Trajectory(sol.t, sol.y[0], sol.y[1], timemap=timemap, dense=sol.sol)
 
 
 def integrate_t(
@@ -324,17 +303,21 @@ def trajectory_equivalence(
 ) -> float:
     """max over tau-samples of |xi(tau) - x(T(tau))|.
 
-    The conventional trajectory is read at T(tau) through its dense
-    interpolant, so the comparison is not limited to coincident sample
-    points. traj_t must cover the mapped span [T(tau0), T(tau1)].
+    The conventional trajectory is read at each relabeled sample's own
+    reading ``traj_tau.t`` through its dense interpolant, so the comparison
+    is not limited to coincident sample points; no map is evaluated here.
+    ``timemap`` must be the map traj_tau ran in, and traj_t must cover the
+    mapped span [T(tau0), T(tau1)].
     """
     if traj_t.timemap is not None:
         raise ValidationError("traj_t must be a conventional-clock trajectory")
     if traj_tau.timemap is None:
         raise ValidationError("traj_tau must be a relabeled-clock trajectory")
+    if timemap != traj_tau.timemap:
+        raise ValidationError(f"traj_tau ran in {traj_tau.timemap}, not in {timemap}")
     if traj_t.dense is None:
         raise ValidationError("traj_t carries no dense interpolant")
-    t_marks = np.array([float(timemap.value(tau)) for tau in traj_tau.clocks])
+    t_marks = traj_tau.t
     lo, hi = traj_t.clocks[0], traj_t.clocks[-1]
     slack = span_slack(lo, hi)
     if t_marks[0] < lo - slack or t_marks[-1] > hi + slack:

@@ -21,9 +21,5 @@ class ScenarioError(ValidationError):
     """A scenario file failed to parse or validate."""
 
 
-class IntegrationError(ReclockError, RuntimeError):
-    """An ODE integration failed to reach the end of its span."""
-
-
 class NumericalError(ReclockError, RuntimeError):
-    """A linear solve failed or a propagation invariant (unitarity) broke."""
+    """A run could not finish: a solve or integration failed, or an invariant broke."""

@@ -62,6 +62,33 @@ def check_real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def freeze_record(record, columns, least: int, rows=(None, 0)) -> None:
+    """Check a run record's ``columns``, its clock column first, and freeze each as a view.
+
+    ``rows`` names the complex column of (samples, width) rows and its width, if
+    there is one. Each column needs one entry, or row, per clock; the record
+    needs at least ``least`` samples; its clocks must strictly increase. A
+    frozen view leaves the caller's own array writeable.
+    """
+    k = np.size(getattr(record, columns[0]))
+    for name in columns:
+        row = name == rows[0]
+        arr = np.asarray(getattr(record, name), dtype=complex if row else float).view()
+        if arr.shape != ((k, rows[1]) if row else (k,)):
+            raise ValidationError(
+                f"a record needs one {'row' if row else 'entry'} per sample in {name}, "
+                f"got shape {arr.shape} for {k} clocks"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+    if k < least:
+        raise ValidationError(
+            f"a record needs at least {'one sample' if least == 1 else f'{least} samples'}, got {k}"
+        )
+    if np.any(np.diff(getattr(record, columns[0])) <= 0):
+        raise ValidationError(f"record {columns[0]} must be strictly increasing")
+
+
 def span_slack(lo: float, hi: float) -> float:
     """How far past [lo, hi] a clock still counts as inside it, for rounding at the ends."""
     return 1e-9 * max(1.0, abs(lo), abs(hi))
@@ -337,13 +364,6 @@ class MovingWellPotential(PotentialSpec):
         return self.stiffness * (x - self._center(t))
 
 
-def eval_potential(spec: PotentialSpec, t: float, x: float) -> float:
-    """V(t, x) for finite scalar inputs."""
-    check_real("potential argument t", t)
-    check_real("potential argument x", x)
-    return float(spec.value(t, x))
-
-
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform 1D grid on [x_min, x_max] with hard-wall (Dirichlet) edges."""
@@ -377,8 +397,7 @@ class SpatialGrid:
 class Wavefunction:
     """Complex amplitudes on a SpatialGrid, zero at both walls.
 
-    The amplitude array is copied and frozen at construction; use
-    ``with_amplitudes`` to derive a new state.
+    The amplitude array is copied and frozen at construction.
     """
 
     grid: SpatialGrid
@@ -399,9 +418,6 @@ class Wavefunction:
 
     def norm(self) -> float:
         return float(row_norms(self.amplitudes, self.grid.dx))
-
-    def with_amplitudes(self, amplitudes: np.ndarray) -> "Wavefunction":
-        return Wavefunction(self.grid, amplitudes)
 
 
 def row_norms(amplitudes: np.ndarray, dx: float) -> np.ndarray:

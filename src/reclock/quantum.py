@@ -51,6 +51,7 @@ from .model import (
     check_real,
     check_span,
     clock_reading,
+    freeze_record,
     row_norms,
 )
 
@@ -120,20 +121,8 @@ class EvolutionRecord:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        k = np.size(self.clocks)
-        for name in ("clocks", "rates", "t", "norms", "energies", "amplitudes"):
-            rows = name == "amplitudes"
-            # A view, so that freezing it leaves the caller's array writeable.
-            arr = np.asarray(getattr(self, name), dtype=complex if rows else float).view()
-            if k < 1 or arr.shape != ((k, self.grid.n_points) if rows else (k,)):
-                raise ValidationError(
-                    f"a record needs at least one sample and one {'row' if rows else 'entry'} "
-                    f"per sample in {name}, got shape {arr.shape} for {k} clocks"
-                )
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(np.diff(self.clocks) <= 0):
-            raise ValidationError("record clocks must be strictly increasing")
+        columns = ("clocks", "rates", "t", "norms", "energies", "amplitudes")
+        freeze_record(self, columns, 1, rows=("amplitudes", self.grid.n_points))
 
     @property
     def final_state(self) -> Wavefunction:
@@ -194,6 +183,11 @@ def _energies(amps: np.ndarray, h_amps: np.ndarray, dx: float) -> np.ndarray:
     return np.array([np.vdot(a, h).real for a, h in zip(amps, h_amps)]) * dx
 
 
+def _overlaps(a: np.ndarray, b: np.ndarray, dx: float) -> np.ndarray:
+    """|<a|b>| dx for each row pair, one vdot per row as in ``_energies``."""
+    return np.array([abs(np.vdot(x, y)) for x, y in zip(a, b)]) * dx
+
+
 def apply_hamiltonian(
     psi: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, t: float
 ) -> Wavefunction:
@@ -230,7 +224,7 @@ def fidelity(a: Wavefunction, b: Wavefunction) -> float:
     """|<a|b>| on the grid quadrature; invariant under global phases."""
     if a.grid != b.grid:
         raise ValidationError(f"grid mismatch: {a.grid} vs {b.grid}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) * a.grid.dx)
+    return float(_overlaps(a.amplitudes[None], b.amplitudes[None], a.grid.dx)[0])
 
 
 def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]:
@@ -535,6 +529,11 @@ class CovarianceReport:
     t_record: EvolutionRecord | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        columns = (
+            "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
+            "energy_t", "energy_tau", "energy_transform_residual",
+        )
+        freeze_record(self, columns, 1)
         if np.any(self.fidelity < 0) or np.any(self.fidelity > 1.0 + FIDELITY_CAP_SLACK):
             raise NumericalError(
                 f"fidelity left [0, 1 + {FIDELITY_CAP_SLACK:g}]: "
@@ -585,12 +584,11 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
             f"{len(tau_rec.clocks)} relabeled samples"
         )
 
-    overlaps = [abs(np.vdot(ps, ph)) for ps, ph in zip(t_rec.amplitudes, tau_rec.amplitudes)]
     return CovarianceReport(
         tau=tau_rec.clocks,
         t=t_marks,
         tprime=tau_rec.rates,
-        fidelity=np.array(overlaps) * psi0.grid.dx,
+        fidelity=_overlaps(t_rec.amplitudes, tau_rec.amplitudes, psi0.grid.dx),
         norm_psi=t_rec.norms,
         norm_phi=tau_rec.norms,
         energy_t=t_rec.energies,

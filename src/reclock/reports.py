@@ -53,16 +53,14 @@ def layout(obj):
             "Tprime": obj.tprime,
             "energy_transform_residual": obj.energy_transform_residual,
         }
-        summary = {}
-        if len(obj.fidelity):
-            summary = {
-                "min_fidelity": float(obj.min_fidelity),
-                "max_energy_transform_residual": float(obj.max_energy_transform_residual),
-                "max_norm_deviation": float(obj.max_norm_deviation),
-            }
+        summary = {
+            "min_fidelity": float(obj.min_fidelity),
+            "max_energy_transform_residual": float(obj.max_energy_transform_residual),
+            "max_norm_deviation": float(obj.max_norm_deviation),
+        }
         return "covariance_report", table, summary, obj.flags
     if isinstance(obj, Trajectory):
-        table = {"clock": obj.clocks, "t_equivalent": obj.t_values(), "q": obj.q, "pm": obj.pm}
+        table = {"clock": obj.clocks, "t_equivalent": obj.t, "q": obj.q, "pm": obj.pm}
         clock_kind = "t" if obj.timemap is None else "tau"
         summary = {"clock_kind": clock_kind, "n_samples": int(len(obj.clocks))}
         return "trajectory", table, summary, ()

@@ -24,7 +24,7 @@ from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
-from .scenario import CHECKS, Scenario, ScenarioKind, Tolerances, parse_scenario
+from .scenario import CHECKS, QUANTUM_KINDS, Scenario, ScenarioKind, Tolerances, parse_scenario
 
 
 class Status(Enum):
@@ -191,7 +191,7 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     workers = min(jobs, len(scenarios))
     kinds = {s.kind for s in scenarios}
     # Forked workers share these imports; each would otherwise load its own (~10 MB RSS).
-    if kinds & {ScenarioKind.QUANTUM_COVARIANCE, ScenarioKind.CONVERGENCE_SWEEP}:
+    if kinds & QUANTUM_KINDS:
         import scipy.linalg.lapack  # noqa: F401
     if ScenarioKind.CLASSICAL_EQUIVALENCE in kinds:
         import scipy.integrate  # noqa: F401

@@ -68,6 +68,10 @@ class ScenarioKind(Enum):
     CONVERGENCE_SWEEP = "convergence_sweep"
 
 
+# The kinds that step a wavefunction: they read [grid] and a Gaussian, and call LAPACK.
+QUANTUM_KINDS = frozenset({ScenarioKind.QUANTUM_COVARIANCE, ScenarioKind.CONVERGENCE_SWEEP})
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Initial wavepacket parameters; validated against the grid at parse time."""
@@ -273,7 +277,7 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"[scenario] unknown kind {kind_raw!r}; available: {allowed}")
     head.finish()
 
-    quantum = kind in (ScenarioKind.QUANTUM_COVARIANCE, ScenarioKind.CONVERGENCE_SWEEP)
+    quantum = kind in QUANTUM_KINDS
     expected = {"scenario", "span", "timemap", "potential", "initial_state", "numerics"}
     optional = {"constants", "tolerances"}
     if quantum:

@@ -226,7 +226,7 @@ def test_integrate_tau_identity_matches_conventional_run():
     assert_allclose(viatau.clocks, direct.clocks, rtol=0, atol=1e-12)
     assert_allclose(viatau.q, direct.q, rtol=0, atol=1e-10)
     assert_allclose(viatau.pm, direct.pm, rtol=0, atol=1e-10)
-    assert_allclose(viatau.t_values(), viatau.clocks, rtol=0, atol=0)
+    assert_allclose(viatau.t, viatau.clocks, rtol=0, atol=0)
 
 
 def test_integrate_tau_linear_map_stretches_the_orbit():
@@ -275,13 +275,25 @@ def test_trajectory_equivalence_input_checks():
         trajectory_equivalence(short, tautraj, m)
 
 
+def test_trajectory_equivalence_rejects_a_map_the_orbit_did_not_run_in():
+    # Read under the identity, a sine-clock orbit would give a wrong error
+    # (0.296 here) instead of ~3e-11; the orbit's own readings are the only ones.
+    pot = HarmonicPotential(omega=1.0)
+    sine = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=(0.0, 2.0 * math.pi))
+    tautraj = integrate_tau(pot, CST, sine, 1.0, 0.0, (0.0, 2.0 * math.pi), tol=1e-11)
+    ttraj = integrate_t(pot, CST, 1.0, 0.0, (0.0, 2.0 * math.pi), tol=1e-11)
+    assert trajectory_equivalence(ttraj, tautraj, sine) < 1e-8
+    with pytest.raises(ValidationError, match="ran in"):
+        trajectory_equivalence(ttraj, tautraj, LinearMap(1.0, domain=(0.0, 2.0 * math.pi)))
+
+
 def test_momentum_transform_between_clocks():
     # pi = m xi'/T' equals the conventional momentum at the mapped instant,
     # so a tau-run's pm samples match p(T(tau)) = -sin(T) for this orbit.
     pot = HarmonicPotential(omega=1.0)
     m = LinearMap(alpha=2.0, domain=(0.0, 2.0 * math.pi))
     tautraj = integrate_tau(pot, CST, m, 1.0, 0.0, (0.0, 2.0 * math.pi), tol=1e-11)
-    assert_allclose(tautraj.pm, -np.sin(tautraj.t_values()), rtol=0, atol=1e-8)
+    assert_allclose(tautraj.pm, -np.sin(tautraj.t), rtol=0, atol=1e-8)
 
 
 def test_integrate_tau_rejects_span_outside_domain():

@@ -22,7 +22,6 @@ from reclock.model import (
     SpatialGrid,
     Wavefunction,
     clock_reading,
-    eval_potential,
     prepare_gaussian,
 )
 
@@ -183,12 +182,6 @@ def test_potential_values():
 def test_harmonic_omega_whose_square_overflows_is_rejected(omega):
     with pytest.raises(ValidationError, match=r"^omega\*\*2 overflows for omega = "):
         HarmonicPotential(omega=omega)
-
-
-def test_eval_potential_requires_finite_arguments():
-    with pytest.raises(ValidationError, match="finite"):
-        eval_potential(HarmonicPotential(), float("inf"), 0.0)
-    assert eval_potential(HarmonicPotential(), 0.0, 2.0) == 2.0
 
 
 def test_grid_spacing_and_validation():

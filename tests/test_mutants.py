@@ -1,0 +1,85 @@
+"""Mutation census: each planted fault must fail a named existing check.
+
+Each mutant replaces one library function through ``monkeypatch`` and then
+calls one test of another module directly, loaded by path and unedited. The
+census passes when that check's own assertion fails on the mutant; a mutant
+that no check catches is a gap in the suite.
+"""
+
+import functools
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import reclock.classical as classical
+import reclock.quantum as quantum
+import reclock.reports as reports
+
+TESTS = Path(__file__).resolve().parent
+
+
+@functools.cache
+def _test_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"census_{name}", TESTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unit_rate(clock_reading):
+    """``clock_reading`` with the rate T' forced to 1 and the reading T kept."""
+    return lambda timemap, clock: (1.0, clock_reading(timemap, clock)[1])
+
+
+def _real_part_overlaps(a, b, dx):
+    return np.array([np.vdot(x, y).real for x, y in zip(a, b)]) * dx
+
+
+def _csv_15_digits(table):
+    lines = [",".join(table)]
+    for row in zip(*table.values(), strict=True):
+        lines.append(",".join(f"{float(v):.14e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _stiffer_kinetic_weight(constants, dx, _weight=quantum._kinetic_weight):
+    # The same wrong H in both clocks: the covariance checks cannot see it.
+    return _weight(constants, dx) * (1 + 1e-6)
+
+
+# Mutant -> (module, attribute, replacement, (test module, check, check arguments)).
+MUTANTS = {
+    "overlap-real-part": (
+        quantum, "_overlaps", _real_part_overlaps,
+        ("test_quantum", "test_fidelity_properties", ()),
+    ),
+    "classical-unit-rate": (
+        classical, "clock_reading", _unit_rate(classical.clock_reading),
+        ("test_classical", "test_integrate_tau_linear_map_stretches_the_orbit", ()),
+    ),
+    "quantum-unit-rate": (
+        quantum, "clock_reading", _unit_rate(quantum.clock_reading),
+        ("test_quantum", "test_covariance_nontrivial_map_tracks_the_reference", ()),
+    ),
+    "kinetic-weight": (
+        quantum, "_kinetic_weight", _stiffer_kinetic_weight,
+        ("test_quantum", "test_kernel_matches_the_banded_reference_float_for_float",
+         ("sine", "harmonic")),
+    ),
+    "csv-15-digits": (
+        reports, "csv_table", _csv_15_digits,
+        ("test_reports", "test_covariance_report_csv_layout", ()),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_each_mutant_fails_its_check(monkeypatch, name):
+    module, attribute, mutant, (test_module, check, args) = MUTANTS[name]
+    run_check = functools.partial(getattr(_test_module(test_module), check), *args)
+    run_check()  # the check passes on the library as it is
+    monkeypatch.setattr(module, attribute, mutant)
+    with pytest.raises(AssertionError):
+        run_check()

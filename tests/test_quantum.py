@@ -30,7 +30,6 @@ from reclock.model import (
     SmoothRampMap,
     SpatialGrid,
     Wavefunction,
-    eval_potential,
     prepare_gaussian,
 )
 from reclock.quantum import (
@@ -99,8 +98,6 @@ def test_every_number_field_rejects_non_numbers_and_overflow(bad):
         ("center0", lambda: MovingWellPotential(center0=bad)),
         ("velocity", lambda: MovingWellPotential(velocity=bad)),
         ("stiffness", lambda: MovingWellPotential(stiffness=bad)),
-        ("argument t", lambda: eval_potential(HarmonicPotential(), bad, 0.0)),
-        ("argument x", lambda: eval_potential(HarmonicPotential(), 0.0, bad)),
         ("x_min", lambda: SpatialGrid(bad, 1.0, 16)),
         ("x_max", lambda: SpatialGrid(-1.0, bad, 16)),
         ("width", lambda: prepare_gaussian(GRID, 0.0, bad)),
@@ -192,7 +189,7 @@ def test_expectation_energy_oracles():
 
 def test_fidelity_properties():
     assert fidelity(GROUND, GROUND) == pytest.approx(1.0, abs=1e-12)
-    rotated = GROUND.with_amplitudes(GROUND.amplitudes * np.exp(1j * 0.77))
+    rotated = Wavefunction(GRID, GROUND.amplitudes * np.exp(1j * 0.77))
     assert fidelity(GROUND, rotated) == pytest.approx(1.0, abs=1e-12)
     # First excited state: odd, hence orthogonal to the even ground state.
     x = GRID.points()
@@ -413,9 +410,10 @@ def test_records_freeze_views_and_leave_the_callers_arrays_writeable():
     amps = np.tile(GROUND.amplitudes, (3, 1))
     rec = EvolutionRecord(GRID, clocks, ones, clocks, amps, ones, ones)
     traj = Trajectory(clocks, ones, ones)
+    report = CovarianceReport(clocks, clocks, ones, ones, ones, ones, ones, ones, ones)
     assert clocks.flags.writeable and ones.flags.writeable and amps.flags.writeable
-    frozen = [rec.clocks, rec.rates, rec.t, rec.amplitudes, rec.norms, rec.energies]
-    frozen += [traj.clocks, traj.q, traj.pm]
+    frozen = [v for r in (rec, traj, report) for v in vars(r).values() if isinstance(v, np.ndarray)]
+    assert len(frozen) == 6 + 4 + 9
     assert not any(arr.flags.writeable for arr in frozen)
     # The amplitude block is shared, not copied.
     assert np.shares_memory(rec.amplitudes, amps)
@@ -515,7 +513,7 @@ def test_covariance_nontrivial_map_tracks_the_reference():
 
 
 def test_covariance_rejects_unnormalized_initial_state():
-    tiny = GROUND.with_amplitudes(GROUND.amplitudes * 0.5)
+    tiny = Wavefunction(GRID, GROUND.amplitudes * 0.5)
     scenario = CovarianceScenario(
         constants=CST,
         potential=FreePotential(),

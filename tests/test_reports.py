@@ -112,23 +112,11 @@ def test_rendering_is_deterministic():
         assert render_report(report, fmt) == render_report(again, fmt)
 
 
-def test_empty_report_renders_header_only():
+def test_an_empty_report_is_rejected():
+    # Every report has at least its start sample, so none renders without a summary.
     empty = np.array([])
-    report = CovarianceReport(
-        tau=empty,
-        t=empty,
-        tprime=empty,
-        fidelity=empty,
-        norm_psi=empty,
-        norm_phi=empty,
-        energy_t=empty,
-        energy_tau=empty,
-        energy_transform_residual=empty,
-    )
-    text = render_report(report, "csv")
-    assert text.count("\n") == 1 and text.startswith("tau,")
-    doc = json.loads(render_report(report, "json"))
-    assert doc["summary"] == {}
+    with pytest.raises(ValidationError, match="at least one sample, got 0"):
+        CovarianceReport(empty, empty, empty, empty, empty, empty, empty, empty, empty)
 
 
 def test_render_report_rejects_bad_inputs():
