@@ -19,21 +19,30 @@ of steps at once with the same floating-point operations as a per-step
 build, so blocking changes no result. A non-finite V(t, x) stops the run
 before its block steps, with a NumericalError naming the earliest bad t.
 
-A run's ``EvolutionRecord`` is arrays with one row per recorded sample: a
-read-only (records, n_points) amplitude array and the clock, rate T',
-reading T, norm and energy columns. The stepping loop only copies the state
-into its row; the norm, energy and edge-leak monitors run once per block of
-records, and ``snapshots`` builds per-sample objects only on request.
+A run is planned first, then streamed. The plan (``_plan``) is everything
+fixed before the first step: the step boundaries, each step's prefactor and
+potential clock, and the record slots with their clocks, rates T' and
+readings T. The stream (``_stream``) steps a plan and yields, for each block
+of steps that lands on records, those records' rows with their norms and
+energies, after running the norm, energy and edge-leak monitors on them.
+``propagate_t`` and ``propagate_tau`` copy the blocks into an
+``EvolutionRecord``: a read-only (records, n_points) amplitude array and the
+clock, rate, reading, norm and energy columns; ``snapshots`` builds
+per-sample objects only on request.
 
 Covariance experiments compare the two evolutions sample by sample: the
 relabeled run is stepped uniformly in tau, and the reference run shortens
 individual substeps so that it lands *exactly* on each comparison time
-T(tau_k) instead of interpolating. Agreement is measured with the
-phase-invariant overlap modulus, so a global phase difference is ignored.
+T(tau_k) instead of interpolating. Both runs are planned before either
+steps, then streamed in lockstep, so each matched pair of rows is compared
+as soon as both exist and no whole amplitude record is kept. Agreement is
+measured with the phase-invariant overlap modulus, so a global phase
+difference is ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -68,8 +77,13 @@ FIDELITY_CAP_SLACK = 1e-12
 # moved onto it instead of spawning a degenerate micro-step.
 LANDMARK_SNAP_FRACTION = 1e-9
 
-# A run's step schedule costs ~184 B per step (boundaries, midpoint clock
-# readings and their lists), so this cap keeps it near 1.8 GB.
+# A run's plan takes ~210-240 B per step while it is built (boundaries and
+# clock readings as Python floats) and keeps 32 B per step plus 32 B per
+# record. A covariance run builds its t plan while it holds its tau plan,
+# and the t plan adds a step at each landing time. Traced with tracemalloc
+# for a sine clock, the two plans peak at ~263 B per tau step with sparse
+# records and ~553 B with a record every step, so at this cap a covariance
+# run's schedule stays near 2.6 GB, or 5.5 GB when every step records.
 MAX_STEPS = 10**7
 
 # The kernel builds the state-independent coefficients of this many grid
@@ -269,24 +283,70 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     return np.sort(np.concatenate([fixed, rungs[keep]])).tolist()
 
 
-def _run_crank_nicolson(
-    psi0: Wavefunction,
-    pot: PotentialSpec,
-    constants: PhysicalConstants,
-    span: tuple[float, float],
-    cfg: PropagatorConfig,
-    timemap: TimeMap | None,
-    landmarks=(),
-) -> EvolutionRecord:
-    """Shared stepping kernel for both clock directions.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Everything a run computes before its first step.
+
+    ``edges`` are the step boundaries, ``steps`` their lengths, ``prefs`` and
+    ``tevals`` the generator prefactor and potential clock at each step's
+    midpoint, and ``rec`` the boundary index of each record, whose clock, rate
+    and reading are ``clocks``, ``rates`` and ``t``.
+    """
+
+    dt: float
+    edges: np.ndarray
+    steps: np.ndarray
+    prefs: np.ndarray
+    tevals: np.ndarray
+    rec: np.ndarray
+    clocks: np.ndarray
+    rates: np.ndarray
+    t: np.ndarray
+
+
+def _plan(
+    span: tuple[float, float], cfg: PropagatorConfig, timemap: TimeMap | None, landmarks=()
+) -> _Plan:
+    """The step schedule and record slots of one run, before any step.
 
     The run is in the relabeled clock tau when ``timemap`` is given and in
-    the conventional clock t otherwise. Each step solves
-    (I + i lam G) u_new = (I - i lam G) u_old on the grid interior, with
-    G = pref * H(t_eval) from ``clock_reading`` at the step midpoint and
-    lam = step/(2 hbar). Given ``landmarks``, the run lands exactly on each
-    of them and records only there (and at the start); otherwise it records
-    every ``cfg.record_every`` steps and at the end.
+    the conventional clock t otherwise. Given ``landmarks``, the run lands
+    exactly on each of them and records only there (and at the start);
+    otherwise it records every ``cfg.record_every`` steps and at the end.
+    """
+    bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
+    last = len(bounds) - 1
+    if len(landmarks) > 0:
+        lmset = set(float(v) for v in landmarks)
+        rec = [0] + [i for i, bv in enumerate(bounds) if bv in lmset]
+    else:
+        rec = sorted(set(range(0, last + 1, cfg.record_every)) | {last})
+    rec = np.array(rec)
+
+    # Elementwise array arithmetic takes the same IEEE operations as the
+    # scalar expressions, so no float changes; the clock map stays scalar
+    # because array sin/exp need not match scalar.
+    edges = np.array(bounds)
+    steps = edges[1:] - edges[:-1]
+    prefs, tevals = np.array(
+        [clock_reading(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
+    ).T
+    clocks = edges[rec]
+    rates, t = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
+    return _Plan(cfg.dt, edges, steps, prefs, tevals, rec, clocks, rates, t)
+
+
+def _stream(
+    psi0: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, plan: _Plan, flags: list
+):
+    """Step ``plan`` from ``psi0`` and yield its records block by block.
+
+    Each step solves (I + i lam G) u_new = (I - i lam G) u_old on the grid
+    interior, with G = pref * H(t_eval) at the step midpoint and
+    lam = step/(2 hbar). For each block of steps that lands on records this
+    yields ``(first record index, rows, norms, energies)``, the rows a fresh
+    (records, n_points) array, after running the norm, energy and edge-leak
+    monitors on them; monitor flags are appended to ``flags``.
     """
     from scipy.linalg.lapack import get_lapack_funcs  # here, since validating never steps
 
@@ -299,36 +359,11 @@ def _run_crank_nicolson(
     strip = (x <= grid.x_min + width) | (x >= grid.x_max - width)
     kin = _kinetic_weight(constants, dx)
     m = grid.n_points - 2
+    edges, steps, prefs, tevals, rec = plan.edges, plan.steps, plan.prefs, plan.tevals, plan.rec
+    last = len(steps)
 
-    bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
-    last = len(bounds) - 1
-    if len(landmarks) > 0:
-        lmset = set(float(v) for v in landmarks)
-        rec = [0] + [i for i, bv in enumerate(bounds) if bv in lmset]
-    else:
-        rec = sorted(set(range(0, last + 1, cfg.record_every)) | {last})
-    slot = {bound: j for j, bound in enumerate(rec)}
-    rec = np.array(rec)
-
-    # Per-step and per-record scalars for the whole run. Elementwise array
-    # arithmetic takes the same IEEE operations as the scalar expressions,
-    # so no float changes; the clock map stays scalar because array sin/exp
-    # need not match scalar.
-    edges = np.array(bounds)
-    steps = edges[1:] - edges[:-1]
-    prefs, tevals = np.array(
-        [clock_reading(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
-    ).T
-    clocks = edges[rec]
-    rates, t_rec = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
-
-    amplitudes = np.zeros((len(rec), grid.n_points), dtype=complex)
-    amplitudes[0] = psi0.amplitudes
-    norms = np.empty(len(rec))
-    energies = np.empty(len(rec))
     norm0 = psi0.norm()
-    flags: list[str] = []
-    u = amplitudes[0, 1:-1].copy()
+    u = psi0.amplitudes[1:-1].copy()
     (gtsv,) = get_lapack_funcs(("gtsv",), (u,))
 
     # ?gtsv overwrites all three diagonals, so the off-diagonals are refilled
@@ -348,7 +383,11 @@ def _run_crank_nicolson(
     for n0, j0, j1 in zip(starts, js, js[1:]):
         n1 = min(n0 + block, last)
         rows = n1 - n0
-        v = _potential_rows(pot, np.concatenate([tevals[n0:n1], t_rec[j0:j1]]), x_int)
+        out = np.zeros((j1 - j0, grid.n_points), dtype=complex)
+        slot = {bound: j for j, bound in enumerate(rec[j0:j1].tolist())}
+        if n0 == 0:
+            out[0] = psi0.amplitudes
+        v = _potential_rows(pot, np.concatenate([tevals[n0:n1], plan.t[j0:j1]]), x_int)
         pref = prefs[n0:n1]
         try:
             # An overflow raises here instead of warning; a finite run's
@@ -376,35 +415,58 @@ def _run_crank_nicolson(
                             f"tridiagonal solve failed at step {n}: LAPACK ?gtsv info={info}"
                         )
                     if n + 1 in slot:
-                        amplitudes[slot[n + 1], 1:-1] = u
+                        out[slot[n + 1], 1:-1] = u
         except FloatingPointError as exc:
             raise NumericalError(
                 f"step arithmetic overflows between clock {edges[n0]:.6g} and "
-                f"{edges[n1]:.6g}: clock rate up to {pref.max():.3g}, dt = {cfg.dt:g} "
+                f"{edges[n1]:.6g}: clock rate up to {pref.max():.3g}, dt = {plan.dt:g} "
                 f"and hbar = {hbar:g} put the coefficients past the floating-point range"
             ) from exc
 
         if j1 > j0:
-            a = amplitudes[j0:j1]
-            norms[j0:j1] = row_norms(a, dx)
-            h_a = _h_rows(a, v[rows:], constants, dx)
-            energies[j0:j1] = rates[j0:j1] * _energies(a, h_a, dx)
+            norms = row_norms(out, dx)
+            h_out = _h_rows(out, v[rows:], constants, dx)
+            energies = plan.rates[j0:j1] * _energies(out, h_out, dx)
             # A boolean column mask leaves the rows strided, and a strided
             # row sums in another order; contiguous rows match a 1D sum.
-            leaks = np.sum(np.abs(np.ascontiguousarray(a[:, strip])) ** 2, axis=1) * dx
-            for clock, norm, leak in zip(clocks[j0:j1], norms[j0:j1], leaks):
+            leaks = np.sum(np.abs(np.ascontiguousarray(out[:, strip])) ** 2, axis=1) * dx
+            for clock, norm, leak in zip(plan.clocks[j0:j1], norms, leaks):
                 if not math.isfinite(norm):
                     raise NumericalError(f"state became non-finite at clock {clock}")
                 if abs(norm - norm0) > NORM_DRIFT_TOL:
                     flags.append(f"norm-drift {abs(norm - norm0):.3e} at clock {clock:.6g}")
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
+            yield j0, out, norms, energies
 
+
+def _run_crank_nicolson(
+    psi0: Wavefunction,
+    pot: PotentialSpec,
+    constants: PhysicalConstants,
+    span: tuple[float, float],
+    cfg: PropagatorConfig,
+    timemap: TimeMap | None,
+    landmarks=(),
+) -> EvolutionRecord:
+    """One run of either clock kept whole: ``_plan``, then every block of
+    ``_stream`` copied into the record's arrays."""
+    plan = _plan(span, cfg, timemap, landmarks)
+    k = len(plan.clocks)
+    amplitudes = np.empty((k, psi0.grid.n_points), dtype=complex)
+    norms = np.empty(k)
+    energies = np.empty(k)
+    flags: list[str] = []
+    for first, rows, block_norms, block_energies in _stream(psi0, pot, constants, plan, flags):
+        stop = first + len(rows)
+        amplitudes[first:stop] = rows
+        norms[first:stop] = block_norms
+        energies[first:stop] = block_energies
     return EvolutionRecord(
-        grid=grid,
-        clocks=clocks,
-        rates=rates,
-        t=t_rec,
+        grid=psi0.grid,
+        clocks=plan.clocks,
+        rates=plan.rates,
+        t=plan.t,
         amplitudes=amplitudes,
         norms=norms,
         energies=energies,
@@ -513,7 +575,14 @@ class CovarianceScenario:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Sample-by-sample agreement between matched tau and t evolutions."""
+    """Sample-by-sample agreement between matched tau and t evolutions.
+
+    ``tau_record`` and ``t_record`` are the two runs as whole records. The
+    experiment streams its runs and keeps neither, so each is stepped again
+    from ``source`` on first read; the kernel is deterministic, so these are
+    the compared runs float for float. A report built without ``source`` has
+    neither.
+    """
 
     tau: np.ndarray
     t: np.ndarray
@@ -525,8 +594,7 @@ class CovarianceReport:
     energy_tau: np.ndarray
     energy_transform_residual: np.ndarray
     flags: tuple[str, ...] = ()
-    tau_record: EvolutionRecord | None = field(default=None, repr=False)
-    t_record: EvolutionRecord | None = field(default=None, repr=False)
+    source: CovarianceScenario | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         columns = (
@@ -539,6 +607,25 @@ class CovarianceReport:
                 f"fidelity left [0, 1 + {FIDELITY_CAP_SLACK:g}]: "
                 f"max {float(np.max(self.fidelity)):.17g}"
             )
+
+    @functools.cached_property
+    def tau_record(self) -> EvolutionRecord | None:
+        s = self.source
+        if s is None:
+            return None
+        return propagate_tau(
+            s.initial_state, s.potential, s.constants, s.timemap, s.tau_span, s.config
+        )
+
+    @functools.cached_property
+    def t_record(self) -> EvolutionRecord | None:
+        s = self.source
+        if s is None:
+            return None
+        span = (float(self.t[0]), float(self.t[-1]))
+        return _run_crank_nicolson(
+            s.initial_state, s.potential, s.constants, span, s.config, None, landmarks=self.t[1:]
+        )
 
     @property
     def min_fidelity(self) -> float:
@@ -560,41 +647,63 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     uniformly in t but shortens substeps so it lands exactly on each
     comparison time T(tau_k). Fidelity uses the overlap modulus, so only
     agreement up to a global phase is required.
+
+    Both runs are planned before either steps, so a bad schedule fails before
+    any work. The two streams are then pulled in lockstep, and each matched
+    pair of rows is compared as soon as both exist and then dropped: no
+    whole amplitude record is ever held.
     """
-    cst = scenario.constants
+    cst, pot, cfg = scenario.constants, scenario.potential, scenario.config
     psi0 = scenario.initial_state
     if abs(psi0.norm() - 1.0) > NORM_DRIFT_TOL:
         raise ValidationError(f"initial state must be normalized, norm={psi0.norm():.12g}")
 
-    tau_rec = propagate_tau(
-        psi0, scenario.potential, cst, scenario.timemap, scenario.tau_span, scenario.config
-    )
-
-    t_marks = tau_rec.t
+    a, b = check_span("tau_span", scenario.tau_span)
+    scenario.timemap.require(a, b)
+    tau_plan = _plan((a, b), cfg, scenario.timemap)
+    t_marks = tau_plan.t
     if np.any(np.diff(t_marks) <= 0):
         raise CoverageError("clock map failed to produce increasing comparison times")
-
-    t_rec = _run_crank_nicolson(
-        psi0, scenario.potential, cst, (float(t_marks[0]), float(t_marks[-1])),
-        scenario.config, timemap=None, landmarks=t_marks[1:],
-    )
-    if len(t_rec.clocks) != len(tau_rec.clocks):
+    t_plan = _plan((float(t_marks[0]), float(t_marks[-1])), cfg, None, t_marks[1:])
+    k = len(tau_plan.clocks)
+    if len(t_plan.clocks) != k:
         raise NumericalError(
-            f"landing mismatch: {len(t_rec.clocks)} reference snapshots for "
-            f"{len(tau_rec.clocks)} relabeled samples"
+            f"landing mismatch: {len(t_plan.clocks)} reference snapshots for "
+            f"{k} relabeled samples"
         )
 
+    # Row 0 of each pair is the tau run, row 1 the t run.
+    norms, energies = np.empty((2, k)), np.empty((2, k))
+    fid = np.empty(k)
+    flags = ([], [])
+    streams = [_stream(psi0, pot, cst, plan, f) for plan, f in zip((tau_plan, t_plan), flags)]
+    pending = ([], [])  # each run's rows still waiting for their partner
+    got, done = [0, 0], 0
+    while done < k:
+        side = int(got[1] < got[0])  # the run with fewer rows waiting
+        first, rows, block_norms, block_energies = next(streams[side])
+        got[side] = first + len(rows)
+        norms[side, first:got[side]] = block_norms
+        energies[side, first:got[side]] = block_energies
+        pending[side].append(rows)
+        ready = min(got)
+        if ready > done:
+            tau_rows, t_rows = (np.concatenate(p) for p in pending)
+            n = ready - done
+            fid[done:ready] = _overlaps(t_rows[:n], tau_rows[:n], psi0.grid.dx)
+            pending = ([tau_rows[n:]], [t_rows[n:]])
+            done = ready
+
     return CovarianceReport(
-        tau=tau_rec.clocks,
+        tau=tau_plan.clocks,
         t=t_marks,
-        tprime=tau_rec.rates,
-        fidelity=_overlaps(t_rec.amplitudes, tau_rec.amplitudes, psi0.grid.dx),
-        norm_psi=t_rec.norms,
-        norm_phi=tau_rec.norms,
-        energy_t=t_rec.energies,
-        energy_tau=tau_rec.energies,
-        energy_transform_residual=np.abs(tau_rec.energies - tau_rec.rates * t_rec.energies),
-        flags=tau_rec.flags + t_rec.flags,
-        tau_record=tau_rec,
-        t_record=t_rec,
+        tprime=tau_plan.rates,
+        fidelity=fid,
+        norm_psi=norms[1],
+        norm_phi=norms[0],
+        energy_t=energies[1],
+        energy_tau=energies[0],
+        energy_transform_residual=np.abs(energies[0] - tau_plan.rates * energies[1]),
+        flags=tuple(flags[0] + flags[1]),
+        source=scenario,
     )

@@ -2,8 +2,9 @@
 
 Each mutant replaces one library function through ``monkeypatch`` and then
 calls one test of another module directly, loaded by path and unedited. The
-census passes when that check's own assertion fails on the mutant; a mutant
-that no check catches is a gap in the suite.
+census passes when that check's own assertion fails on the mutant, or, for a
+guarded mutant, when one of the library's own guards stops the check with
+its error; a mutant that no check catches is a gap in the suite.
 """
 
 import functools
@@ -16,6 +17,7 @@ import pytest
 import reclock.classical as classical
 import reclock.quantum as quantum
 import reclock.reports as reports
+from reclock.errors import NumericalError
 
 TESTS = Path(__file__).resolve().parent
 
@@ -49,6 +51,23 @@ def _stiffer_kinetic_weight(constants, dx, _weight=quantum._kinetic_weight):
     return _weight(constants, dx) * (1 + 1e-6)
 
 
+def _drop_first_landmark(a, b, dt, landmarks=(), _boundaries=quantum._step_boundaries):
+    # The reference run no longer lands on its first comparison time.
+    return _boundaries(a, b, dt, list(landmarks)[1:])
+
+
+def _scaled_row_norms(amps, dx, _norms=quantum.row_norms):
+    return _norms(amps, dx) * (1 + 1e-6)
+
+
+def _potential_at_t0(pot, tevals, x_interior, _rows=quantum._potential_rows):
+    return _rows(pot, np.zeros(len(tevals)), x_interior)
+
+
+def _energies_dx_twice(amps, h_amps, dx, _energies=quantum._energies):
+    return _energies(amps, h_amps, dx) * dx
+
+
 # Mutant -> (module, attribute, replacement, (test module, check, check arguments)).
 MUTANTS = {
     "overlap-real-part": (
@@ -72,6 +91,34 @@ MUTANTS = {
         reports, "csv_table", _csv_15_digits,
         ("test_reports", "test_covariance_report_csv_layout", ()),
     ),
+    "snap-fraction-x10": (
+        quantum, "LANDMARK_SNAP_FRACTION", quantum.LANDMARK_SNAP_FRACTION * 10,
+        ("test_quantum", "test_step_boundaries_rejects_landing_times_closer_than_the_snap", ()),
+    ),
+    "row-norms-scaled": (
+        quantum, "row_norms", _scaled_row_norms,
+        ("test_quantum", "test_covariance_identity_map_is_exact", ()),
+    ),
+    "potential-at-t0": (
+        quantum, "_potential_rows", _potential_at_t0,
+        ("test_quantum", "test_kernel_matches_the_banded_reference_float_for_float",
+         ("sine", "driven")),
+    ),
+    "energies-dx-twice": (
+        quantum, "_energies", _energies_dx_twice,
+        ("test_quantum", "test_expectation_energy_oracles", ()),
+    ),
+}
+
+# Mutants the library's own guards stop: the check fails on the guard's
+# error, raised before its assertions run. Same layout as MUTANTS, plus the
+# error and the start of its message.
+GUARDED_MUTANTS = {
+    "landmark-dropped": (
+        quantum, "_step_boundaries", _drop_first_landmark,
+        ("test_quantum", "test_covariance_nontrivial_map_tracks_the_reference", ()),
+        NumericalError, "landing mismatch",
+    ),
 }
 
 
@@ -82,4 +129,14 @@ def test_each_mutant_fails_its_check(monkeypatch, name):
     run_check()  # the check passes on the library as it is
     monkeypatch.setattr(module, attribute, mutant)
     with pytest.raises(AssertionError):
+        run_check()
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_MUTANTS))
+def test_each_guarded_mutant_trips_its_guard(monkeypatch, name):
+    module, attribute, mutant, (test_module, check, args), error, message = GUARDED_MUTANTS[name]
+    run_check = functools.partial(getattr(_test_module(test_module), check), *args)
+    run_check()
+    monkeypatch.setattr(module, attribute, mutant)
+    with pytest.raises(error, match=f"^{message}"):
         run_check()

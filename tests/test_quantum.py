@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ import reclock.quantum as quantum
 from reclock.classical import LagrangianPoint, Trajectory, integrate_t, integrate_tau
 from reclock.errors import (
     ClockDomainError,
+    CoverageError,
     NumericalError,
     ValidationError,
 )
@@ -663,6 +665,90 @@ def test_kernel_matches_the_banded_reference_float_for_float(clock_name, pot_nam
     assert np.array_equal(report.energy_tau, [energy for _, _, energy in tau_ref])
     if clock_name == "identity":
         assert report.max_energy_transform_residual == 0.0
+
+
+
+@pytest.mark.parametrize("clock_name", sorted(_EQUIV_CLOCKS))
+def test_the_records_read_on_demand_are_the_streamed_runs(clock_name):
+    # The report's columns come from the two runs streamed block by block;
+    # its records are the same runs stepped again whole, so every column
+    # equals the one derived from the records, bit for bit.
+    psi0 = prepare_gaussian(SpatialGrid(-12.0, 12.0, 192), 0.5, 1.0, momentum=0.7)
+    cfg = PropagatorConfig(dt=1e-3, record_every=3)
+    pot = _EQUIV_POTENTIALS["driven"]
+    report = covariance_experiment(
+        CovarianceScenario(CST, pot, _EQUIV_CLOCKS[clock_name], psi0, _EQUIV_SPAN, cfg)
+    )
+    tau_rec, t_rec = report.tau_record, report.t_record
+    assert report.tau_record is tau_rec and report.t_record is t_rec
+    # More than two blocks' worth of records, so the two streams interleave.
+    block = quantum._BLOCK_POINTS // (psi0.grid.n_points - 2)
+    assert len(report.tau) > 2 * block // cfg.record_every
+    overlaps = quantum._overlaps(t_rec.amplitudes, tau_rec.amplitudes, psi0.grid.dx)
+    assert np.array_equal(report.fidelity, overlaps)
+    assert np.array_equal(report.norm_phi, tau_rec.norms)
+    assert np.array_equal(report.norm_psi, t_rec.norms)
+    assert np.array_equal(report.energy_tau, tau_rec.energies)
+    assert np.array_equal(report.energy_t, t_rec.energies)
+    assert np.array_equal(report.tprime, tau_rec.rates)
+    assert np.array_equal(report.t, tau_rec.t)
+    assert np.array_equal(report.tau, tau_rec.clocks)
+    assert np.array_equal(report.t, t_rec.clocks)
+    assert report.flags == tau_rec.flags + t_rec.flags
+
+    columns = [getattr(report, name) for name in (
+        "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
+        "energy_t", "energy_tau", "energy_transform_residual",
+    )]
+    bare = CovarianceReport(*columns)
+    assert bare.tau_record is None and bare.t_record is None
+
+
+def test_a_covariance_run_holds_no_whole_amplitude_record():
+    # 1001 records of 1024 points: one run's amplitude record alone would
+    # take 16.4 MB. The streamed runs hold a block of rows each.
+    grid = SpatialGrid(-12.0, 12.0, 1024)
+    scenario = CovarianceScenario(
+        CST, HarmonicPotential(), SinePerturbedMap(0.3, 1.0, (0.0, 1.0)),
+        prepare_gaussian(grid, 1.0, 1.0), (0.0, 1.0), PropagatorConfig(dt=1e-3, record_every=1),
+    )
+    tracemalloc.start()
+    try:
+        report = covariance_experiment(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    record_bytes = len(report.tau) * grid.n_points * np.dtype(complex).itemsize
+    assert len(report.tau) == 1001
+    assert peak < record_bytes / 2
+
+
+def test_a_bad_schedule_fails_before_either_run_steps(monkeypatch):
+    def no_stepping(*args):
+        raise AssertionError("a run stepped before both schedules were checked")
+
+    monkeypatch.setattr(quantum, "_stream", no_stepping)
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=(0.0, 1.0))
+    scenario = CovarianceScenario(
+        CST, HarmonicPotential(), tmap, GROUND, (0.0, 1.0),
+        PropagatorConfig(dt=1e-2, record_every=10),
+    )
+    reading, boundaries = quantum.clock_reading, quantum._step_boundaries
+    with monkeypatch.context() as m:
+        # A map whose readings stall: the comparison times do not increase.
+        m.setattr(quantum, "clock_reading", lambda timemap, clock: (
+            reading(timemap, clock) if timemap is None else (1.0, 0.5)
+        ))
+        with pytest.raises(CoverageError, match="increasing comparison times"):
+            covariance_experiment(scenario)
+    with monkeypatch.context() as m:
+        # The reference schedule loses its first landing time.
+        m.setattr(quantum, "_step_boundaries", lambda a, b, dt, landmarks=(): (
+            boundaries(a, b, dt, list(landmarks)[1:])
+        ))
+        msg = "^landing mismatch: 10 reference snapshots for 11 relabeled samples$"
+        with pytest.raises(NumericalError, match=msg):
+            covariance_experiment(scenario)
 
 
 @pytest.mark.parametrize("info", [2, -4])
