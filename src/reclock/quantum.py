@@ -22,22 +22,21 @@ before its block steps, with a NumericalError naming the earliest bad t.
 A run is planned first, then streamed. The plan (``_plan``) is everything
 fixed before the first step: the step boundaries, each step's prefactor and
 potential clock, and the record slots with their clocks, rates T' and
-readings T. The stream (``_stream``) steps a plan and yields, for each block
-of steps that lands on records, those records' rows with their norms and
-energies, after running the norm, energy and edge-leak monitors on them.
-``propagate_t`` and ``propagate_tau`` copy the blocks into an
-``EvolutionRecord``: a read-only (records, n_points) amplitude array and the
-clock, rate, reading, norm and energy columns; ``snapshots`` builds
-per-sample objects only on request.
+readings T. The stream (``_stream``) steps a plan and yields its records one
+at a time, each as its row with its norm and energy, after the norm, energy
+and edge-leak monitors have run on it. ``propagate_t`` and ``propagate_tau``
+copy the records into an ``EvolutionRecord``: a read-only (records, n_points)
+amplitude array and the clock, rate, reading, norm and energy columns;
+``snapshots`` builds per-sample objects only on request.
 
 Covariance experiments compare the two evolutions sample by sample: the
-relabeled run is stepped uniformly in tau, and the reference run shortens
-individual substeps so that it lands *exactly* on each comparison time
-T(tau_k) instead of interpolating. Both runs are planned before either
-steps, then streamed in lockstep, so each matched pair of rows is compared
-as soon as both exist and no whole amplitude record is kept. Agreement is
-measured with the phase-invariant overlap modulus, so a global phase
-difference is ignored.
+relabeled run is stepped uniformly in tau, and the reference run, planned
+by ``_reference_plan``, shortens individual substeps so that it lands
+*exactly* on each comparison time T(tau_k) instead of interpolating. Both
+runs are planned before either steps, then their streams are paired with
+``zip``, so each matched pair of rows is compared as soon as both exist and
+no whole amplitude record is kept. Agreement is measured with the
+phase-invariant overlap modulus, so a global phase difference is ignored.
 """
 
 from __future__ import annotations
@@ -197,9 +196,9 @@ def _energies(amps: np.ndarray, h_amps: np.ndarray, dx: float) -> np.ndarray:
     return np.array([np.vdot(a, h).real for a, h in zip(amps, h_amps)]) * dx
 
 
-def _overlaps(a: np.ndarray, b: np.ndarray, dx: float) -> np.ndarray:
-    """|<a|b>| dx for each row pair, one vdot per row as in ``_energies``."""
-    return np.array([abs(np.vdot(x, y)) for x, y in zip(a, b)]) * dx
+def _overlap(a: np.ndarray, b: np.ndarray, dx: float) -> float:
+    """|<a|b>| dx for two rows."""
+    return abs(np.vdot(a, b)) * dx
 
 
 def apply_hamiltonian(
@@ -238,7 +237,19 @@ def fidelity(a: Wavefunction, b: Wavefunction) -> float:
     """|<a|b>| on the grid quadrature; invariant under global phases."""
     if a.grid != b.grid:
         raise ValidationError(f"grid mismatch: {a.grid} vs {b.grid}")
-    return float(_overlaps(a.amplitudes[None], b.amplitudes[None], a.grid.dx)[0])
+    return float(_overlap(a.amplitudes, b.amplitudes, a.grid.dx))
+
+
+def check_step_count(a: float, b: float, dt: float) -> float:
+    """The step count (b - a) / dt of a uniform ladder over (a, b), checked
+    against MAX_STEPS before any ladder is allocated; inf and NaN fail."""
+    count = (b - a) / dt
+    if not count <= MAX_STEPS:
+        raise ValidationError(
+            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.10g} steps, "
+            f"more than the {MAX_STEPS} a run may take"
+        )
+    return count
 
 
 def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]:
@@ -251,13 +262,7 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     """
     if not b > a:
         raise ValidationError(f"span must satisfy b > a, got ({a}, {b})")
-    # Checked before the ladder is allocated; inf and NaN fail too.
-    count = (b - a) / dt
-    if not count <= MAX_STEPS:
-        raise ValidationError(
-            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.10g} steps, "
-            f"more than the {MAX_STEPS} a run may take"
-        )
+    count = check_step_count(a, b, dt)
     snap = LANDMARK_SNAP_FRACTION * dt
     marks = sorted(set(float(v) for v in landmarks))
     for lo, hi in zip(marks, marks[1:]):
@@ -314,7 +319,10 @@ def _plan(
     exactly on each of them and records only there (and at the start);
     otherwise it records every ``cfg.record_every`` steps and at the end.
     """
-    bounds = _step_boundaries(span[0], span[1], cfg.dt, landmarks)
+    a, b = check_span("t_span" if timemap is None else "tau_span", span)
+    if timemap is not None:
+        timemap.require(a, b)
+    bounds = _step_boundaries(a, b, cfg.dt, landmarks)
     last = len(bounds) - 1
     if len(landmarks) > 0:
         lmset = set(float(v) for v in landmarks)
@@ -336,17 +344,30 @@ def _plan(
     return _Plan(cfg.dt, edges, steps, prefs, tevals, rec, clocks, rates, t)
 
 
+def _reference_plan(t_marks: np.ndarray, cfg: PropagatorConfig) -> _Plan:
+    """The reference t run's plan: it lands on and records at each of ``t_marks``."""
+    if np.any(np.diff(t_marks) <= 0):
+        raise CoverageError("clock map failed to produce increasing comparison times")
+    plan = _plan((float(t_marks[0]), float(t_marks[-1])), cfg, None, t_marks[1:])
+    if len(plan.clocks) != len(t_marks):
+        raise NumericalError(
+            f"landing mismatch: {len(plan.clocks)} reference snapshots for "
+            f"{len(t_marks)} relabeled samples"
+        )
+    return plan
+
+
 def _stream(
     psi0: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, plan: _Plan, flags: list
 ):
-    """Step ``plan`` from ``psi0`` and yield its records block by block.
+    """Step ``plan`` from ``psi0`` and yield its records one at a time.
 
     Each step solves (I + i lam G) u_new = (I - i lam G) u_old on the grid
     interior, with G = pref * H(t_eval) at the step midpoint and
-    lam = step/(2 hbar). For each block of steps that lands on records this
-    yields ``(first record index, rows, norms, energies)``, the rows a fresh
-    (records, n_points) array, after running the norm, energy and edge-leak
-    monitors on them; monitor flags are appended to ``flags``.
+    lam = step/(2 hbar). Each record is yielded as ``(row, norm, energy)``
+    once its block of steps has run and the norm, energy and edge-leak
+    monitors have checked the block's records; monitor flags are appended
+    to ``flags``.
     """
     from scipy.linalg.lapack import get_lapack_funcs  # here, since validating never steps
 
@@ -437,31 +458,21 @@ def _stream(
                     flags.append(f"norm-drift {abs(norm - norm0):.3e} at clock {clock:.6g}")
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
-            yield j0, out, norms, energies
+            yield from zip(out, norms, energies)
 
 
 def _run_crank_nicolson(
-    psi0: Wavefunction,
-    pot: PotentialSpec,
-    constants: PhysicalConstants,
-    span: tuple[float, float],
-    cfg: PropagatorConfig,
-    timemap: TimeMap | None,
-    landmarks=(),
+    psi0: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, plan: _Plan
 ) -> EvolutionRecord:
-    """One run of either clock kept whole: ``_plan``, then every block of
-    ``_stream`` copied into the record's arrays."""
-    plan = _plan(span, cfg, timemap, landmarks)
+    """One run of either clock kept whole: every record of ``_stream``
+    copied into the record's arrays."""
     k = len(plan.clocks)
     amplitudes = np.empty((k, psi0.grid.n_points), dtype=complex)
     norms = np.empty(k)
     energies = np.empty(k)
     flags: list[str] = []
-    for first, rows, block_norms, block_energies in _stream(psi0, pot, constants, plan, flags):
-        stop = first + len(rows)
-        amplitudes[first:stop] = rows
-        norms[first:stop] = block_norms
-        energies[first:stop] = block_energies
+    for j, (row, norm, energy) in enumerate(_stream(psi0, pot, constants, plan, flags)):
+        amplitudes[j], norms[j], energies[j] = row, norm, energy
     return EvolutionRecord(
         grid=psi0.grid,
         clocks=plan.clocks,
@@ -482,7 +493,7 @@ def propagate_t(
     cfg: PropagatorConfig,
 ) -> EvolutionRecord:
     """Evolve i hbar dpsi/dt = H(t) psi over t_span with Crank-Nicolson."""
-    return _run_crank_nicolson(psi0, pot, constants, check_span("t_span", t_span), cfg, None)
+    return _run_crank_nicolson(psi0, pot, constants, _plan(t_span, cfg, None))
 
 
 def propagate_tau(
@@ -494,9 +505,7 @@ def propagate_tau(
     cfg: PropagatorConfig,
 ) -> EvolutionRecord:
     """Evolve i hbar dphi/dtau = T'(tau) H(T(tau)) phi over tau_span."""
-    a, b = check_span("tau_span", tau_span)
-    timemap.require(a, b)
-    return _run_crank_nicolson(phi0, pot, constants, (a, b), cfg, timemap)
+    return _run_crank_nicolson(phi0, pot, constants, _plan(tau_span, cfg, timemap))
 
 
 def propagate_rescaled(
@@ -622,10 +631,8 @@ class CovarianceReport:
         s = self.source
         if s is None:
             return None
-        span = (float(self.t[0]), float(self.t[-1]))
-        return _run_crank_nicolson(
-            s.initial_state, s.potential, s.constants, span, s.config, None, landmarks=self.t[1:]
-        )
+        plan = _reference_plan(self.t, s.config)
+        return _run_crank_nicolson(s.initial_state, s.potential, s.constants, plan)
 
     @property
     def min_fidelity(self) -> float:
@@ -649,7 +656,7 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     agreement up to a global phase is required.
 
     Both runs are planned before either steps, so a bad schedule fails before
-    any work. The two streams are then pulled in lockstep, and each matched
+    any work. The two streams are then paired with ``zip``, and each matched
     pair of rows is compared as soon as both exist and then dropped: no
     whole amplitude record is ever held.
     """
@@ -658,52 +665,28 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     if abs(psi0.norm() - 1.0) > NORM_DRIFT_TOL:
         raise ValidationError(f"initial state must be normalized, norm={psi0.norm():.12g}")
 
-    a, b = check_span("tau_span", scenario.tau_span)
-    scenario.timemap.require(a, b)
-    tau_plan = _plan((a, b), cfg, scenario.timemap)
-    t_marks = tau_plan.t
-    if np.any(np.diff(t_marks) <= 0):
-        raise CoverageError("clock map failed to produce increasing comparison times")
-    t_plan = _plan((float(t_marks[0]), float(t_marks[-1])), cfg, None, t_marks[1:])
-    k = len(tau_plan.clocks)
-    if len(t_plan.clocks) != k:
-        raise NumericalError(
-            f"landing mismatch: {len(t_plan.clocks)} reference snapshots for "
-            f"{k} relabeled samples"
-        )
+    tau_plan = _plan(scenario.tau_span, cfg, scenario.timemap)
+    t_plan = _reference_plan(tau_plan.t, cfg)
 
-    # Row 0 of each pair is the tau run, row 1 the t run.
-    norms, energies = np.empty((2, k)), np.empty((2, k))
-    fid = np.empty(k)
-    flags = ([], [])
-    streams = [_stream(psi0, pot, cst, plan, f) for plan, f in zip((tau_plan, t_plan), flags)]
-    pending = ([], [])  # each run's rows still waiting for their partner
-    got, done = [0, 0], 0
-    while done < k:
-        side = int(got[1] < got[0])  # the run with fewer rows waiting
-        first, rows, block_norms, block_energies = next(streams[side])
-        got[side] = first + len(rows)
-        norms[side, first:got[side]] = block_norms
-        energies[side, first:got[side]] = block_energies
-        pending[side].append(rows)
-        ready = min(got)
-        if ready > done:
-            tau_rows, t_rows = (np.concatenate(p) for p in pending)
-            n = ready - done
-            fid[done:ready] = _overlaps(t_rows[:n], tau_rows[:n], psi0.grid.dx)
-            pending = ([tau_rows[n:]], [t_rows[n:]])
-            done = ready
+    fid, norm_phi, norm_psi, energy_tau, energy_t = np.empty((5, len(tau_plan.clocks)))
+    tau_flags, t_flags = [], []
+    pairs = zip(
+        _stream(psi0, pot, cst, tau_plan, tau_flags), _stream(psi0, pot, cst, t_plan, t_flags)
+    )
+    for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
+        fid[j] = _overlap(psi, phi, psi0.grid.dx)
+        norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
 
     return CovarianceReport(
         tau=tau_plan.clocks,
-        t=t_marks,
+        t=tau_plan.t,
         tprime=tau_plan.rates,
         fidelity=fid,
-        norm_psi=norms[1],
-        norm_phi=norms[0],
-        energy_t=energies[1],
-        energy_tau=energies[0],
-        energy_transform_residual=np.abs(energies[0] - tau_plan.rates * energies[1]),
-        flags=tuple(flags[0] + flags[1]),
+        norm_psi=norm_psi,
+        norm_phi=norm_phi,
+        energy_t=energy_t,
+        energy_tau=energy_tau,
+        energy_transform_residual=np.abs(energy_tau - tau_plan.rates * energy_t),
+        flags=tuple(tau_flags + t_flags),
         source=scenario,
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical import integrate_t, integrate_tau, trajectory_equivalence
-from .errors import ReclockError, ValidationError
+from .errors import ReclockError, ScenarioError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
@@ -181,9 +181,18 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     across up to ``jobs`` worker processes.
 
     Every file is parsed here, in the calling process, before any run
-    starts, so a bad file raises ScenarioError before any work is done.
+    starts, so a bad file raises ScenarioError before any work is done. So
+    do two files of one name, whose artifacts would share one directory.
     """
     scenarios = [parse_scenario(p) for p in paths]
+    first_path = {}
+    for path, scenario in zip(paths, scenarios):
+        if scenario.name in first_path:
+            raise ScenarioError(
+                f"{first_path[scenario.name]} and {path} both name scenario "
+                f"{scenario.name!r}, and would write to one directory"
+            )
+        first_path[scenario.name] = path
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(scenarios) <= 1:

@@ -55,7 +55,7 @@ from .model import (
     check_span,
     prepare_gaussian,
 )
-from .quantum import PropagatorConfig
+from .quantum import PropagatorConfig, check_step_count
 
 SCHEMA_VERSION = 1
 
@@ -349,6 +349,13 @@ def parse_scenario(path) -> Scenario:
         except ValidationError as exc:
             raise ScenarioError(f"[numerics] {exc}") from exc
         num_sec.finish()
+    if quantum:
+        # The uniform ladders a run plans before it steps, tau first, at the finest dt.
+        for span in ((tau0, tau1), t_span):
+            try:
+                check_step_count(*span, propagator.dt)
+            except ValidationError as exc:
+                raise ScenarioError(f"[numerics] {exc}") from exc
 
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.

@@ -15,7 +15,7 @@ import pytest
 import reclock
 from reclock import cli, quantum, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
-from reclock.errors import ScenarioError
+from reclock.errors import ScenarioError, ValidationError
 from reclock.quantum import EvolutionRecord, PropagatorConfig
 from reclock.runner import RunSummary, Status, run_many
 from reclock.scenario import CHECKS, ScenarioKind, Tolerances, parse_scenario
@@ -240,7 +240,10 @@ def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
     # The parent only parses and forks, so LAPACK can be in its modules only
     # through run_many's pre-fork import, and a quantum-only batch never
     # integrates an orbit.
-    paths = [_write(tmp_path, QUANTUM_TEXT, f"q{i}.scenario") for i in range(2)]
+    paths = [
+        _write(tmp_path, QUANTUM_TEXT.replace("cli-quantum", f"cli-quantum-{i}"), f"q{i}.scenario")
+        for i in range(2)
+    ]
     _run_python(
         "import sys\n"
         "from reclock.runner import Status, run_many\n"
@@ -256,6 +259,46 @@ def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path,
     path = _write(tmp_path, text, "huge.scenario")
     assert entrypoint(["validate", path]) == 2
     assert f"[grid] n_points = {2**62} is more than the 16777216" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_dt_that_run_would_reject(tmp_path, capsys):
+    # A run plans a uniform tau ladder, then a t ladder over the mapped span,
+    # and rejects either one past MAX_STEPS before allocating it. Validate
+    # checks both at the finest dt, with the numbers the run would report:
+    # here the tau ladder over (0, 0.5), and with t = tau / 0.5 the t ladder
+    # over (0, 1), which is past the cap while the tau ladder is not.
+    sine = "family = sine_perturbed\namplitude = 0.3\nfrequency = 1.0\n"
+    linear = "family = linear\nalpha = 0.5\n"
+    cases = (
+        (sine, "1e-9", (0.0, 0.5), "500000000 steps"),
+        (linear, "6e-8", (0.0, 1.0), "16666666.67 steps"),
+    )
+    for timemap, dt, span, count in cases:
+        text = QUANTUM_TEXT.replace(sine, timemap).replace("dt = 2e-3", f"dt = {dt}")
+        path = _write(tmp_path, text, "fine.scenario")
+        expected = f"the span {re.escape(str(span))}: {count}, more than the 10000000 "
+        with pytest.raises(ValidationError, match=expected) as run_error:
+            quantum._step_boundaries(*span, float(dt))
+        assert entrypoint(["validate", path]) == 2
+        assert capsys.readouterr().err == f"error: [numerics] {run_error.value}\n"
+
+
+def test_a_batch_with_a_repeated_scenario_name_is_rejected(tmp_path, capsys):
+    # Both files would write <out>/cli-quantum/, the second over the first.
+    first = _write(tmp_path, QUANTUM_TEXT, "first.scenario")
+    text = QUANTUM_TEXT.replace("record_every = 25", "record_every = 5")
+    second = _write(tmp_path, text, "second.scenario")
+    message = (
+        f"{first} and {second} both name scenario 'cli-quantum', "
+        "and would write to one directory"
+    )
+    out = tmp_path / "reports"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        run_many([first, second], out)
+    for jobs in ("1", "2"):
+        assert entrypoint(["run", first, second, "--out", str(out), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_writes_artifacts_and_passes(tmp_path, capsys):

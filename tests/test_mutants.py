@@ -35,8 +35,8 @@ def _unit_rate(clock_reading):
     return lambda timemap, clock: (1.0, clock_reading(timemap, clock)[1])
 
 
-def _real_part_overlaps(a, b, dx):
-    return np.array([np.vdot(x, y).real for x, y in zip(a, b)]) * dx
+def _real_part_overlap(a, b, dx):
+    return np.vdot(a, b).real * dx
 
 
 def _csv_15_digits(table):
@@ -46,9 +46,9 @@ def _csv_15_digits(table):
     return "\n".join(lines) + "\n"
 
 
-def _stiffer_kinetic_weight(constants, dx, _weight=quantum._kinetic_weight):
+def _stiffer_kinetic_weight(scale, _weight=quantum._kinetic_weight):
     # The same wrong H in both clocks: the covariance checks cannot see it.
-    return _weight(constants, dx) * (1 + 1e-6)
+    return lambda constants, dx: _weight(constants, dx) * scale
 
 
 def _drop_first_landmark(a, b, dt, landmarks=(), _boundaries=quantum._step_boundaries):
@@ -71,7 +71,7 @@ def _energies_dx_twice(amps, h_amps, dx, _energies=quantum._energies):
 # Mutant -> (module, attribute, replacement, (test module, check, check arguments)).
 MUTANTS = {
     "overlap-real-part": (
-        quantum, "_overlaps", _real_part_overlaps,
+        quantum, "_overlap", _real_part_overlap,
         ("test_quantum", "test_fidelity_properties", ()),
     ),
     "classical-unit-rate": (
@@ -83,9 +83,14 @@ MUTANTS = {
         ("test_quantum", "test_covariance_nontrivial_map_tracks_the_reference", ()),
     ),
     "kinetic-weight": (
-        quantum, "_kinetic_weight", _stiffer_kinetic_weight,
+        quantum, "_kinetic_weight", _stiffer_kinetic_weight(1 + 1e-6),
         ("test_quantum", "test_kernel_matches_the_banded_reference_float_for_float",
          ("sine", "harmonic")),
+    ),
+    "kinetic-weight-1e-9": (
+        quantum, "_kinetic_weight", _stiffer_kinetic_weight(1 + 1e-9),
+        ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
+         ("sine",)),
     ),
     "csv-15-digits": (
         reports, "csv_table", _csv_15_digits,

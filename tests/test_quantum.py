@@ -670,7 +670,7 @@ def test_kernel_matches_the_banded_reference_float_for_float(clock_name, pot_nam
 
 @pytest.mark.parametrize("clock_name", sorted(_EQUIV_CLOCKS))
 def test_the_records_read_on_demand_are_the_streamed_runs(clock_name):
-    # The report's columns come from the two runs streamed block by block;
+    # The report's columns come from the two runs streamed record by record;
     # its records are the same runs stepped again whole, so every column
     # equals the one derived from the records, bit for bit.
     psi0 = prepare_gaussian(SpatialGrid(-12.0, 12.0, 192), 0.5, 1.0, momentum=0.7)
@@ -684,7 +684,10 @@ def test_the_records_read_on_demand_are_the_streamed_runs(clock_name):
     # More than two blocks' worth of records, so the two streams interleave.
     block = quantum._BLOCK_POINTS // (psi0.grid.n_points - 2)
     assert len(report.tau) > 2 * block // cfg.record_every
-    overlaps = quantum._overlaps(t_rec.amplitudes, tau_rec.amplitudes, psi0.grid.dx)
+    overlaps = [
+        quantum._overlap(psi, phi, psi0.grid.dx)
+        for psi, phi in zip(t_rec.amplitudes, tau_rec.amplitudes)
+    ]
     assert np.array_equal(report.fidelity, overlaps)
     assert np.array_equal(report.norm_phi, tau_rec.norms)
     assert np.array_equal(report.norm_psi, t_rec.norms)
@@ -828,6 +831,34 @@ def test_non_finite_potential_at_a_snapshot_is_reported_before_the_next_step():
     bounds = _step_boundaries(span[0], span[1], cfg.dt)
     with pytest.raises(NumericalError, match=re.escape(f"at t={bounds[6]}") + "$"):
         propagate_t(GROUND, _BlowsUpAfter(tevals[5]), CST, span, cfg)
+
+
+@pytest.mark.parametrize("offset, failing", [(5, "t"), (16, "tau")])
+def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(offset, failing):
+    # The tau run steps its first block, then the t run steps blocks until it
+    # has every record of that block, then the tau run steps its second block.
+    # V turns infinite inside the second tau block, past the t clocks of both
+    # runs' first blocks: just past them, the t run's catching-up block meets
+    # it first; further on, the second tau block does.
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=1)
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=span)
+    block = quantum._BLOCK_POINTS // (GRID.n_points - 2)
+    tau_plan = quantum._plan(span, cfg, tmap)
+    marks = tau_plan.t
+    t_plan = quantum._plan((float(marks[0]), float(marks[-1])), cfg, None, marks[1:])
+    t_bad = float(tau_plan.tevals[block + offset - 1])
+    assert tau_plan.t[block] < t_bad
+
+    def first_bad(plan):
+        return float(min(v for v in np.concatenate([plan.tevals, plan.t]) if v > t_bad))
+
+    firsts = {"tau": first_bad(tau_plan), "t": first_bad(t_plan)}
+    assert firsts["tau"] != firsts["t"]
+    msg = re.escape(f"potential produced non-finite values at t={firsts[failing]}") + "$"
+    with pytest.raises(NumericalError, match=msg):
+        covariance_experiment(
+            CovarianceScenario(CST, _BlowsUpAfter(t_bad), tmap, GROUND, span, cfg)
+        )
 
 
 def test_scalar_and_array_potentials_give_identical_runs():
