@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import dop853
 from .errors import ClockDomainError, CoverageError, NumericalError, ValidationError
 from .model import (
     PhysicalConstants,
@@ -40,12 +41,15 @@ HOMOGENEITY_FD_STEP = 1e-5
 
 DEFAULT_TOL = 1e-9
 
-# scipy's DOP853 warns about a relative tolerance below 100 machine epsilons
-# and raises it to this floor, so check_tol refuses a smaller tol instead.
+# Below about 100 machine epsilons DOP853's local error estimate is itself
+# rounding, so its error control means nothing there. check_tol, and so
+# `reclock validate`, refuses a smaller tol rather than run a looser one; the
+# floor is the one SciPy's DOP853 clamps rtol to, so the same files pass.
 MIN_TOL = 100 * float(np.finfo(float).eps)
 
 # The longest orbit in use (classical-orbits benchmark) makes ~25 400 right-hand-side
-# evaluations, 40x below this cap; at ~11 us each (2-vCPU Xeon) it stops a runaway in ~11 s.
+# evaluations, 40x below this cap. A runaway reaches it in ~13 s and 48 MB peak RSS
+# (classical-linear-alpha2 with tau1 = 1e9, `reclock run`, 2-vCPU Xeon).
 MAX_RHS_EVALS = 10**6
 
 
@@ -223,13 +227,11 @@ def _integrate(
     span: tuple[float, float],
     tol: float,
 ) -> Trajectory:
-    """Integrate Hamilton's equations of Htilde = T'H with an adaptive high-order RK scheme.
+    """Integrate Hamilton's equations of Htilde = T'H with DOP853 (``dop853.integrate``).
 
     With no ``timemap`` the clock is t and the rate is 1.0; 1.0 * x and -1.0 * x
     are exact, so the derivatives are xdot = p/m, pdot = -dV/dx float for float.
     """
-    from scipy.integrate import solve_ivp  # here, since validating never integrates
-
     tol = check_tol(tol)
     span_name = "t_span" if timemap is None else "tau_span"
     a, b = check_span(span_name, span)
@@ -251,23 +253,14 @@ def _integrate(
             raise NumericalError(f"{where} at clock {clock:.6g}: {exc}") from exc
 
     # An overflow would otherwise pass as a warning and can leave the
-    # step-size control shrinking the step without end.
+    # step-size control shrinking the step without end; a step that does
+    # shrink below the spacing of doubles is a FloatingPointError too.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(
-                rhs,
-                (a, b),
-                y0,
-                method="DOP853",
-                rtol=tol,
-                atol=tol,
-                dense_output=timemap is None,
-            )
+            clocks, y, dense = dop853.integrate(rhs, a, b, y0, tol, dense=timemap is None)
     except FloatingPointError as exc:
         raise NumericalError(f"{where}: {exc}") from exc
-    if not sol.success:
-        raise NumericalError(f"{where}: {sol.message}")
-    return Trajectory(sol.t, sol.y[0], sol.y[1], timemap=timemap, dense=sol.sol)
+    return Trajectory(clocks, y[0], y[1], timemap=timemap, dense=dense)
 
 
 def integrate_t(

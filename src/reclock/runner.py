@@ -198,12 +198,9 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     if jobs == 1 or len(scenarios) <= 1:
         return [run_scenario(s, out_root, formats) for s in scenarios]
     workers = min(jobs, len(scenarios))
-    kinds = {s.kind for s in scenarios}
-    # Forked workers share these imports; each would otherwise load its own (~10 MB RSS).
-    if kinds & QUANTUM_KINDS:
+    # Forked workers share this import; each would otherwise load its own (~10 MB RSS).
+    if any(s.kind in QUANTUM_KINDS for s in scenarios):
         import scipy.linalg.lapack  # noqa: F401
-    if ScenarioKind.CLASSICAL_EQUIVALENCE in kinds:
-        import scipy.integrate  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_scenario, s, out_root, formats) for s in scenarios]
         return [f.result() for f in futures]

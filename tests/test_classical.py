@@ -340,7 +340,7 @@ def test_hamiltonians_reject_a_non_finite_phase_space_point():
 )
 @pytest.mark.parametrize("clock", ["t", "tau"])
 def test_an_overflowing_orbit_is_a_numerical_error_naming_the_span(pot, clock):
-    # The force, or solve_ivp's own step-size norms, overflow at once. Left
+    # The force, or DOP853's own step-size norms, overflow at once. Left
     # to numpy that is a RuntimeWarning, and with warnings ignored the step
     # size control can shrink the step without end.
     with pytest.raises(NumericalError, match=rf"^integration over {clock}_span \(0, 1\) failed"):

@@ -254,6 +254,34 @@ def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
     )
 
 
+def test_an_orbit_batch_imports_no_scipy(tmp_path):
+    # Orbits integrate with reclock.dop853, which needs NumPy alone: a
+    # classical-only batch loads no SciPy module, neither in the pooled
+    # parent (jobs=2) nor in the one process of a serial run (jobs=1). A
+    # mixed batch's parent loads LAPACK for its quantum file, and still no
+    # scipy.integrate.
+    orbits = [
+        _write(tmp_path, CLASSICAL_TEXT.replace("cli-classical", f"cli-c{i}"), f"c{i}.scenario")
+        for i in range(2)
+    ]
+    mixed = [orbits[0], _write(tmp_path, QUANTUM_TEXT, "q.scenario")]
+    check = (
+        "import sys\n"
+        "from reclock.runner import Status, run_many\n"
+        "summaries = run_many({paths!r}, {out!r}, jobs={jobs})\n"
+        "assert [s.status for s in summaries] == [Status.PASS] * 2, summaries\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    )
+    out = str(tmp_path / "reports")
+    for jobs in (2, 1):
+        _run_python(check.format(paths=orbits, out=out, jobs=jobs) + "assert not loaded, loaded\n")
+    _run_python(
+        check.format(paths=mixed, out=out, jobs=2)
+        + "assert 'scipy.linalg.lapack' in loaded, loaded\n"
+        + "assert 'scipy.integrate' not in loaded, loaded\n"
+    )
+
+
 def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):
     text = QUANTUM_TEXT.replace("n_points = 256", f"n_points = {2**62}")
     path = _write(tmp_path, text, "huge.scenario")

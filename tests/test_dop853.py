@@ -1,0 +1,105 @@
+"""The in-repo DOP853 against SciPy's own: the same floats and the same failure.
+
+``classical._integrate`` steps with ``reclock.dop853``, which repeats SciPy's
+``solve_ivp(method="DOP853")`` operation for operation. SciPy shares no code
+with it, so it is the reference here: on every potential and clock family of
+the catalogue, at four tolerances down to MIN_TOL, the accepted clocks, the
+states and the dense reads must be equal float for float.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from reclock.classical import MIN_TOL, integrate_t, integrate_tau
+from reclock.errors import NumericalError
+from reclock.model import (
+    DrivenHarmonicPotential,
+    HarmonicPotential,
+    IdentityMap,
+    LinearMap,
+    MovingWellPotential,
+    PhysicalConstants,
+    PotentialSpec,
+    SinePerturbedMap,
+    SmoothRampMap,
+    clock_reading,
+)
+
+CST = PhysicalConstants()
+SPAN = (0.0, 10.0)
+Y0 = (1.0, 0.5)
+POTENTIALS = {
+    "harmonic": HarmonicPotential(omega=1.3),
+    "driven": DrivenHarmonicPotential(omega0=1.0, ramp=0.1),
+    "moving-well": MovingWellPotential(center0=0.5, velocity=0.2, stiffness=2.0),
+}
+# "t" is the conventional clock: no map, and the only run with a dense read-out.
+CLOCKS = {
+    "t": None,
+    "identity": IdentityMap(domain=SPAN),
+    "linear-2": LinearMap(2.0, SPAN),
+    "sine": SinePerturbedMap(0.3, 1.0, SPAN),
+    "ramp": SmoothRampMap(0.5, 2.0, 5.0, 0.7, SPAN),
+}
+TOLS = {"1e-6": 1e-6, "1e-9": 1e-9, "1e-11": 1e-11, "MIN_TOL": MIN_TOL}
+
+
+def _solve_ivp(pot, timemap, span, tol):
+    """SciPy's DOP853 run of the orbit, with the right-hand side of ``_integrate``."""
+
+    def rhs(clock, y):
+        rate, t = clock_reading(timemap, clock)
+        return rate * y[1] / CST.mass, -rate * float(pot.gradient_x(t, y[0]))
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return solve_ivp(
+            rhs, span, Y0, method="DOP853", rtol=tol, atol=tol, dense_output=timemap is None
+        )
+
+
+@pytest.mark.parametrize("tol", sorted(TOLS))
+@pytest.mark.parametrize("clock", sorted(CLOCKS))
+@pytest.mark.parametrize("potential", sorted(POTENTIALS))
+def test_an_orbit_steps_float_for_float_as_solve_ivp(potential, clock, tol):
+    pot, timemap, tol = POTENTIALS[potential], CLOCKS[clock], TOLS[tol]
+    if timemap is None:
+        traj = integrate_t(pot, CST, *Y0, SPAN, tol)
+    else:
+        traj = integrate_tau(pot, CST, timemap, *Y0, SPAN, tol)
+    sol = _solve_ivp(pot, timemap, SPAN, tol)
+    assert sol.status == 0, sol.message
+    assert np.array_equal(traj.clocks, sol.t)
+    assert np.array_equal(traj.q, sol.y[0])
+    assert np.array_equal(traj.pm, sol.y[1])
+    if timemap is None:
+        # Every step edge (read from the earlier step), every midpoint, and a uniform grid.
+        midpoints = sol.t[:-1] + np.diff(sol.t) / 2
+        marks = np.concatenate([sol.t, midpoints, np.linspace(*SPAN, 997)])
+        assert np.array_equal(traj.dense(marks), sol.sol(marks))
+    else:
+        assert traj.dense is None
+
+
+class _PoleAtHalf(PotentialSpec):
+    """V = x / (0.5 - t): a force 1 / (0.5 - t) that diverges inside the span (0, 1)."""
+
+    def value(self, t, x):
+        return x / (0.5 - t)
+
+    def gradient_x(self, t, x):
+        return 1 / (0.5 - t) + 0 * x
+
+
+def test_a_step_below_the_spacing_of_doubles_fails_as_under_solve_ivp():
+    pot = _PoleAtHalf()
+    sol = _solve_ivp(pot, None, (0.0, 1.0), 1e-9)
+    assert sol.status == -1
+    assert sol.message == "Required step size is less than spacing between numbers."
+    message = (
+        "integration over t_span (0, 1) failed: "
+        "Required step size is less than spacing between numbers."
+    )
+    with pytest.raises(NumericalError) as failure:
+        integrate_t(pot, CST, *Y0, (0.0, 1.0), 1e-9)
+    assert str(failure.value) == message

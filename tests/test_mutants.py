@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import reclock.classical as classical
+import reclock.dop853 as dop853
 import reclock.quantum as quantum
 import reclock.reports as reports
 from reclock.errors import NumericalError
@@ -112,6 +113,13 @@ MUTANTS = {
     "energies-dx-twice": (
         quantum, "_energies", _energies_dx_twice,
         ("test_quantum", "test_expectation_energy_oracles", ()),
+    ),
+    # The same step control in both clocks: the orbit-equivalence checks
+    # need not see it.
+    "dop853-safety": (
+        dop853, "SAFETY", 0.95,
+        ("test_dop853", "test_an_orbit_steps_float_for_float_as_solve_ivp",
+         ("harmonic", "t", "1e-9")),
     ),
 }
 
