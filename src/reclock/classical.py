@@ -207,8 +207,7 @@ def check_constraint(
     rate, t = clock_reading(timemap, tau)
     pt = LagrangianPoint(T=t, xi=xi, Tprime=rate, xiprime=xiprime)
     pi, pi_t = momenta_tau(pot, constants, pt)
-    htilde = rate * hamiltonian_t(pot, constants, t, xi, pi)
-    return rate * pi_t + htilde
+    return rate * pi_t + hamiltonian_tau(pot, constants, timemap, tau, xi, pi)
 
 
 def check_tol(tol) -> float:

@@ -16,7 +16,7 @@ import sys
 from importlib.resources import files
 
 from .errors import ScenarioError, ValidationError
-from .runner import RunSummary, Status, run_many
+from .runner import RunSummary, Status, require_distinct_names, run_many
 from .scenario import parse_scenario
 
 # Each --format choice and the artifact formats it writes.
@@ -87,16 +87,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(paths) -> int:
-    bad = 0
+    parsed = []
     for path in paths:
         try:
             scenario = parse_scenario(path)
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            bad += 1
         else:
             print(f"ok: {scenario.name} ({scenario.kind.value})")
-    return 2 if bad else 0
+            parsed.append((path, scenario))
+    require_distinct_names(parsed)
+    return 2 if len(parsed) < len(paths) else 0
 
 
 def catalogue_paths():

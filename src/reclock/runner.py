@@ -24,7 +24,7 @@ from .errors import ReclockError, ScenarioError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
-from .scenario import CHECKS, QUANTUM_KINDS, Scenario, ScenarioKind, Tolerances, parse_scenario
+from .scenario import CHECKS, QUANTUM_KINDS, Scenario, ScenarioKind, parse_scenario
 
 
 class Status(Enum):
@@ -58,13 +58,8 @@ def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
 
 def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
     """Prepare the scenario's initial state and run its covariance experiment at step dt."""
-    psi0 = prepare_gaussian(
-        scenario.grid,
-        scenario.gaussian.center,
-        scenario.gaussian.width,
-        scenario.gaussian.momentum,
-        scenario.constants,
-    )
+    g = scenario.gaussian
+    psi0 = prepare_gaussian(scenario.grid, g.center, g.width, g.momentum, scenario.constants)
     return covariance_experiment(
         CovarianceScenario(
             constants=scenario.constants,
@@ -79,8 +74,7 @@ def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
 
 def _run_quantum(scenario: Scenario):
     artifact = layout(_covariance(scenario, scenario.propagator.dt))
-    _, _, summary, flags = artifact
-    return summary, flags, {"report": artifact}
+    return artifact[2], {"report": artifact}  # its summary holds the run's metrics
 
 
 def _run_classical(scenario: Scenario):
@@ -90,7 +84,7 @@ def _run_classical(scenario: Scenario):
     traj_t = integrate_t(pot, cst, x0, p0, scenario.t_span, tol)
     error = trajectory_equivalence(traj_t, traj_tau, scenario.timemap)
     layouts = {"trajectory-tau": layout(traj_tau), "trajectory-t": layout(traj_t)}
-    return {"max_trajectory_error": error}, (), layouts
+    return {"max_trajectory_error": error}, layouts
 
 
 def _run_sweep(scenario: Scenario):
@@ -115,10 +109,10 @@ def _run_sweep(scenario: Scenario):
         "fidelity_error_finest": float(discrepancy[-1]),
     }
     artifact = sweep_layout(dts, min_fid, discrepancy, residual, slope, flags)
-    return metrics, tuple(flags), {"sweep": artifact}
+    return metrics, {"sweep": artifact}
 
 
-# Each kind's runner: scenario -> (metrics, monitor flags, {artifact stem: layout}).
+# Each kind's runner: scenario -> (metrics, {artifact stem: layout}); flags ride in the layouts.
 _DISPATCH = {
     ScenarioKind.QUANTUM_COVARIANCE: _run_quantum,
     ScenarioKind.CLASSICAL_EQUIVALENCE: _run_classical,
@@ -126,12 +120,12 @@ _DISPATCH = {
 }
 
 
-def _misses(kind: ScenarioKind, metrics: dict[str, float], tol: Tolerances) -> list[str]:
+def _misses(kind: ScenarioKind, metrics: dict[str, float], tol: dict[str, float]) -> list[str]:
     """One detail line per ``CHECKS`` row of ``kind`` whose metric is not on its
     bound's side; a NaN metric misses every row."""
     misses = []
-    for _, bound_name, metric, sense in CHECKS[kind]:
-        value, bound = metrics[metric], getattr(tol, bound_name)
+    for key, metric, sense, _ in CHECKS[kind]:
+        value, bound = metrics[metric], tol[key]
         if sense == ">=" and not (value >= bound):
             misses.append(f"{metric} {value:.12g} < {bound:.12g}")
         elif sense == "<=" and not (value <= bound):
@@ -146,7 +140,8 @@ def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> Ru
 
     start = time.perf_counter()
     try:
-        metrics, flags, layouts = _DISPATCH[scenario.kind](scenario)
+        metrics, layouts = _DISPATCH[scenario.kind](scenario)
+        flags = [flag for *_, layout_flags in layouts.values() for flag in layout_flags]
         misses = _misses(scenario.kind, metrics, scenario.tolerances)
         artifacts = _emit(layouts, out_dir, formats)
     except Exception as exc:
@@ -176,6 +171,18 @@ def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> Ru
     )
 
 
+def require_distinct_names(parsed) -> None:
+    """Raise ScenarioError if two ``(path, scenario)`` pairs name one scenario."""
+    first_path = {}
+    for path, scenario in parsed:
+        if scenario.name in first_path:
+            raise ScenarioError(
+                f"{first_path[scenario.name]} and {path} both name scenario "
+                f"{scenario.name!r}, and would write to one directory"
+            )
+        first_path[scenario.name] = path
+
+
 def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list[RunSummary]:
     """Parse several scenario files, then execute them in order with ``run_scenario``,
     across up to ``jobs`` worker processes.
@@ -185,14 +192,7 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     do two files of one name, whose artifacts would share one directory.
     """
     scenarios = [parse_scenario(p) for p in paths]
-    first_path = {}
-    for path, scenario in zip(paths, scenarios):
-        if scenario.name in first_path:
-            raise ScenarioError(
-                f"{first_path[scenario.name]} and {path} both name scenario "
-                f"{scenario.name!r}, and would write to one directory"
-            )
-        first_path[scenario.name] = path
+    require_distinct_names(zip(paths, scenarios))
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(scenarios) <= 1:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import partialmethod
 from pathlib import Path
@@ -81,35 +81,17 @@ class GaussianSpec:
     momentum: float = 0.0
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance thresholds with their defaults; ``CHECKS`` gives the metric each bounds."""
-
-    min_fidelity: float = 1.0 - 1e-5
-    max_energy_transform_residual: float = 1e-6
-    max_trajectory_error: float = 1e-5
-    order_min: float = 1.8
-    order_max: float = 2.2
-
-
-# Each kind's checks as ([tolerances] key, Tolerances field, metric, sense): a
-# run passes a row when ``metric sense field`` holds. A file sets only its kind's keys.
+# Each kind's checks as ([tolerances] key, metric, sense, default bound): a run
+# passes a row when ``metric sense bound`` holds. A file sets only its kind's keys.
 CHECKS = {
     ScenarioKind.QUANTUM_COVARIANCE: (
-        ("min_fidelity", "min_fidelity", "min_fidelity", ">="),
-        (
-            "max_energy_transform_residual",
-            "max_energy_transform_residual",
-            "max_energy_transform_residual",
-            "<=",
-        ),
+        ("min_fidelity", "min_fidelity", ">=", 1.0 - 1e-5),
+        ("max_energy_transform_residual", "max_energy_transform_residual", "<=", 1e-6),
     ),
-    ScenarioKind.CLASSICAL_EQUIVALENCE: (
-        ("max_error", "max_trajectory_error", "max_trajectory_error", "<="),
-    ),
+    ScenarioKind.CLASSICAL_EQUIVALENCE: (("max_error", "max_trajectory_error", "<=", 1e-5),),
     ScenarioKind.CONVERGENCE_SWEEP: (
-        ("order_min", "order_min", "estimated_order", ">="),
-        ("order_max", "order_max", "estimated_order", "<="),
+        ("order_min", "estimated_order", ">=", 1.8),
+        ("order_max", "estimated_order", "<=", 2.2),
     ),
 }
 
@@ -125,13 +107,13 @@ class Scenario:
     potential: PotentialSpec
     tau_span: tuple[float, float]
     t_span: tuple[float, float]
+    tolerances: dict[str, float]
     grid: SpatialGrid | None = None
     gaussian: GaussianSpec | None = None
     classical_initial: tuple[float, float] | None = None
     propagator: PropagatorConfig | None = None
     sweep_dts: tuple[float, ...] | None = None
     integrator_tol: float | None = None
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -359,8 +341,7 @@ def parse_scenario(path) -> Scenario:
 
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.
-    given = {f: tol_sec.take_float(key) for key, f, _, _ in CHECKS[kind] if key in tol_sec.data}
-    tolerances = Tolerances(**given)
+    tolerances = {key: tol_sec.take_float(key, default=bound) for key, _, _, bound in CHECKS[kind]}
     tol_sec.finish()
 
     return Scenario(

@@ -18,7 +18,7 @@ from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError, ValidationError
 from reclock.quantum import EvolutionRecord, PropagatorConfig
 from reclock.runner import RunSummary, Status, run_many
-from reclock.scenario import CHECKS, ScenarioKind, Tolerances, parse_scenario
+from reclock.scenario import CHECKS, ScenarioKind, parse_scenario
 
 QUANTUM_TEXT = """\
 [scenario]
@@ -329,6 +329,20 @@ def test_a_batch_with_a_repeated_scenario_name_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_validate_rejects_a_batch_that_run_rejects(tmp_path, capsys):
+    # Each file is valid alone; the batch is not, with run's message and exit code.
+    first = _write(tmp_path, QUANTUM_TEXT, "first.scenario")
+    text = QUANTUM_TEXT.replace("record_every = 25", "record_every = 5")
+    second = _write(tmp_path, text, "second.scenario")
+    for a, b in ((first, second), (first, first)):
+        message = f"{a} and {b} both name scenario 'cli-quantum', and would write to one directory"
+        assert entrypoint(["run", a, b, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert entrypoint(["validate", a, b]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_writes_artifacts_and_passes(tmp_path, capsys):
     q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
     c = _write(tmp_path, CLASSICAL_TEXT, "c.scenario")
@@ -395,12 +409,13 @@ _KIND_TEXTS = {
     "kind, row", [pytest.param(kind, row, id=row[0]) for kind, rows in CHECKS.items() for row in rows]
 )
 def test_each_check_fails_a_run_and_keeps_its_artifacts(tmp_path, capsys, kind, row):
-    key, field, metric, sense = row
+    key, metric, sense, _ = row
     # A bound no run can meet, on the side the row checks.
     bound = 1e300 if sense == ">=" else -1e300
     path = _write(tmp_path, f"{_KIND_TEXTS[kind]}\n[tolerances]\n{key} = {bound}\n", "x.scenario")
     scenario = parse_scenario(path)
-    assert getattr(scenario.tolerances, field) == bound
+    assert scenario.tolerances[key] == bound
+    assert list(scenario.tolerances) == [row[0] for row in CHECKS[kind]]
 
     summary = runner.run_scenario(scenario, out_root=tmp_path / "r")
     assert summary.status is Status.FAIL
@@ -415,7 +430,8 @@ def test_each_check_fails_a_run_and_keeps_its_artifacts(tmp_path, capsys, kind, 
 def test_a_nan_metric_misses_every_check():
     nan = float("nan")
     for kind, rows in CHECKS.items():
-        misses = runner._misses(kind, {metric: nan for _, _, metric, _ in rows}, Tolerances())
+        defaults = {key: bound for key, _, _, bound in rows}
+        misses = runner._misses(kind, {metric: nan for _, metric, _, _ in rows}, defaults)
         assert len(misses) == len(rows) and all(" nan " in m for m in misses)
 
 
@@ -424,6 +440,24 @@ def test_monitor_flags_exit_three(tmp_path, capsys):
     assert entrypoint(["run", f, "--out", str(tmp_path / "r")]) == 3
     stdout = capsys.readouterr().out
     assert "Flagged" in stdout and "edge-leak" in stdout
+
+
+def test_a_flagged_sweep_is_flagged_through_its_artifact(tmp_path, capsys):
+    # A sweep of the leaking free packet, under bounds no order can miss: its
+    # verdict's detail is the first four of the flags its artifact records.
+    text = (
+        FLAGGED_TEXT.replace("kind = quantum_covariance", "kind = convergence_sweep")
+        .replace("family = identity", "family = sine_perturbed\namplitude = 0.3\nfrequency = 1.0")
+        .replace("dt = 1e-2", "dts = 4e-2, 2e-2, 1e-2")
+    )
+    text += "\n[tolerances]\norder_min = -1e300\norder_max = 1e300\n"
+    path, out = _write(tmp_path, text, "s.scenario"), tmp_path / "r"
+    assert entrypoint(["run", path, "--out", str(out), "--format", "json"]) == 3
+    flags = json.loads((out / "cli-flagged/sweep.json").read_text(encoding="utf-8"))["flags"]
+    assert len(flags) == 22 and flags[0] == "dt=0.04: edge-leak 1.997e-03 at clock 1.6"
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("Flagged  cli-flagged")
+    assert stdout.splitlines()[1] == "         " + "; ".join(flags[:4])
 
 
 def test_norm_drift_flags_a_run_and_exits_three(tmp_path, monkeypatch, capsys):
@@ -529,10 +563,11 @@ def test_knob_census(tmp_path, capsys):
     run_options = {opt for a in verbs.choices["run"]._actions for opt in a.option_strings}
     assert run_options - {"-h", "--help"} == {"--out", "--format", "--jobs"}
     assert [f.name for f in dataclasses.fields(PropagatorConfig)] == ["dt", "record_every"]
-    # Each fact has one home: every threshold's default in Tolerances (the
+    # Each fact has one home: every threshold's default on its CHECKS row (the
     # values perfbench/checks.py holds on its own), a run's clock in its map,
     # and a result keeps only the fields a run reads.
-    assert dataclasses.astuple(Tolerances()) == (1.0 - 1e-5, 1e-6, 1e-5, 1.8, 2.2)
+    defaults = [row[3] for rows in CHECKS.values() for row in rows]
+    assert defaults == [1.0 - 1e-5, 1e-6, 1e-5, 1.8, 2.2]
     summary_fields = "name kind status metrics artifacts wall_time_s detail"
     assert [f.name for f in dataclasses.fields(RunSummary)] == summary_fields.split()
     record_fields = "grid clocks rates t amplitudes norms energies flags"

@@ -133,7 +133,7 @@ def test_parse_quantum_scenario(tmp_path):
     assert sc.gaussian.center == 1.0 and sc.gaussian.momentum == 0.0
     assert sc.propagator.dt == 1e-3 and sc.propagator.record_every == 10
     assert sc.classical_initial is None and sc.sweep_dts is None
-    assert sc.tolerances.min_fidelity == 1.0 - 1e-5
+    assert sc.tolerances["min_fidelity"] == 1.0 - 1e-5
 
 
 def test_parse_classical_scenario(tmp_path):
@@ -142,7 +142,7 @@ def test_parse_classical_scenario(tmp_path):
     assert isinstance(sc.timemap, IdentityMap)
     assert sc.classical_initial == (0.5, 1.0)
     assert sc.integrator_tol == 1e-10
-    assert sc.tolerances.max_trajectory_error == 1e-6
+    assert sc.tolerances["max_error"] == 1e-6
     assert sc.grid is None and sc.propagator is None
     assert sc.t_span == sc.tau_span
 
@@ -153,7 +153,7 @@ def test_parse_sweep_scenario(tmp_path):
     assert sc.sweep_dts == (4e-3, 2e-3, 1e-3)
     # Shared stepping knobs are validated against the finest step.
     assert sc.propagator.dt == 1e-3
-    assert sc.tolerances.order_min == 1.8 and sc.tolerances.order_max == 2.2
+    assert sc.tolerances["order_min"] == 1.8 and sc.tolerances["order_max"] == 2.2
 
 
 def test_missing_file_is_a_scenario_error(tmp_path):

@@ -8,7 +8,8 @@ by the Cayley factor (1 - i lam T' w) / (1 + i lam T' w), lam = h / (2 hbar)
 takes w and the eigenvectors from ``scipy.linalg.eigh_tridiagonal`` and
 builds H, the step edges and the rates itself, so it shares no code with the
 kernel: no stencil, no tridiagonal solve and no step schedule. The two agree
-to within 1e-13, so a fault of 1e-9 in H, common to both clocks, shows.
+to about 1e-13 on every clock here (identity, sine, linear alpha 2 and 1/2,
+and a smooth ramp), so a fault of 1e-9 in H, common to both clocks, shows.
 """
 
 import numpy as np
@@ -18,8 +19,10 @@ from scipy.linalg import eigh_tridiagonal
 from reclock.model import (
     HarmonicPotential,
     IdentityMap,
+    LinearMap,
     PhysicalConstants,
     SinePerturbedMap,
+    SmoothRampMap,
     SpatialGrid,
     prepare_gaussian,
 )
@@ -35,6 +38,9 @@ BOUND = 1e-11
 CLOCKS = {
     "identity": IdentityMap(domain=SPAN),
     "sine": SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=SPAN),
+    "linear-2": LinearMap(alpha=2.0, domain=SPAN),
+    "linear-half": LinearMap(alpha=0.5, domain=SPAN),
+    "ramp": SmoothRampMap(rate_start=0.5, rate_end=2.0, center=0.5, sharpness=0.1, domain=SPAN),
 }
 
 
