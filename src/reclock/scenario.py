@@ -34,7 +34,6 @@ import math
 import re
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from functools import partialmethod
 from pathlib import Path
 
 from .classical import DEFAULT_TOL, check_tol
@@ -141,18 +140,23 @@ class _Section:
         self.data = dict(data)
         self.seen: set[str] = set()
 
-    def take(self, key: str, default=None, required: bool = False, parse=None):
-        """The key's raw text, or ``parse(raw, where)`` of it; ``default`` if absent."""
+    def take(self, key: str, parse=None, default=MISSING):
+        """The key's raw text, or ``parse(raw, where)`` of it; ``default`` if
+        absent, and a key with no default is required."""
         self.seen.add(key)
         if key not in self.data:
-            if required:
+            if default is MISSING:
                 raise ScenarioError(f"[{self.name}] missing required key {key!r}")
             return default
         raw = self.data[key]
         return raw if parse is None else parse(raw, f"[{self.name}] {key}")
 
-    take_float = partialmethod(take, parse=_parse_float)
-    take_int = partialmethod(take, parse=_parse_int)
+    def call(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, its ValidationError reported under this section."""
+        try:
+            return fn(*args, **kwargs)
+        except ValidationError as exc:
+            raise ScenarioError(f"[{self.name}] {exc}") from exc
 
     def finish(self):
         unknown = sorted(set(self.data) - self.seen)
@@ -180,23 +184,16 @@ def _build(cls, sec: _Section, **given):
     """``cls`` built from ``given`` plus one key of ``sec`` per other init field.
 
     A field without a default is a required key, and an omitted optional key
-    leaves the class default in place. ``int`` fields parse as integers and
-    all others as finite floats. The constructor's ValidationError is
-    reported under the section's name, and then every key of the section
-    must have been read.
+    takes the class default. ``int`` fields parse as integers and all others
+    as finite floats. The constructor's ValidationError is reported under
+    the section's name, and then every key of the section must have been read.
     """
     values = dict(given)
     for f in fields(cls):
         if f.init and f.name not in given:
-            required = f.default is MISSING and f.default_factory is MISSING
             parse = _parse_int if f.type in (int, "int") else _parse_float
-            value = sec.take(f.name, default=MISSING, required=required, parse=parse)
-            if value is not MISSING:
-                values[f.name] = value
-    try:
-        built = cls(**values)
-    except ValidationError as exc:
-        raise ScenarioError(f"[{sec.name}] {exc}") from exc
+            values[f.name] = sec.take(f.name, parse, f.default)
+    built = sec.call(cls, **values)
     sec.finish()
     return built
 
@@ -204,7 +201,7 @@ def _build(cls, sec: _Section, **given):
 def _build_family(table: dict, sec: _Section, **given):
     """The ``family`` key's class from ``table``, built by ``_build``; of ``given``
     only the values that class has a field for are passed."""
-    family = sec.take("family", required=True)
+    family = sec.take("family")
     if family not in table:
         raise ScenarioError(
             f"[{sec.name}] unknown family {family!r}; available: {', '.join(table)}"
@@ -233,25 +230,25 @@ def parse_scenario(path) -> Scenario:
     sections = {name: _Section(name, dict(parser.items(name))) for name in parser.sections()}
 
     def section(name: str, required: bool = True) -> _Section:
-        # A missing optional section reads as an empty one: every key takes its default.
+        # A read section leaves the table; a missing optional one reads as empty.
         if name in sections:
-            return sections[name]
+            return sections.pop(name)
         if required:
             raise ScenarioError(f"{path}: missing required section [{name}]")
         return _Section(name, {})
 
     head = section("scenario")
-    version = head.take_int("schema_version", required=True)
+    version = head.take("schema_version", _parse_int)
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"{path}: schema_version {version} not supported (expected {SCHEMA_VERSION})"
         )
-    name = head.take("name", required=True)
+    name = head.take("name")
     if not _NAME_RE.match(name):
         raise ScenarioError(
             f"[scenario] name {name!r} must be filesystem-safe ([A-Za-z0-9._-])"
         )
-    kind_raw = head.take("kind", required=True)
+    kind_raw = head.take("kind")
     try:
         kind = ScenarioKind(kind_raw)
     except ValueError:
@@ -259,91 +256,67 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"[scenario] unknown kind {kind_raw!r}; available: {allowed}")
     head.finish()
 
-    quantum = kind in QUANTUM_KINDS
-    expected = {"scenario", "span", "timemap", "potential", "initial_state", "numerics"}
-    optional = {"constants", "tolerances"}
-    if quantum:
-        expected.add("grid")
-    unexpected = sorted(set(sections) - expected - optional)
-    if unexpected:
-        raise ScenarioError(
-            f"{path}: unexpected section(s) for kind {kind.value}: "
-            f"{', '.join('[' + s + ']' for s in unexpected)}"
-        )
-
     constants = _build(PhysicalConstants, section("constants", required=False))
 
     span_sec = section("span")
-    tau0 = span_sec.take_float("tau0", required=True)
-    tau1 = span_sec.take_float("tau1", required=True)
+    tau0 = span_sec.take("tau0", _parse_float)
+    tau1 = span_sec.take("tau1", _parse_float)
     span_sec.finish()
     if not tau1 > tau0:
         raise ScenarioError(f"[span] need tau1 > tau0, got ({tau0}, {tau1})")
 
     timemap = _build_family(_TIMEMAPS, section("timemap"), domain=(tau0, tau1))
-    try:
-        t_span = check_span("t_span", (timemap.value(tau0), timemap.value(tau1)))
-    except ValidationError as exc:
-        raise ScenarioError(f"[span] {exc}") from exc
+    t_span = span_sec.call(check_span, "t_span", (timemap.value(tau0), timemap.value(tau1)))
     potential = _build_family(_POTENTIALS, section("potential"), mass=constants.mass)
 
-    grid = None
-    gaussian = None
-    classical_initial = None
+    # The Scenario fields only this kind sets.
+    parts = {}
     init_sec = section("initial_state")
-    if quantum:
-        grid = _build(SpatialGrid, section("grid"))
-        gaussian = _build(GaussianSpec, init_sec)
-        try:
-            # Build once now so support/normalization problems fail at parse time.
-            prepare_gaussian(grid, gaussian.center, gaussian.width, gaussian.momentum, constants)
-        except ValidationError as exc:
-            raise ScenarioError(f"[initial_state] {exc}") from exc
+    if kind in QUANTUM_KINDS:
+        grid = parts["grid"] = _build(SpatialGrid, section("grid"))
+        g = parts["gaussian"] = _build(GaussianSpec, init_sec)
+        # Build once now so support/normalization problems fail at parse time.
+        init_sec.call(prepare_gaussian, grid, g.center, g.width, g.momentum, constants)
     else:
-        classical_initial = (
-            init_sec.take_float("x0", required=True),
-            init_sec.take_float("p0", required=True),
+        parts["classical_initial"] = (
+            init_sec.take("x0", _parse_float),
+            init_sec.take("p0", _parse_float),
         )
         init_sec.finish()
 
-    propagator = None
-    sweep_dts = None
-    integrator_tol = None
     num_sec = section("numerics")
-    if kind is ScenarioKind.QUANTUM_COVARIANCE:
-        propagator = _build(PropagatorConfig, num_sec)
-    elif kind is ScenarioKind.CONVERGENCE_SWEEP:
-        raw = num_sec.take("dts", required=True)
-        dts = tuple(
-            _parse_float(tok.strip(), "[numerics] dts") for tok in raw.split(",") if tok.strip()
-        )
-        if len(dts) < 3:
-            raise ScenarioError(f"[numerics] a sweep needs >= 3 dt values, got {len(dts)}")
-        if any(b >= a for a, b in zip(dts, dts[1:])):
-            raise ScenarioError("[numerics] dts must be strictly decreasing")
-        sweep_dts = dts
-        # Validate the shared stepping knobs against the finest step.
-        propagator = _build(PropagatorConfig, num_sec, dt=dts[-1])
-    else:
-        integrator_tol = num_sec.take_float("tol", default=DEFAULT_TOL)
-        try:
-            check_tol(integrator_tol)
-        except ValidationError as exc:
-            raise ScenarioError(f"[numerics] {exc}") from exc
+    if kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
+        tol = num_sec.take("tol", _parse_float, DEFAULT_TOL)
+        parts["integrator_tol"] = num_sec.call(check_tol, tol)
         num_sec.finish()
-    if quantum:
+    else:
+        given = {}
+        if kind is ScenarioKind.CONVERGENCE_SWEEP:
+            raw = num_sec.take("dts")
+            dts = tuple(
+                _parse_float(tok.strip(), "[numerics] dts") for tok in raw.split(",") if tok.strip()
+            )
+            if len(dts) < 3:
+                raise ScenarioError(f"[numerics] a sweep needs >= 3 dt values, got {len(dts)}")
+            if any(b >= a for a, b in zip(dts, dts[1:])):
+                raise ScenarioError("[numerics] dts must be strictly decreasing")
+            # Validate the shared stepping knobs against the finest step.
+            parts["sweep_dts"], given["dt"] = dts, dts[-1]
+        propagator = parts["propagator"] = _build(PropagatorConfig, num_sec, **given)
         # The uniform ladders a run plans before it steps, tau first, at the finest dt.
         for span in ((tau0, tau1), t_span):
-            try:
-                check_step_count(*span, propagator.dt)
-            except ValidationError as exc:
-                raise ScenarioError(f"[numerics] {exc}") from exc
+            num_sec.call(check_step_count, *span, propagator.dt)
 
     tol_sec = section("tolerances", required=False)
     # Only the kind's own keys are read; finish() rejects any other.
-    tolerances = {key: tol_sec.take_float(key, default=bound) for key, _, _, bound in CHECKS[kind]}
+    tolerances = {key: tol_sec.take(key, _parse_float, bound) for key, _, _, bound in CHECKS[kind]}
     tol_sec.finish()
 
+    if sections:
+        raise ScenarioError(
+            f"{path}: unexpected section(s) for kind {kind.value}: "
+            f"{', '.join('[' + s + ']' for s in sorted(sections))}"
+        )
     return Scenario(
         name=name,
         kind=kind,
@@ -352,11 +325,6 @@ def parse_scenario(path) -> Scenario:
         potential=potential,
         tau_span=(tau0, tau1),
         t_span=t_span,
-        grid=grid,
-        gaussian=gaussian,
-        classical_initial=classical_initial,
-        propagator=propagator,
-        sweep_dts=sweep_dts,
-        integrator_tol=integrator_tol,
         tolerances=tolerances,
+        **parts,
     )

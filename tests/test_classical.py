@@ -287,6 +287,16 @@ def test_trajectory_equivalence_rejects_a_map_the_orbit_did_not_run_in():
         trajectory_equivalence(ttraj, tautraj, LinearMap(1.0, domain=(0.0, 2.0 * math.pi)))
 
 
+def test_trajectory_equivalence_needs_the_conventional_runs_interpolant():
+    # A conventional trajectory built by hand carries no dense read-out.
+    pot = FreePotential()
+    m = IdentityMap(domain=(0.0, 2.0))
+    tautraj = integrate_tau(pot, CST, m, 0.0, 1.0, (0.0, 2.0))
+    bare = Trajectory(np.array([0.0, 20.0]), np.zeros(2), np.zeros(2))
+    with pytest.raises(ValidationError, match="^traj_t carries no dense interpolant$"):
+        trajectory_equivalence(bare, tautraj, m)
+
+
 def test_momentum_transform_between_clocks():
     # pi = m xi'/T' equals the conventional momentum at the mapped instant,
     # so a tau-run's pm samples match p(T(tau)) = -sin(T) for this orbit.

@@ -45,7 +45,7 @@ CLOCKS = {
 TOLS = {"1e-6": 1e-6, "1e-9": 1e-9, "1e-11": 1e-11, "MIN_TOL": MIN_TOL}
 
 
-def _solve_ivp(pot, timemap, span, tol):
+def _solve_ivp(pot, timemap, span, tol, y0=Y0):
     """SciPy's DOP853 run of the orbit, with the right-hand side of ``_integrate``."""
 
     def rhs(clock, y):
@@ -54,7 +54,7 @@ def _solve_ivp(pot, timemap, span, tol):
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         return solve_ivp(
-            rhs, span, Y0, method="DOP853", rtol=tol, atol=tol, dense_output=timemap is None
+            rhs, span, y0, method="DOP853", rtol=tol, atol=tol, dense_output=timemap is None
         )
 
 
@@ -79,6 +79,26 @@ def test_an_orbit_steps_float_for_float_as_solve_ivp(potential, clock, tol):
         assert np.array_equal(traj.dense(marks), sol.sol(marks))
     else:
         assert traj.dense is None
+
+
+@pytest.mark.parametrize("clock", ["t", "sine"])
+def test_an_orbit_at_rest_at_the_bottom_of_the_well_steps_as_solve_ivp(clock):
+    # Zero state and zero derivative: the first step comes from the branch for
+    # a vanishing start, and every step's error norm is exactly zero.
+    pot, timemap, y0, tol = POTENTIALS["harmonic"], CLOCKS[clock], (0.0, 0.0), 1e-9
+    if timemap is None:
+        traj = integrate_t(pot, CST, *y0, SPAN, tol)
+    else:
+        traj = integrate_tau(pot, CST, timemap, *y0, SPAN, tol)
+    sol = _solve_ivp(pot, timemap, SPAN, tol, y0)
+    assert sol.status == 0, sol.message
+    assert len(traj.clocks) == 9
+    assert np.array_equal(traj.clocks, sol.t)
+    assert np.array_equal(traj.q, sol.y[0])
+    assert np.array_equal(traj.pm, sol.y[1])
+    if timemap is None:
+        marks = np.concatenate([sol.t, np.linspace(*SPAN, 997)])
+        assert np.array_equal(traj.dense(marks), sol.sol(marks))
 
 
 class _PoleAtHalf(PotentialSpec):

@@ -9,6 +9,7 @@ its error; a mutant that no check catches is a gap in the suite.
 
 import functools
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,11 @@ def _energies_dx_twice(amps, h_amps, dx, _energies=quantum._energies):
     return _energies(amps, h_amps, dx) * dx
 
 
+def _planned(edit, _plan=quantum._plan):
+    # Every run's plan, tau and t alike, with ``edit`` applied before it steps.
+    return lambda *args, **kwargs: edit(_plan(*args, **kwargs))
+
+
 # Mutant -> (module, attribute, replacement, (test module, check, check arguments)).
 MUTANTS = {
     "overlap-real-part": (
@@ -90,6 +96,18 @@ MUTANTS = {
     ),
     "kinetic-weight-1e-9": (
         quantum, "_kinetic_weight", _stiffer_kinetic_weight(1 + 1e-9),
+        ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
+         ("sine",)),
+    ),
+    # lam = h / (2 hbar) taken as h / hbar: the steps feed only lam.
+    "lambda-step-over-hbar": (
+        quantum, "_plan", _planned(lambda plan: replace(plan, steps=2 * plan.steps)),
+        ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
+         ("sine",)),
+    ),
+    # The rate T' applied twice: the prefactors feed only the generator.
+    "rate-applied-twice": (
+        quantum, "_plan", _planned(lambda plan: replace(plan, prefs=plan.prefs**2)),
         ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
          ("sine",)),
     ),

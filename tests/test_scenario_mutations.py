@@ -1,6 +1,7 @@
 """Property test: a mutated catalogue file parses or raises one ScenarioError.
 
-Each example drops keys or sections, adds keys, or replaces values with junk
+Each example drops keys or sections, adds keys or sections (an empty
+``[grid]``, ``[outputs]`` or unknown one), or replaces values with junk
 text, non-finite numbers, zero, negatives or extreme magnitudes. Whatever
 the file, parsing must end in a Scenario or a ScenarioError with a single
 section prefix, never in another exception or a numpy warning.
@@ -40,6 +41,8 @@ _CATALOGUE = _catalogue_sections()
 _JUNK = ("junk", "nan", "inf", "0", "-1", "1e308", "-1e308", "1e-300")
 # Keys no section has, or that only another section or kind reads.
 _EXTRA_KEYS = ("unknown", "omega", "momentum", "hbar", "edge_guard", "record_every", "tol")
+# A section only the quantum kinds read, one no kind reads, and an unknown name.
+_EXTRA_SECTIONS = ("grid", "outputs", "unknown")
 
 
 def _edited(stem: str, *edits):
@@ -56,17 +59,20 @@ def _edited(stem: str, *edits):
 @st.composite
 def _mutated_catalogue_files(draw):
     """A catalogue file with one to three mutations: a key or a section
-    dropped, a key added, or a value replaced by junk text, a non-finite
-    number, zero, a negative or an extreme magnitude. No value can become a
-    large grid, so parsing stays cheap."""
+    dropped, a key or a section added, or a value replaced by junk text, a
+    non-finite number, zero, a negative or an extreme magnitude. No value
+    can become a large grid, so parsing stays cheap."""
     sections = copy.deepcopy(_CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))])
     for _ in range(draw(st.integers(1, 3))):
         if not sections:
             break
         name = draw(st.sampled_from(sorted(sections)))
         keys = sorted(sections[name])
-        op = draw(st.sampled_from(("drop key", "drop section", "add key", "replace value")))
-        if op == "drop section" or not keys:
+        ops = ("drop key", "drop section", "add key", "replace value", "add section")
+        op = draw(st.sampled_from(ops))
+        if op == "add section":
+            sections.setdefault(draw(st.sampled_from(_EXTRA_SECTIONS)), {})
+        elif op == "drop section" or not keys:
             del sections[name]
         elif op == "drop key":
             del sections[name][draw(st.sampled_from(keys))]
