@@ -11,8 +11,12 @@ run with the identity map (``LinearMap`` with alpha = 1) reproduces a
 conventional run float for float. The compressed-clock generator
 alpha H(alpha t) is the linear relabeling T(tau) = alpha tau, so
 ``propagate_rescaled`` is a ``propagate_tau`` call with that map.
-Each step is one tridiagonal solve with LAPACK's ``?gtsv`` (Gaussian
-elimination with partial pivoting), called directly on the three diagonals.
+Each step is one tridiagonal solve with LAPACK's ``zgtsv`` (Gaussian
+elimination with partial pivoting), called directly on the three diagonals:
+``scipy_zgtsv_64_`` of the OpenBLAS that NumPy's wheel bundles and has
+already loaded, through ctypes. Where NumPy ships no such library (NumPy 1.x
+wheels name it otherwise, and MKL builds have none) the kernel falls back to
+SciPy's ``gtsv``, the same routine.
 What does not depend on the state (the potential at every step's and every
 record's clock and both sides' diagonal coefficients) is built for a block
 of steps at once with the same floating-point operations as a per-step
@@ -41,9 +45,12 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -357,6 +364,87 @@ def _reference_plan(t_marks: np.ndarray, cfg: PropagatorConfig) -> _Plan:
     return plan
 
 
+def _bind_openblas(zgtsv, dl, du, lhs, rhs):
+    """``solve(k, j)`` for the ctypes ``zgtsv``: it overwrites ``rhs[j]`` with
+    the solution of the system with diagonals ``dl``, ``lhs[k]`` and ``du``,
+    and returns LAPACK's info.
+
+    Every address is taken here, once: taking them on each call would cost
+    ~2 µs apiece. ``solve.buffers`` holds the arrays, so they live as long
+    as their addresses are in use. The library is ILP64, so n, nrhs, ldb
+    and info are one int64 array.
+    """
+    m = lhs.shape[1]
+    buffers = (dl, du, lhs, rhs)
+    if not all(a.dtype == np.complex128 and a.flags.c_contiguous for a in buffers) or not (
+        dl.shape == du.shape == (m - 1,) and lhs.ndim == rhs.ndim == 2 and rhs.shape[1] == m
+    ):
+        raise ValueError("zgtsv takes C-contiguous complex128 diagonals and (k, m) row blocks")
+    ints = (ctypes.c_int64 * 4)(m, 1, m, 0)
+    n_p, nrhs_p, ldb_p, info_p = (ctypes.addressof(ints) + 8 * i for i in range(4))
+    dl_p, du_p = dl.ctypes.data, du.ctypes.data
+    d_p, d_step = lhs.ctypes.data, lhs.strides[0]
+    b_p, b_step = rhs.ctypes.data, rhs.strides[0]
+
+    def solve(k, j):
+        # k and j index rows of lhs and rhs, which the caller keeps in range.
+        zgtsv(n_p, nrhs_p, dl_p, d_p + k * d_step, du_p, b_p + j * b_step, ldb_p, info_p)
+        return ints[3]
+
+    solve.buffers = buffers
+    return solve
+
+
+def _bind_scipy(gtsv, dl, du, lhs, rhs):
+    """``solve(k, j)`` as ``_bind_openblas`` gives it, for SciPy's f2py ``gtsv``.
+
+    Every buffer is a contiguous complex array, so f2py copies none of them
+    and ``overwrite_b`` solves in ``rhs[j]`` itself.
+    """
+
+    def solve(k, j):
+        return gtsv(dl, lhs[k], du, rhs[j], True, True, True, True)[-1]
+
+    return solve
+
+
+@functools.cache
+def _openblas_gtsv():
+    """``_bind_openblas`` for the ``scipy_zgtsv_64_`` of the OpenBLAS in
+    NumPy's wheel, or None if NumPy ships no such library.
+
+    The library is opened with RTLD_NOLOAD: NumPy has mapped it already, so
+    the kernel loads no second copy and, unlike through SciPy, no module.
+    """
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            zgtsv = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_zgtsv_64_
+        except (AttributeError, OSError):
+            continue
+        zgtsv.argtypes = [ctypes.c_void_p] * 8
+        zgtsv.restype = None
+        return functools.partial(_bind_openblas, zgtsv)
+    return None
+
+
+@functools.cache
+def _scipy_gtsv():
+    """``_bind_scipy`` for SciPy's complex ``gtsv``."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return functools.partial(_bind_scipy, get_lapack_funcs("gtsv", dtype=np.complex128))
+
+
+def _gtsv():
+    """The kernel's solver: NumPy's ``zgtsv`` where it has one, else SciPy's.
+
+    Looked up on a run's first step, so a process that only validates loads
+    neither, and cached from then on.
+    """
+    return _openblas_gtsv() or _scipy_gtsv()
+
+
 def _stream(
     psi0: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, plan: _Plan, flags: list
 ):
@@ -369,8 +457,6 @@ def _stream(
     monitors have checked the block's records; monitor flags are appended
     to ``flags``.
     """
-    from scipy.linalg.lapack import get_lapack_funcs  # here, since validating never steps
-
     grid = psi0.grid
     hbar, dx = constants.hbar, grid.dx
     x = grid.points()
@@ -384,19 +470,25 @@ def _stream(
     last = len(steps)
 
     norm0 = psi0.norm()
-    u = psi0.amplitudes[1:-1].copy()
-    (gtsv,) = get_lapack_funcs(("gtsv",), (u,))
 
     # ?gtsv overwrites all three diagonals, so the off-diagonals are refilled
-    # every step; the diagonal is a block row used once. The block buffers
-    # live for the whole run: fresh ones per block made the one-step blocks
-    # of large grids ~10% slower.
-    dl = np.empty(m - 1, dtype=complex)
-    du = np.empty(m - 1, dtype=complex)
+    # every step, with one fill of the buffer they share; the diagonal is a
+    # block row used once. The block buffers live for the whole run: fresh
+    # ones per block made the one-step blocks of large grids ~10% slower.
+    # The state's two rows take turns as u and rhs: a step builds its
+    # right-hand side in the row u is not in, and the solve turns it into
+    # the next u there.
+    offs = np.empty(2 * (m - 1), dtype=complex)
+    dl, du = offs[: m - 1], offs[m - 1 :]
     block = min(last, max(1, _BLOCK_POINTS // m))
     diag = np.empty((block, m))
     lhs = np.empty((block, m), dtype=complex)
     rmul = np.empty((block, m), dtype=complex)
+    state = np.empty((2, m), dtype=complex)
+    state[0] = psi0.amplitudes[1:-1]
+    u, rhs = state
+    side = 1  # the row of ``state`` that rhs is
+    solve = _gtsv()(dl, du, lhs, state)
     # Each block runs its steps and takes the records they land on; the first
     # block also takes the start record.
     starts = range(0, last, block)
@@ -424,19 +516,19 @@ def _stream(
 
                 for k, n in enumerate(range(n0, n1)):
                     ioff = ioffs[k]
-                    rhs = rmul[k] * u
+                    np.multiply(rmul[k], u, out=rhs)
                     rhs[:-1] -= ioff * u[1:]
                     rhs[1:] -= ioff * u[:-1]
 
-                    dl.fill(ioff)
-                    du.fill(ioff)
-                    _, _, _, u, info = gtsv(dl, lhs[k], du, rhs, True, True, True, True)
+                    offs.fill(ioff)
+                    info = solve(k, side)
                     if info != 0:
                         raise NumericalError(
                             f"tridiagonal solve failed at step {n}: LAPACK ?gtsv info={info}"
                         )
                     if n + 1 in slot:
-                        out[slot[n + 1], 1:-1] = u
+                        out[slot[n + 1], 1:-1] = rhs
+                    u, rhs, side = rhs, u, 1 - side
         except FloatingPointError as exc:
             raise NumericalError(
                 f"step arithmetic overflows between clock {edges[n0]:.6g} and "

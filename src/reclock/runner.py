@@ -24,7 +24,7 @@ from .errors import ReclockError, ScenarioError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
-from .scenario import CHECKS, QUANTUM_KINDS, Scenario, ScenarioKind, parse_scenario
+from .scenario import CHECKS, Scenario, ScenarioKind, parse_scenario
 
 
 class Status(Enum):
@@ -198,9 +198,6 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     if jobs == 1 or len(scenarios) <= 1:
         return [run_scenario(s, out_root, formats) for s in scenarios]
     workers = min(jobs, len(scenarios))
-    # Forked workers share this import; each would otherwise load its own (~10 MB RSS).
-    if any(s.kind in QUANTUM_KINDS for s in scenarios):
-        import scipy.linalg.lapack  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_scenario, s, out_root, formats) for s in scenarios]
         return [f.result() for f in futures]

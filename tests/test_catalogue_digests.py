@@ -1,0 +1,101 @@
+"""The bundled catalogue's artifacts, pinned byte for byte.
+
+``catalogue.sha256`` holds the SHA-256 of every artifact that one
+``run_many`` over the catalogue writes in CSV and JSON. Criterion 9 checks
+only that two runs in one checkout agree, so a change that moves a float in
+both of them passes it; this test catches that change. A change that moves
+an artifact on purpose rewrites the manifest with
+
+    PYTHONPATH=src python tests/test_catalogue_digests.py > tests/catalogue.sha256
+
+The header records the environment the digests were taken in. A mismatch
+prints it next to the running one, so a new NumPy, BLAS or CPU reads as a
+change of environment rather than of the code.
+"""
+
+import hashlib
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from reclock.cli import catalogue_paths
+from reclock.runner import Status, run_many
+
+MANIFEST = Path(__file__).with_name("catalogue.sha256")
+FORMATS = ("csv", "json")
+
+
+def _cpu() -> str:
+    try:
+        lines = Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines()
+    except OSError:
+        lines = []
+    names = (line.split(":", 1)[1].strip() for line in lines if line.startswith("model name"))
+    return next(names, platform.processor() or "unknown")
+
+
+def environment() -> dict[str, str]:
+    """The versions and machine that an artifact's floats can depend on."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **{key: f"{deps[key].get('name', '?')} {deps[key].get('version', '?')}" for key in ("blas", "lapack")},
+        "machine": f"{platform.system()} {platform.machine()}",
+        "cpu": _cpu(),
+    }
+
+
+def catalogue_digests(out_root: Path) -> dict[str, str]:
+    """``{<name>/<stem>.<fmt>: sha256}`` of one catalogue run under ``out_root``."""
+    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS)
+    assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
+    return {
+        path.relative_to(out_root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_root.rglob("*.*"))
+    }
+
+
+def read_manifest() -> tuple[dict[str, str], dict[str, str]]:
+    """The recorded environment and ``{artifact: sha256}``."""
+    recorded, digests = {}, {}
+    for line in MANIFEST.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# ") and ": " in line:
+            key, value = line[2:].split(": ", 1)
+            recorded[key] = value
+        elif line and not line.startswith("#"):
+            digest, name = line.split("  ", 1)
+            digests[name] = digest
+    return recorded, digests
+
+
+def test_the_catalogue_writes_the_pinned_artifacts(tmp_path):
+    recorded, expected = read_manifest()
+    assert expected, f"{MANIFEST.name} lists no artifact"
+    actual = catalogue_digests(tmp_path)
+    differing = sorted(
+        name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
+    )
+    if differing:
+        running = environment()
+        versions = "\n".join(
+            f"  {key}: recorded {recorded.get(key, '?')!r}, running {running.get(key, '?')!r}"
+            for key in dict.fromkeys([*recorded, *running])
+        )
+        raise AssertionError(
+            f"{len(differing)} catalogue artifact(s) differ from {MANIFEST.name}:\n"
+            + "\n".join(f"  {name}" for name in differing)
+            + f"\nenvironment:\n{versions}"
+        )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = catalogue_digests(Path(tmp))
+    print(f'# SHA-256 of every artifact of one run_many over the catalogue, formats={FORMATS!r}.')
+    for key, value in environment().items():
+        print(f"# {key}: {value}")
+    sys.stdout.writelines(f"{digest}  {name}\n" for name, digest in digests.items())

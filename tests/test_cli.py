@@ -237,9 +237,8 @@ def test_validate_never_imports_scipy():
 
 
 def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
-    # The parent only parses and forks, so LAPACK can be in its modules only
-    # through run_many's pre-fork import, and a quantum-only batch never
-    # integrates an orbit.
+    # The parent only parses and forks. The kernel's LAPACK is the OpenBLAS
+    # that NumPy has loaded already, so no SciPy module enters the parent.
     paths = [
         _write(tmp_path, QUANTUM_TEXT.replace("cli-quantum", f"cli-quantum-{i}"), f"q{i}.scenario")
         for i in range(2)
@@ -249,17 +248,31 @@ def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
         "from reclock.runner import Status, run_many\n"
         f"summaries = run_many({paths!r}, {str(tmp_path / 'reports')!r}, jobs=2)\n"
         "assert [s.status for s in summaries] == [Status.PASS] * 2, summaries\n"
-        "assert 'scipy.linalg.lapack' in sys.modules\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_a_quantum_run_imports_no_scipy(tmp_path):
+    # At jobs=1 the kernel steps in the checked process itself: it calls the
+    # zgtsv of NumPy's bundled OpenBLAS, and loads no SciPy module.
+    path = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    _run_python(
+        "import sys\n"
+        "from reclock.runner import Status, run_many\n"
+        f"summaries = run_many([{path!r}], {str(tmp_path / 'reports')!r}, jobs=1)\n"
+        "assert [s.status for s in summaries] == [Status.PASS], summaries\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
 
 
 def test_an_orbit_batch_imports_no_scipy(tmp_path):
     # Orbits integrate with reclock.dop853, which needs NumPy alone: a
     # classical-only batch loads no SciPy module, neither in the pooled
-    # parent (jobs=2) nor in the one process of a serial run (jobs=1). A
-    # mixed batch's parent loads LAPACK for its quantum file, and still no
-    # scipy.integrate.
+    # parent (jobs=2) nor in the one process of a serial run (jobs=1). Nor
+    # does a mixed batch's parent, whose quantum file steps with NumPy's
+    # OpenBLAS.
     orbits = [
         _write(tmp_path, CLASSICAL_TEXT.replace("cli-classical", f"cli-c{i}"), f"c{i}.scenario")
         for i in range(2)
@@ -271,15 +284,11 @@ def test_an_orbit_batch_imports_no_scipy(tmp_path):
         "summaries = run_many({paths!r}, {out!r}, jobs={jobs})\n"
         "assert [s.status for s in summaries] == [Status.PASS] * 2, summaries\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
     )
     out = str(tmp_path / "reports")
-    for jobs in (2, 1):
-        _run_python(check.format(paths=orbits, out=out, jobs=jobs) + "assert not loaded, loaded\n")
-    _run_python(
-        check.format(paths=mixed, out=out, jobs=2)
-        + "assert 'scipy.linalg.lapack' in loaded, loaded\n"
-        + "assert 'scipy.integrate' not in loaded, loaded\n"
-    )
+    for paths, jobs in ((orbits, 2), (orbits, 1), (mixed, 2)):
+        _run_python(check.format(paths=paths, out=out, jobs=jobs))
 
 
 def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):

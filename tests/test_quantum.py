@@ -4,10 +4,10 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_banded
 
@@ -754,25 +754,90 @@ def test_a_bad_schedule_fails_before_either_run_steps(monkeypatch):
             covariance_experiment(scenario)
 
 
+def _failing_on_fourth_solve(lookup, info):
+    """A stand-in for ``quantum._gtsv`` whose solver, from ``lookup``, reports
+    ``info`` on its fourth call, after solving as usual."""
+
+    def failing_lookup():
+        bind = lookup()
+
+        def bind_failing(*buffers):
+            solve = bind(*buffers)
+            calls = []
+
+            def failing_solve(k, j):
+                result = solve(k, j)
+                calls.append(None)
+                return info if len(calls) == 4 else result
+
+            return failing_solve
+
+        return bind_failing
+
+    return failing_lookup
+
+
 @pytest.mark.parametrize("info", [2, -4])
 def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeypatch, info):
-    real_get = scipy.linalg.lapack.get_lapack_funcs
-
-    def get_failing(names, arrays):
-        (gtsv,) = real_get(names, arrays)
-        calls = []
-
-        def failing_gtsv(*args):
-            result = gtsv(*args)
-            calls.append(None)
-            return result[:-1] + (info,) if len(calls) == 4 else result
-
-        return (failing_gtsv,)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_failing)
     cfg = PropagatorConfig(dt=1e-2)
-    with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
-        propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
+    for lookup in (quantum._openblas_gtsv, quantum._scipy_gtsv):
+        if lookup() is None:
+            continue  # NumPy bundles no zgtsv here
+        monkeypatch.setattr(quantum, "_gtsv", _failing_on_fourth_solve(lookup, info))
+        with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
+            propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
+
+
+class _PivotingWell(PotentialSpec):
+    """V = kin (-2 + 0.3 sin(5x + t)): the Laplacian's diagonal all but
+    cancels, so every diagonal of the step matrix is smaller than its
+    off-diagonals once lam kin > 1.05, and ?gtsv swaps rows."""
+
+    def __init__(self, kin):
+        self.kin = kin
+
+    def value(self, t, x):
+        return self.kin * (-2.0 + 0.3 * np.sin(5.0 * x + t))
+
+    def gradient_x(self, t, x):
+        return self.kin * 1.5 * np.cos(5.0 * x + t)
+
+
+def test_both_tridiagonal_solvers_step_float_for_float(monkeypatch):
+    # The kernel steps NumPy's bundled zgtsv whenever NumPy ships one, so a
+    # broken lookup cannot fall back to SciPy's unnoticed.
+    libs = Path(np.__file__).parents[1] / "numpy.libs"
+    bundled = any(libs.glob("libscipy_openblas64_*.so"))
+    assert (quantum._openblas_gtsv() is not None) == bundled
+    assert quantum._gtsv() is (quantum._openblas_gtsv() or quantum._scipy_gtsv())
+    if not bundled:
+        pytest.skip("NumPy bundles no OpenBLAS zgtsv, so the kernel has one path")
+
+    # A covariance's two runs with a record every step, and a run whose every
+    # solve pivots.
+    grid = SpatialGrid(-12.0, 12.0, 256)
+    psi0 = prepare_gaussian(grid, 0.5, 1.0, momentum=0.7)
+    kin = quantum._kinetic_weight(CST, grid.dx)
+    every = PropagatorConfig(dt=1e-2, record_every=1)
+    tau_plan = quantum._plan((0.0, 0.4), every, _EQUIV_CLOCKS["sine"])
+    pivoting = PropagatorConfig(dt=4.0 / kin, record_every=1)
+    runs = [
+        (_EQUIV_POTENTIALS["driven"], tau_plan),
+        (_EQUIV_POTENTIALS["driven"], quantum._reference_plan(tau_plan.t, every)),
+        (_PivotingWell(kin), quantum._plan((0.0, 2.0), pivoting, None)),
+    ]
+    records = {}
+    for lookup in (quantum._openblas_gtsv, quantum._scipy_gtsv):
+        monkeypatch.setattr(quantum, "_gtsv", lookup)
+        records[lookup] = [quantum._run_crank_nicolson(psi0, pot, CST, plan) for pot, plan in runs]
+    for fast, fallback in zip(*records.values()):
+        assert len(fast.clocks) > 10
+        for column in ("amplitudes", "norms", "energies"):
+            assert np.array_equal(getattr(fast, column), getattr(fallback, column))
+    # Every row of the pivoting run's step matrix has |diagonal| < |off-diagonal|.
+    lam = 0.5 * pivoting.dt / CST.hbar
+    v = _PivotingWell(kin).value(0.0, grid.points()[1:-1])
+    assert np.all(np.abs(1.0 + 1j * lam * (2.0 * kin + v)) < lam * kin)
 
 
 class _BlowsUpAfter(PotentialSpec):
