@@ -72,7 +72,7 @@ class LagrangianPoint:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """An integrated orbit: strictly increasing clock samples of (q, pm).
 
@@ -90,7 +90,7 @@ class Trajectory:
     q: np.ndarray
     pm: np.ndarray
     timemap: TimeMap | None = None
-    dense: Callable | None = field(default=None, repr=False, compare=False)
+    dense: Callable | None = field(default=None, repr=False)
     t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

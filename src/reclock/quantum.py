@@ -11,12 +11,12 @@ run with the identity map (``LinearMap`` with alpha = 1) reproduces a
 conventional run float for float. The compressed-clock generator
 alpha H(alpha t) is the linear relabeling T(tau) = alpha tau, so
 ``propagate_rescaled`` is a ``propagate_tau`` call with that map.
-Each step is one tridiagonal solve with LAPACK's ``zgtsv`` (Gaussian
-elimination with partial pivoting), called directly on the three diagonals:
-``scipy_zgtsv_64_`` of the OpenBLAS that NumPy's wheel bundles and has
-already loaded, through ctypes. Where NumPy ships no such library (NumPy 1.x
-wheels name it otherwise, and MKL builds have none) the kernel falls back to
-SciPy's ``gtsv``, the same routine.
+Each step is one LAPACK ``zgtsv`` solve (Gaussian elimination with partial
+pivoting) through one binder, ``_gtsv``, which owns every buffer it touches.
+One lookup, ``_openblas_zgtsv``, finds ``scipy_zgtsv_64_`` of the OpenBLAS
+that NumPy's wheel bundles and has already loaded, called through ctypes;
+where NumPy ships none (NumPy 1.x wheels name it otherwise, and MKL builds
+have none) the binder calls SciPy's ``gtsv``, the same routine.
 What does not depend on the state (the potential at every step's and every
 record's clock and both sides' diagonal coefficients) is built for a block
 of steps at once with the same floating-point operations as a per-step
@@ -364,54 +364,10 @@ def _reference_plan(t_marks: np.ndarray, cfg: PropagatorConfig) -> _Plan:
     return plan
 
 
-def _bind_openblas(zgtsv, dl, du, lhs, rhs):
-    """``solve(k, j)`` for the ctypes ``zgtsv``: it overwrites ``rhs[j]`` with
-    the solution of the system with diagonals ``dl``, ``lhs[k]`` and ``du``,
-    and returns LAPACK's info.
-
-    Every address is taken here, once: taking them on each call would cost
-    ~2 µs apiece. ``solve.buffers`` holds the arrays, so they live as long
-    as their addresses are in use. The library is ILP64, so n, nrhs, ldb
-    and info are one int64 array.
-    """
-    m = lhs.shape[1]
-    buffers = (dl, du, lhs, rhs)
-    if not all(a.dtype == np.complex128 and a.flags.c_contiguous for a in buffers) or not (
-        dl.shape == du.shape == (m - 1,) and lhs.ndim == rhs.ndim == 2 and rhs.shape[1] == m
-    ):
-        raise ValueError("zgtsv takes C-contiguous complex128 diagonals and (k, m) row blocks")
-    ints = (ctypes.c_int64 * 4)(m, 1, m, 0)
-    n_p, nrhs_p, ldb_p, info_p = (ctypes.addressof(ints) + 8 * i for i in range(4))
-    dl_p, du_p = dl.ctypes.data, du.ctypes.data
-    d_p, d_step = lhs.ctypes.data, lhs.strides[0]
-    b_p, b_step = rhs.ctypes.data, rhs.strides[0]
-
-    def solve(k, j):
-        # k and j index rows of lhs and rhs, which the caller keeps in range.
-        zgtsv(n_p, nrhs_p, dl_p, d_p + k * d_step, du_p, b_p + j * b_step, ldb_p, info_p)
-        return ints[3]
-
-    solve.buffers = buffers
-    return solve
-
-
-def _bind_scipy(gtsv, dl, du, lhs, rhs):
-    """``solve(k, j)`` as ``_bind_openblas`` gives it, for SciPy's f2py ``gtsv``.
-
-    Every buffer is a contiguous complex array, so f2py copies none of them
-    and ``overwrite_b`` solves in ``rhs[j]`` itself.
-    """
-
-    def solve(k, j):
-        return gtsv(dl, lhs[k], du, rhs[j], True, True, True, True)[-1]
-
-    return solve
-
-
 @functools.cache
-def _openblas_gtsv():
-    """``_bind_openblas`` for the ``scipy_zgtsv_64_`` of the OpenBLAS in
-    NumPy's wheel, or None if NumPy ships no such library.
+def _openblas_zgtsv():
+    """The ctypes ``scipy_zgtsv_64_`` of the OpenBLAS in NumPy's wheel, or
+    None if NumPy ships no such library.
 
     The library is opened with RTLD_NOLOAD: NumPy has mapped it already, so
     the kernel loads no second copy and, unlike through SciPy, no module.
@@ -424,25 +380,57 @@ def _openblas_gtsv():
             continue
         zgtsv.argtypes = [ctypes.c_void_p] * 8
         zgtsv.restype = None
-        return functools.partial(_bind_openblas, zgtsv)
+        return zgtsv
     return None
 
 
-@functools.cache
-def _scipy_gtsv():
-    """``_bind_scipy`` for SciPy's complex ``gtsv``."""
-    from scipy.linalg.lapack import get_lapack_funcs
+def _gtsv(block, m):
+    """``(lhs, state, solve)``: the (block, m) diagonal rows and the two state
+    rows of a run's solves, and ``solve(k, j, off)``, which overwrites
+    ``state[j]`` with the solution of the system with diagonal ``lhs[k]`` and
+    both off-diagonals ``off``, and returns LAPACK's info.
 
-    return functools.partial(_bind_scipy, get_lapack_funcs("gtsv", dtype=np.complex128))
-
-
-def _gtsv():
-    """The kernel's solver: NumPy's ``zgtsv`` where it has one, else SciPy's.
-
-    Looked up on a run's first step, so a process that only validates loads
-    neither, and cached from then on.
+    ?gtsv overwrites all three diagonals, so ``solve`` refills the
+    off-diagonals, which share one buffer, and a diagonal row is used once.
+    It calls NumPy's ``zgtsv`` (``_openblas_zgtsv``) where there is one and
+    SciPy's ``gtsv``, the same routine, otherwise; the choice is made on a
+    run's first step, so a process that only validates loads neither.
+    NumPy's takes every address once, here, since each would cost ~2 µs per
+    call; the library is ILP64, so n, nrhs, ldb and info are one int64 array.
     """
-    return _openblas_gtsv() or _scipy_gtsv()
+    offs = np.empty(2 * (m - 1), dtype=complex)
+    dl, du = offs[: m - 1], offs[m - 1 :]
+    lhs = np.empty((block, m), dtype=complex)
+    state = np.empty((2, m), dtype=complex)
+    zgtsv = _openblas_zgtsv()
+    if zgtsv is None:
+        from scipy.linalg.lapack import get_lapack_funcs
+
+        gtsv = get_lapack_funcs("gtsv", dtype=np.complex128)
+
+        def solve(k, j, off):
+            # Every buffer is a contiguous complex array, so f2py copies none
+            # of them and overwrite_b solves in state[j] itself.
+            offs.fill(off)
+            return gtsv(dl, lhs[k], du, state[j], True, True, True, True)[-1]
+
+        return lhs, state, solve
+
+    ints = (ctypes.c_int64 * 4)(m, 1, m, 0)
+    n_p, nrhs_p, ldb_p, info_p = (ctypes.addressof(ints) + 8 * i for i in range(4))
+    dl_p, du_p = dl.ctypes.data, du.ctypes.data
+    d_p, d_step = lhs.ctypes.data, lhs.strides[0]
+    b_p, b_step = state.ctypes.data, state.strides[0]
+
+    def solve(k, j, off):
+        # k and j index rows of lhs and state, which the caller keeps in range.
+        offs.fill(off)
+        zgtsv(n_p, nrhs_p, dl_p, d_p + k * d_step, du_p, b_p + j * b_step, ldb_p, info_p)
+        return ints[3]
+
+    # lhs and state live as long as solve, which uses their addresses.
+    solve.buffers = (lhs, state)
+    return lhs, state, solve
 
 
 def _stream(
@@ -471,24 +459,17 @@ def _stream(
 
     norm0 = psi0.norm()
 
-    # ?gtsv overwrites all three diagonals, so the off-diagonals are refilled
-    # every step, with one fill of the buffer they share; the diagonal is a
-    # block row used once. The block buffers live for the whole run: fresh
-    # ones per block made the one-step blocks of large grids ~10% slower.
-    # The state's two rows take turns as u and rhs: a step builds its
-    # right-hand side in the row u is not in, and the solve turns it into
-    # the next u there.
-    offs = np.empty(2 * (m - 1), dtype=complex)
-    dl, du = offs[: m - 1], offs[m - 1 :]
+    # The block buffers live for the whole run: fresh ones per block made the
+    # one-step blocks of large grids ~10% slower. The state's two rows take
+    # turns as u and rhs: a step builds its right-hand side in the row u is
+    # not in, and the solve turns it into the next u there.
     block = min(last, max(1, _BLOCK_POINTS // m))
     diag = np.empty((block, m))
-    lhs = np.empty((block, m), dtype=complex)
     rmul = np.empty((block, m), dtype=complex)
-    state = np.empty((2, m), dtype=complex)
+    lhs, state, solve = _gtsv(block, m)
     state[0] = psi0.amplitudes[1:-1]
     u, rhs = state
     side = 1  # the row of ``state`` that rhs is
-    solve = _gtsv()(dl, du, lhs, state)
     # Each block runs its steps and takes the records they land on; the first
     # block also takes the start record.
     starts = range(0, last, block)
@@ -520,8 +501,7 @@ def _stream(
                     rhs[:-1] -= ioff * u[1:]
                     rhs[1:] -= ioff * u[:-1]
 
-                    offs.fill(ioff)
-                    info = solve(k, side)
+                    info = solve(k, side, ioff)
                     if info != 0:
                         raise NumericalError(
                             f"tridiagonal solve failed at step {n}: LAPACK ?gtsv info={info}"
@@ -674,7 +654,7 @@ class CovarianceScenario:
     config: PropagatorConfig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceReport:
     """Sample-by-sample agreement between matched tau and t evolutions.
 
@@ -695,7 +675,7 @@ class CovarianceReport:
     energy_tau: np.ndarray
     energy_transform_residual: np.ndarray
     flags: tuple[str, ...] = ()
-    source: CovarianceScenario | None = field(default=None, repr=False, compare=False)
+    source: CovarianceScenario | None = field(default=None, repr=False)
 
     def __post_init__(self):
         columns = (

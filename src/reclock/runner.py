@@ -120,12 +120,15 @@ _DISPATCH = {
 }
 
 
-def _misses(kind: ScenarioKind, metrics: dict[str, float], tol: dict[str, float]) -> list[str]:
+def _misses(
+    kind: ScenarioKind, metrics: dict[str, float], tol: tuple[tuple[str, float], ...]
+) -> list[str]:
     """One detail line per ``CHECKS`` row of ``kind`` whose metric is not on its
-    bound's side; a NaN metric misses every row."""
+    bound's side, with ``tol`` holding each row's (key, bound) in row order; a
+    NaN metric misses every row."""
     misses = []
-    for key, metric, sense, _ in CHECKS[kind]:
-        value, bound = metrics[metric], tol[key]
+    for (_, metric, sense, _), (_, bound) in zip(CHECKS[kind], tol, strict=True):
+        value = metrics[metric]
         if sense == ">=" and not (value >= bound):
             misses.append(f"{metric} {value:.12g} < {bound:.12g}")
         elif sense == "<=" and not (value <= bound):

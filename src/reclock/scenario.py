@@ -106,7 +106,7 @@ class Scenario:
     potential: PotentialSpec
     tau_span: tuple[float, float]
     t_span: tuple[float, float]
-    tolerances: dict[str, float]
+    tolerances: tuple[tuple[str, float], ...]
     grid: SpatialGrid | None = None
     gaussian: GaussianSpec | None = None
     classical_initial: tuple[float, float] | None = None
@@ -308,8 +308,10 @@ def parse_scenario(path) -> Scenario:
             num_sec.call(check_step_count, *span, propagator.dt)
 
     tol_sec = section("tolerances", required=False)
-    # Only the kind's own keys are read; finish() rejects any other.
-    tolerances = {key: tol_sec.take(key, _parse_float, bound) for key, _, _, bound in CHECKS[kind]}
+    # Only the kind's own keys are read, in CHECKS order; finish() rejects any other.
+    tolerances = tuple(
+        (key, tol_sec.take(key, _parse_float, bound)) for key, _, _, bound in CHECKS[kind]
+    )
     tol_sec.finish()
 
     if sections:

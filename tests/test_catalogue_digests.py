@@ -8,9 +8,10 @@ an artifact on purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_catalogue_digests.py > tests/catalogue.sha256
 
-The header records the environment the digests were taken in. A mismatch
-prints it next to the running one, so a new NumPy, BLAS or CPU reads as a
-change of environment rather than of the code.
+The header records the environment the digests were taken in, including
+the LAPACK routine the kernel calls. A mismatch prints it next to the
+running one, so a new NumPy, BLAS, solver or CPU reads as a change of
+environment rather than of the code.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+import reclock.quantum as quantum
 from reclock.cli import catalogue_paths
 from reclock.runner import Status, run_many
 
@@ -38,12 +40,14 @@ def _cpu() -> str:
 
 
 def environment() -> dict[str, str]:
-    """The versions and machine that an artifact's floats can depend on."""
+    """The versions, solver and machine that an artifact's floats can depend on."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
+    bundled = quantum._openblas_zgtsv() is not None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         **{key: f"{deps[key].get('name', '?')} {deps[key].get('version', '?')}" for key in ("blas", "lapack")},
+        "solver": "NumPy's bundled scipy_zgtsv_64_" if bundled else "SciPy's gtsv",
         "machine": f"{platform.system()} {platform.machine()}",
         "cpu": _cpu(),
     }

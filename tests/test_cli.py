@@ -423,8 +423,8 @@ def test_each_check_fails_a_run_and_keeps_its_artifacts(tmp_path, capsys, kind, 
     bound = 1e300 if sense == ">=" else -1e300
     path = _write(tmp_path, f"{_KIND_TEXTS[kind]}\n[tolerances]\n{key} = {bound}\n", "x.scenario")
     scenario = parse_scenario(path)
-    assert scenario.tolerances[key] == bound
-    assert list(scenario.tolerances) == [row[0] for row in CHECKS[kind]]
+    assert dict(scenario.tolerances)[key] == bound
+    assert [k for k, _ in scenario.tolerances] == [row[0] for row in CHECKS[kind]]
 
     summary = runner.run_scenario(scenario, out_root=tmp_path / "r")
     assert summary.status is Status.FAIL
@@ -439,7 +439,7 @@ def test_each_check_fails_a_run_and_keeps_its_artifacts(tmp_path, capsys, kind, 
 def test_a_nan_metric_misses_every_check():
     nan = float("nan")
     for kind, rows in CHECKS.items():
-        defaults = {key: bound for key, _, _, bound in rows}
+        defaults = tuple((key, bound) for key, _, _, bound in rows)
         misses = runner._misses(kind, {metric: nan for _, metric, _, _ in rows}, defaults)
         assert len(misses) == len(rows) and all(" nan " in m for m in misses)
 

@@ -70,6 +70,12 @@ def _energies_dx_twice(amps, h_amps, dx, _energies=quantum._energies):
     return _energies(amps, h_amps, dx) * dx
 
 
+def _conjugated_implicit_off_diagonal(block, m, _gtsv=quantum._gtsv):
+    # The solve's off-diagonal conjugated; the right-hand side keeps its own.
+    lhs, state, solve = _gtsv(block, m)
+    return lhs, state, lambda k, j, off: solve(k, j, off.conjugate())
+
+
 def _planned(edit, _plan=quantum._plan):
     # Every run's plan, tau and t alike, with ``edit`` applied before it steps.
     return lambda *args, **kwargs: edit(_plan(*args, **kwargs))
@@ -108,6 +114,11 @@ MUTANTS = {
     # The rate T' applied twice: the prefactors feed only the generator.
     "rate-applied-twice": (
         quantum, "_plan", _planned(lambda plan: replace(plan, prefs=plan.prefs**2)),
+        ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
+         ("sine",)),
+    ),
+    "implicit-off-diagonal-conjugated": (
+        quantum, "_gtsv", _conjugated_implicit_off_diagonal,
         ("test_spectral_oracle", "test_crank_nicolson_matches_the_spectral_propagator",
          ("sine",)),
     ),

@@ -421,6 +421,22 @@ def test_records_freeze_views_and_leave_the_callers_arrays_writeable():
     assert np.shares_memory(rec.amplitudes, amps)
 
 
+def test_records_compare_by_identity():
+    # Field-wise equality would test arrays for truth and raise NumPy's
+    # "ambiguous" ValueError; hashing would raise a TypeError.
+    clocks, ones = np.arange(3.0), np.ones(3)
+    amps = np.tile(GROUND.amplitudes, (3, 1))
+    pairs = [
+        [EvolutionRecord(GRID, clocks, ones, clocks, amps, ones, ones) for _ in range(2)],
+        [integrate_t(HarmonicPotential(), CST, 1.0, 0.0, (0.0, 1.0)) for _ in range(2)],
+        [CovarianceReport(clocks, clocks, ones, ones, ones, ones, ones, ones, ones) for _ in range(2)],
+        [Wavefunction(GRID, GROUND.amplitudes) for _ in range(2)],
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_overflowing_step_arithmetic_is_a_reclock_error():
     # A clock rate whose product with the generator overflows, and a dt
     # whose step count overflows, fail by name instead of as a numpy
@@ -754,36 +770,37 @@ def test_a_bad_schedule_fails_before_either_run_steps(monkeypatch):
             covariance_experiment(scenario)
 
 
-def _failing_on_fourth_solve(lookup, info):
-    """A stand-in for ``quantum._gtsv`` whose solver, from ``lookup``, reports
-    ``info`` on its fourth call, after solving as usual."""
+def _failing_on_fourth_solve(info, gtsv):
+    """A stand-in for ``quantum._gtsv`` whose ``solve`` reports ``info`` on its
+    fourth call, after solving as usual."""
 
-    def failing_lookup():
-        bind = lookup()
+    def failing_gtsv(block, m):
+        lhs, state, solve = gtsv(block, m)
+        calls = []
 
-        def bind_failing(*buffers):
-            solve = bind(*buffers)
-            calls = []
+        def failing_solve(k, j, off):
+            result = solve(k, j, off)
+            calls.append(None)
+            return info if len(calls) == 4 else result
 
-            def failing_solve(k, j):
-                result = solve(k, j)
-                calls.append(None)
-                return info if len(calls) == 4 else result
+        return lhs, state, failing_solve
 
-            return failing_solve
+    return failing_gtsv
 
-        return bind_failing
 
-    return failing_lookup
+def _solver_lookups():
+    """``_openblas_zgtsv`` stand-ins for each path the kernel has here: NumPy's
+    bundled zgtsv if there is one, and None, which selects SciPy's gtsv."""
+    bundled = quantum._openblas_zgtsv()
+    return [lambda found=found: found for found in ([bundled] if bundled else []) + [None]]
 
 
 @pytest.mark.parametrize("info", [2, -4])
 def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeypatch, info):
     cfg = PropagatorConfig(dt=1e-2)
-    for lookup in (quantum._openblas_gtsv, quantum._scipy_gtsv):
-        if lookup() is None:
-            continue  # NumPy bundles no zgtsv here
-        monkeypatch.setattr(quantum, "_gtsv", _failing_on_fourth_solve(lookup, info))
+    monkeypatch.setattr(quantum, "_gtsv", _failing_on_fourth_solve(info, quantum._gtsv))
+    for lookup in _solver_lookups():
+        monkeypatch.setattr(quantum, "_openblas_zgtsv", lookup)
         with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
             propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
 
@@ -808,8 +825,7 @@ def test_both_tridiagonal_solvers_step_float_for_float(monkeypatch):
     # broken lookup cannot fall back to SciPy's unnoticed.
     libs = Path(np.__file__).parents[1] / "numpy.libs"
     bundled = any(libs.glob("libscipy_openblas64_*.so"))
-    assert (quantum._openblas_gtsv() is not None) == bundled
-    assert quantum._gtsv() is (quantum._openblas_gtsv() or quantum._scipy_gtsv())
+    assert (quantum._openblas_zgtsv() is not None) == bundled
     if not bundled:
         pytest.skip("NumPy bundles no OpenBLAS zgtsv, so the kernel has one path")
 
@@ -826,11 +842,11 @@ def test_both_tridiagonal_solvers_step_float_for_float(monkeypatch):
         (_EQUIV_POTENTIALS["driven"], quantum._reference_plan(tau_plan.t, every)),
         (_PivotingWell(kin), quantum._plan((0.0, 2.0), pivoting, None)),
     ]
-    records = {}
-    for lookup in (quantum._openblas_gtsv, quantum._scipy_gtsv):
-        monkeypatch.setattr(quantum, "_gtsv", lookup)
-        records[lookup] = [quantum._run_crank_nicolson(psi0, pot, CST, plan) for pot, plan in runs]
-    for fast, fallback in zip(*records.values()):
+    records = []
+    for lookup in _solver_lookups():
+        monkeypatch.setattr(quantum, "_openblas_zgtsv", lookup)
+        records.append([quantum._run_crank_nicolson(psi0, pot, CST, plan) for pot, plan in runs])
+    for fast, fallback in zip(*records, strict=True):
         assert len(fast.clocks) > 10
         for column in ("amplitudes", "norms", "energies"):
             assert np.array_equal(getattr(fast, column), getattr(fallback, column))

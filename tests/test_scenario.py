@@ -1,5 +1,6 @@
 """Strict parsing of scenario files into validated experiment descriptions."""
 
+import pickle
 import re
 
 import pytest
@@ -133,7 +134,7 @@ def test_parse_quantum_scenario(tmp_path):
     assert sc.gaussian.center == 1.0 and sc.gaussian.momentum == 0.0
     assert sc.propagator.dt == 1e-3 and sc.propagator.record_every == 10
     assert sc.classical_initial is None and sc.sweep_dts is None
-    assert sc.tolerances["min_fidelity"] == 1.0 - 1e-5
+    assert dict(sc.tolerances)["min_fidelity"] == 1.0 - 1e-5
 
 
 def test_parse_classical_scenario(tmp_path):
@@ -142,7 +143,7 @@ def test_parse_classical_scenario(tmp_path):
     assert isinstance(sc.timemap, IdentityMap)
     assert sc.classical_initial == (0.5, 1.0)
     assert sc.integrator_tol == 1e-10
-    assert sc.tolerances["max_error"] == 1e-6
+    assert dict(sc.tolerances)["max_error"] == 1e-6
     assert sc.grid is None and sc.propagator is None
     assert sc.t_span == sc.tau_span
 
@@ -153,7 +154,19 @@ def test_parse_sweep_scenario(tmp_path):
     assert sc.sweep_dts == (4e-3, 2e-3, 1e-3)
     # Shared stepping knobs are validated against the finest step.
     assert sc.propagator.dt == 1e-3
-    assert sc.tolerances["order_min"] == 1.8 and sc.tolerances["order_max"] == 2.2
+    assert sc.tolerances == (("order_min", 1.8), ("order_max", 2.2))
+
+
+@pytest.mark.parametrize(
+    "text", [QUANTUM_TEXT, CLASSICAL_TEXT, SWEEP_TEXT], ids=["quantum", "classical", "sweep"]
+)
+def test_a_parsed_scenario_is_immutable_hashable_and_pickles(tmp_path, text):
+    sc = parse_scenario(_write(tmp_path, text))
+    with pytest.raises(TypeError):
+        sc.tolerances[0] = ("min_fidelity", 0.0)
+    # A --jobs pool sends every scenario to its workers by pickle.
+    copy = pickle.loads(pickle.dumps(sc))
+    assert copy == sc and hash(copy) == hash(sc)
 
 
 def test_missing_file_is_a_scenario_error(tmp_path):
