@@ -6,8 +6,9 @@ the classical and quantum layers.
 
 A time map is a monotone relabeling t = T(tau) of the evolution clock with a
 strictly positive rate dT/dtau. Each family's construction ends in
-``TimeMap._check_clock``, which checks an exact lower bound on the rate and
-finite T' and T at both domain ends; nothing is checked at evaluation time.
+``TimeMap._check_clock``, which checks the domain, an exact lower bound on
+the rate and finite T' and T at both domain ends; nothing is checked at
+evaluation time.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ class TimeMap(abc.ABC):
                 )
 
     def _check_clock(self, floor: float | None = None, bound: str = ""):
-        """Raise a ValidationError unless ``floor``, the exact lower bound ``bound`` of the rate,
-        clears MONOTONE_MARGIN and T' and T, which a run reads, are finite at both ends."""
+        """Raise a ValidationError unless the domain is a finite increasing pair,
+        ``floor``, the exact lower bound ``bound`` of the rate, clears MONOTONE_MARGIN,
+        and T' and T, which a run reads, are finite at both ends. Every family ends
+        its construction here, after checking its own parameters."""
+        object.__setattr__(self, "domain", check_span("domain", self.domain))
         if floor is not None and not floor >= MONOTONE_MARGIN:
             raise ValidationError(
                 f"the clock rate dT/dtau >= {bound} = {floor:.3g} can fall below "
@@ -172,7 +176,6 @@ class LinearMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", check_span("domain", self.domain))
         check_real("alpha of the monotone clock T = tau/alpha", self.alpha, positive=True)
         self._check_clock()
 
@@ -209,7 +212,6 @@ class SinePerturbedMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", check_span("domain", self.domain))
         slope = check_real("amplitude", self.amplitude) * check_real("frequency", self.frequency)
         self._check_clock(1.0 - abs(slope), "1 - |amplitude*frequency|")
 
@@ -235,7 +237,6 @@ class SmoothRampMap(TimeMap):
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", check_span("domain", self.domain))
         check_real("center", self.center)
         for name in ("rate_start", "rate_end", "sharpness"):
             check_real(name, getattr(self, name), positive=True)

@@ -266,6 +266,7 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     Within ``snap = LANDMARK_SNAP_FRACTION * dt`` a landmark replaces a ladder
     rung, and b, instead of leaving a micro-step next to it. Two landmarks
     that close to each other are rejected, since one of them would be lost.
+    b itself is never outside the span, even when the span is shorter than snap.
     """
     if not b > a:
         raise ValidationError(f"span must satisfy b > a, got ({a}, {b})")
@@ -279,7 +280,7 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
                 f"separation {snap:.3g} ({LANDMARK_SNAP_FRACTION:g} * dt)"
             )
     for lm in marks:
-        if lm <= a + snap or lm > b + snap:
+        if (lm <= a + snap and lm != b) or lm > b + snap:
             raise ValidationError(f"landing time {lm} outside span ({a}, {b}]")
     if not marks or b - marks[-1] > snap:
         marks.append(b)

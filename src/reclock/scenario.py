@@ -5,10 +5,11 @@ Each section that describes an object is read against that object's class:
 its keys are the class's constructor fields, a field without a default is a
 required key, and an omitted key takes the class default. ``[timemap]`` and
 ``[potential]`` pick the class with their ``family`` key. Parsing is strict:
-unknown sections or keys are errors, every embedded object (clock map,
-potential, grid, initial state) is constructed and validated immediately,
-and the derived t-interval is computed from the declared map, so an invalid
-scenario never reaches the runner.
+every embedded object (clock map, potential, grid, initial state) is
+constructed and validated immediately, and the t-interval is derived from
+the declared map, so an invalid scenario never reaches the runner. A read
+key leaves its section as a read section leaves the file; whatever is left,
+which the kind never reads, is reported once, after every other fault.
 
 Example::
 
@@ -58,17 +59,14 @@ from .quantum import PropagatorConfig, check_step_count
 
 SCHEMA_VERSION = 1
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+# The name is its artifact directory's name, and filesystems cap one at 255 bytes.
+_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,254}$")
 
 
 class ScenarioKind(Enum):
     QUANTUM_COVARIANCE = "quantum_covariance"
     CLASSICAL_EQUIVALENCE = "classical_equivalence"
     CONVERGENCE_SWEEP = "convergence_sweep"
-
-
-# The kinds that step a wavefunction: they read [grid] and a Gaussian, and call LAPACK.
-QUANTUM_KINDS = frozenset({ScenarioKind.QUANTUM_COVARIANCE, ScenarioKind.CONVERGENCE_SWEEP})
 
 
 @dataclass(frozen=True)
@@ -138,17 +136,15 @@ class _Section:
     def __init__(self, name: str, data: dict[str, str]):
         self.name = name
         self.data = dict(data)
-        self.seen: set[str] = set()
 
     def take(self, key: str, parse=None, default=MISSING):
         """The key's raw text, or ``parse(raw, where)`` of it; ``default`` if
-        absent, and a key with no default is required."""
-        self.seen.add(key)
+        absent, and a key with no default is required. A read key leaves ``data``."""
         if key not in self.data:
             if default is MISSING:
                 raise ScenarioError(f"[{self.name}] missing required key {key!r}")
             return default
-        raw = self.data[key]
+        raw = self.data.pop(key)
         return raw if parse is None else parse(raw, f"[{self.name}] {key}")
 
     def call(self, fn, *args, **kwargs):
@@ -157,13 +153,6 @@ class _Section:
             return fn(*args, **kwargs)
         except ValidationError as exc:
             raise ScenarioError(f"[{self.name}] {exc}") from exc
-
-    def finish(self):
-        unknown = sorted(set(self.data) - self.seen)
-        if unknown:
-            raise ScenarioError(
-                f"[{self.name}] unknown key(s): {', '.join(unknown)}"
-            )
 
 
 _TIMEMAPS = {
@@ -185,17 +174,14 @@ def _build(cls, sec: _Section, **given):
 
     A field without a default is a required key, and an omitted optional key
     takes the class default. ``int`` fields parse as integers and all others
-    as finite floats. The constructor's ValidationError is reported under
-    the section's name, and then every key of the section must have been read.
+    as finite floats. The constructor's ValidationError is reported under ``sec``.
     """
     values = dict(given)
     for f in fields(cls):
         if f.init and f.name not in given:
             parse = _parse_int if f.type in (int, "int") else _parse_float
             values[f.name] = sec.take(f.name, parse, f.default)
-    built = sec.call(cls, **values)
-    sec.finish()
-    return built
+    return sec.call(cls, **values)
 
 
 def _build_family(table: dict, sec: _Section, **given):
@@ -228,14 +214,14 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: a DEFAULT section is not allowed")
 
     sections = {name: _Section(name, dict(parser.items(name))) for name in parser.sections()}
+    read: list[_Section] = []  # the sections handed out, in read order
 
     def section(name: str, required: bool = True) -> _Section:
         # A read section leaves the table; a missing optional one reads as empty.
-        if name in sections:
-            return sections.pop(name)
-        if required:
+        if name not in sections and required:
             raise ScenarioError(f"{path}: missing required section [{name}]")
-        return _Section(name, {})
+        read.append(sections.pop(name) if name in sections else _Section(name, {}))
+        return read[-1]
 
     head = section("scenario")
     version = head.take("schema_version", _parse_int)
@@ -246,7 +232,8 @@ def parse_scenario(path) -> Scenario:
     name = head.take("name")
     if not _NAME_RE.match(name):
         raise ScenarioError(
-            f"[scenario] name {name!r} must be filesystem-safe ([A-Za-z0-9._-])"
+            f"[scenario] name {name!r} must be filesystem-safe "
+            "([A-Za-z0-9._-], at most 255 characters)"
         )
     kind_raw = head.take("kind")
     try:
@@ -254,14 +241,12 @@ def parse_scenario(path) -> Scenario:
     except ValueError:
         allowed = ", ".join(k.value for k in ScenarioKind)
         raise ScenarioError(f"[scenario] unknown kind {kind_raw!r}; available: {allowed}")
-    head.finish()
 
     constants = _build(PhysicalConstants, section("constants", required=False))
 
     span_sec = section("span")
     tau0 = span_sec.take("tau0", _parse_float)
     tau1 = span_sec.take("tau1", _parse_float)
-    span_sec.finish()
     if not tau1 > tau0:
         raise ScenarioError(f"[span] need tau1 > tau0, got ({tau0}, {tau1})")
 
@@ -272,24 +257,20 @@ def parse_scenario(path) -> Scenario:
     # The Scenario fields only this kind sets.
     parts = {}
     init_sec = section("initial_state")
-    if kind in QUANTUM_KINDS:
-        grid = parts["grid"] = _build(SpatialGrid, section("grid"))
-        g = parts["gaussian"] = _build(GaussianSpec, init_sec)
-        # Build once now so support/normalization problems fail at parse time.
-        init_sec.call(prepare_gaussian, grid, g.center, g.width, g.momentum, constants)
-    else:
+    if kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
         parts["classical_initial"] = (
             init_sec.take("x0", _parse_float),
             init_sec.take("p0", _parse_float),
         )
-        init_sec.finish()
-
-    num_sec = section("numerics")
-    if kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
+        num_sec = section("numerics")
         tol = num_sec.take("tol", _parse_float, DEFAULT_TOL)
         parts["integrator_tol"] = num_sec.call(check_tol, tol)
-        num_sec.finish()
     else:
+        grid = parts["grid"] = _build(SpatialGrid, section("grid"))
+        g = parts["gaussian"] = _build(GaussianSpec, init_sec)
+        # Build once now so support/normalization problems fail at parse time.
+        init_sec.call(prepare_gaussian, grid, g.center, g.width, g.momentum, constants)
+        num_sec = section("numerics")
         given = {}
         if kind is ScenarioKind.CONVERGENCE_SWEEP:
             raw = num_sec.take("dts")
@@ -308,12 +289,15 @@ def parse_scenario(path) -> Scenario:
             num_sec.call(check_step_count, *span, propagator.dt)
 
     tol_sec = section("tolerances", required=False)
-    # Only the kind's own keys are read, in CHECKS order; finish() rejects any other.
+    # Only the kind's own keys are read, in CHECKS order; any other is left over.
     tolerances = tuple(
         (key, tol_sec.take(key, _parse_float, bound)) for key, _, _, bound in CHECKS[kind]
     )
-    tol_sec.finish()
 
+    # What the kind never reads is reported last: leftover keys, then sections.
+    for sec in read:
+        if sec.data:
+            raise ScenarioError(f"[{sec.name}] unknown key(s): {', '.join(sorted(sec.data))}")
     if sections:
         raise ScenarioError(
             f"{path}: unexpected section(s) for kind {kind.value}: "

@@ -320,6 +320,40 @@ def test_validate_rejects_a_dt_that_run_would_reject(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: [numerics] {run_error.value}\n"
 
 
+@pytest.mark.parametrize("entry", catalogue_paths(), ids=lambda p: p.stem)
+def test_an_unknown_key_in_any_section_of_a_bundled_file_is_named(tmp_path, capsys, entry):
+    text = entry.read_text(encoding="utf-8")
+    sections = re.findall(r"^\[(\w+)\]$", text, flags=re.M)
+    assert sections
+    for name in sections:
+        path = _write(tmp_path, text.replace(f"[{name}]\n", f"[{name}]\nunknown = 1\n"), entry.name)
+        assert entrypoint(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: [{name}] unknown key(s): unknown\n")
+
+
+def test_a_scenario_name_fits_one_directory_entry(tmp_path, capsys):
+    # The name is its artifact directory's name: 255 characters run, 256 do not.
+    for length, code in ((255, 0), (256, 2)):
+        name = "q" * length
+        text = QUANTUM_TEXT.replace("name = cli-quantum", f"name = {name}")
+        path = _write(tmp_path, text, "n.scenario")
+        assert entrypoint(["validate", path]) == code
+        assert entrypoint(["run", path, "--out", str(tmp_path / "r")]) == code
+    assert os.listdir(tmp_path / "r") == ["q" * 255]
+    assert os.listdir(tmp_path / "r" / ("q" * 255)) == ["report.csv"]
+    assert "at most 255 characters" in capsys.readouterr().err
+
+
+def test_a_span_shorter_than_the_landing_snap_runs(tmp_path, capsys):
+    # Over tau1 = 1e-12 at dt = 1e-3 both runs take one step, onto the span's end.
+    source = next(p for p in catalogue_paths() if p.name == "gauge-identity.scenario")
+    text = source.read_text(encoding="utf-8").replace("tau1 = 6.283185307179586", "tau1 = 1e-12")
+    path = _write(tmp_path, text, "short.scenario")
+    assert entrypoint(["run", path, "--out", str(tmp_path / "r")]) == 0
+    assert "Pass" in capsys.readouterr().out
+
+
 def test_a_batch_with_a_repeated_scenario_name_is_rejected(tmp_path, capsys):
     # Both files would write <out>/cli-quantum/, the second over the first.
     first = _write(tmp_path, QUANTUM_TEXT, "first.scenario")

@@ -233,6 +233,15 @@ def test_step_boundaries_rejects_landing_times_closer_than_the_snap():
     assert 0.5 in bounds and 0.5 + 2e-10 in bounds
 
 
+def test_a_span_shorter_than_the_snap_lands_on_its_own_end():
+    # The reference run always lands on b; within snap of a, b is still its
+    # one step [a, b], as the tau run takes, while any earlier time is outside.
+    assert _step_boundaries(0.0, 0.5, 1e9, [0.5]) == [0.0, 0.5]
+    assert _step_boundaries(0.0, 1e-12, 1e-3, [1e-12]) == [0.0, 1e-12]
+    with pytest.raises(ValidationError, match=r"landing time 0\.25 outside span \(0\.0, 0\.5\]"):
+        _step_boundaries(0.0, 0.5, 1e9, [0.25])
+
+
 def test_propagate_t_stationary_state_accrues_only_phase():
     grid = SpatialGrid(-12.0, 12.0, 768)
     psi0 = prepare_gaussian(grid, 0.0, 1.0)

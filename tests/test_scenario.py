@@ -192,6 +192,16 @@ def test_unsafe_name_rejected(tmp_path):
         parse_scenario(_write(tmp_path, text))
 
 
+def test_an_unknown_key_is_reported_after_every_other_fault(tmp_path):
+    # A key the kind never reads is a leftover, found only once the parse ends.
+    text = QUANTUM_TEXT.replace("kind = quantum_covariance", "kind = quantum_covariance\nbogus = 1")
+    with pytest.raises(ScenarioError, match=r"^\[scenario\] unknown key\(s\): bogus$"):
+        parse_scenario(_write(tmp_path, text))
+    text = text.replace("tau1 = 1.0", "tau1 = -1.0")
+    with pytest.raises(ScenarioError, match=r"^\[span\] need tau1 > tau0, got \(0\.0, -1\.0\)$"):
+        parse_scenario(_write(tmp_path, text))
+
+
 def test_non_monotone_map_rejected_at_parse_time(tmp_path):
     text = QUANTUM_TEXT.replace("alpha = 2.0", "alpha = 0.0")
     with pytest.raises(ScenarioError, match="monotone"):
