@@ -39,16 +39,25 @@ by ``_reference_plan``, shortens individual substeps so that it lands
 *exactly* on each comparison time T(tau_k) instead of interpolating. Both
 runs are planned before either steps, then their streams are paired with
 ``zip``, so each matched pair of rows is compared as soon as both exist and
-no whole amplitude record is kept. Agreement is measured with the
+no whole amplitude record is kept. From ``_THREAD_POINTS`` = 1024 grid
+points up, where the GIL-free zgtsv is most of a step, the reference run
+steps in a second thread (``_pumped``) while the tau run steps in the
+caller's; the thread hands its records over through a queue of depth 1, so
+it runs at most one record ahead and holds no more rows than the serial
+pairing. Records, errors and flags are paired in the same order either way,
+so the report is the same bit for bit. Agreement is measured with the
 phase-invariant overlap modulus, so a global phase difference is ignored.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,6 +105,12 @@ MAX_STEPS = 10**7
 # points' worth of steps at once: 32 steps at n=512, where per-call overhead
 # dominates, and one step from n=16384 up, where per-point arithmetic does.
 _BLOCK_POINTS = 1 << 14
+
+# From this many grid points up, a covariance steps its reference t run in a
+# second thread. NumPy's zgtsv, called through ctypes, releases the GIL, so
+# two step loops in two threads took 0.81x the sequential time at m=1022;
+# at m=510 they took 1.57x, as their small NumPy calls contend for the GIL.
+_THREAD_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -192,8 +207,15 @@ def _h_rows(amps: np.ndarray, v: np.ndarray, constants: PhysicalConstants, dx: f
     """H psi for each (full-grid) row of ``amps`` with its interior potential
     row of ``v``: central Laplacian with hard-wall closure."""
     kin = _kinetic_weight(constants, dx)
+    # In place, with the operations of
+    # -kin * (amps[:, 2:] - 2 b + amps[:, :-2]) + v * b, in that order.
+    b = amps[:, 1:-1]
+    lap = np.multiply(2.0, b)
+    np.subtract(amps[:, 2:], lap, out=lap)
+    np.add(lap, amps[:, :-2], out=lap)
+    np.multiply(-kin, lap, out=lap)
     out = np.zeros_like(amps)
-    out[:, 1:-1] = -kin * (amps[:, 2:] - 2.0 * amps[:, 1:-1] + amps[:, :-2]) + v * amps[:, 1:-1]
+    np.add(lap, np.multiply(v, b, out=out[:, 1:-1]), out=out[:, 1:-1])
     return out
 
 
@@ -521,6 +543,7 @@ def _stream(
             norms = row_norms(out, dx)
             h_out = _h_rows(out, v[rows:], constants, dx)
             energies = plan.rates[j0:j1] * _energies(out, h_out, dx)
+            del h_out
             # A boolean column mask leaves the rows strided, and a strided
             # row sums in another order; contiguous rows match a 1D sum.
             leaks = np.sum(np.abs(np.ascontiguousarray(out[:, strip])) ** 2, axis=1) * dx
@@ -532,6 +555,59 @@ def _stream(
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
             yield from zip(out, norms, energies)
+        # Dropped before the next block allocates its own, so a run holds one
+        # block's rows and potential at a time.
+        del out, v
+
+
+_END = object()  # queued by _pumped's thread after the last item
+
+
+def _pumped(items):
+    """The items of the generator ``items``, produced in a daemon thread.
+
+    The thread hands each item over through a queue of depth 1, so it runs
+    at most one item ahead: a deeper queue lets the faster of two runs step
+    ahead and hold every row it has queued. An exception of ``items`` is
+    queued where it occurred and raised here when it is read. The thread
+    runs in a copy of the caller's context, so NumPy's error state there
+    applies to it too. When this generator is closed early, it signals the
+    thread to stop, drains the queue and joins the thread, which closes
+    ``items`` once its current item is handed over.
+    """
+    handoff = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def pump():
+        end = _END
+        try:
+            for item in items:
+                handoff.put(item)
+                # Not kept while the next item is made: it holds its block's rows.
+                del item
+                if stop.is_set():
+                    break
+        except BaseException as exc:
+            # Whatever ends the thread is handed over, or the reader would
+            # wait for ever; the reader raises it.
+            end = exc
+        finally:
+            items.close()
+        handoff.put(end)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(pump,), daemon=True)
+    thread.start()
+    item = None
+    try:
+        while (item := handoff.get()) is not _END:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        stop.set()
+        while item is not _END and not isinstance(item, BaseException):
+            item = handoff.get()
+        thread.join()
 
 
 def _run_crank_nicolson(
@@ -731,7 +807,10 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     Both runs are planned before either steps, so a bad schedule fails before
     any work. The two streams are then paired with ``zip``, and each matched
     pair of rows is compared as soon as both exist and then dropped: no
-    whole amplitude record is ever held.
+    whole amplitude record is ever held. On a grid of ``_THREAD_POINTS`` or
+    more the t stream is stepped in its own thread (``_pumped``); an error
+    of either run is raised at the record where it occurred, the tau run's
+    first on a tie, as ``zip`` does, and the thread has ended on return.
     """
     cst, pot, cfg = scenario.constants, scenario.potential, scenario.config
     psi0 = scenario.initial_state
@@ -743,12 +822,17 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
 
     fid, norm_phi, norm_psi, energy_tau, energy_t = np.empty((5, len(tau_plan.clocks)))
     tau_flags, t_flags = [], []
-    pairs = zip(
-        _stream(psi0, pot, cst, tau_plan, tau_flags), _stream(psi0, pot, cst, t_plan, t_flags)
-    )
-    for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
-        fid[j] = _overlap(psi, phi, psi0.grid.dx)
-        norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
+    t_rows = _stream(psi0, pot, cst, t_plan, t_flags)
+    if psi0.grid.n_points >= _THREAD_POINTS:
+        t_rows = _pumped(t_rows)
+    try:
+        pairs = zip(_stream(psi0, pot, cst, tau_plan, tau_flags), t_rows)
+        for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
+            fid[j] = _overlap(psi, phi, psi0.grid.dx)
+            norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
+    finally:
+        # The t run's thread, if any, ends here, so t_flags is complete.
+        t_rows.close()
 
     return CovarianceReport(
         tau=tau_plan.clocks,

@@ -186,13 +186,26 @@ def require_distinct_names(parsed) -> None:
         first_path[scenario.name] = path
 
 
+def _cost(scenario: Scenario) -> float:
+    """A file's stepping work in point-steps: the sum over its dts of
+    (tau span + t span) / dt * n_points, and 0 for a classical file."""
+    if scenario.kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
+        return 0.0
+    (tau0, tau1), (t0, t1) = scenario.tau_span, scenario.t_span
+    dts = scenario.sweep_dts or (scenario.propagator.dt,)
+    return sum((tau1 - tau0 + t1 - t0) / dt for dt in dts) * scenario.grid.n_points
+
+
 def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list[RunSummary]:
-    """Parse several scenario files, then execute them in order with ``run_scenario``,
-    across up to ``jobs`` worker processes.
+    """Parse several scenario files, execute each with ``run_scenario`` across
+    up to ``jobs`` worker processes, and return the summaries in file order.
 
     Every file is parsed here, in the calling process, before any run
     starts, so a bad file raises ScenarioError before any work is done. So
     do two files of one name, whose artifacts would share one directory.
+    With more than one worker the files are submitted costliest first
+    (``_cost``; ties in file order), the longest-processing-time rule of
+    Graham (1969), so no long file starts last and runs alone.
     """
     scenarios = [parse_scenario(p) for p in paths]
     require_distinct_names(zip(paths, scenarios))
@@ -201,6 +214,7 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     if jobs == 1 or len(scenarios) <= 1:
         return [run_scenario(s, out_root, formats) for s in scenarios]
     workers = min(jobs, len(scenarios))
+    order = sorted(range(len(scenarios)), key=lambda i: _cost(scenarios[i]), reverse=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_scenario, s, out_root, formats) for s in scenarios]
-        return [f.result() for f in futures]
+        futures = {i: pool.submit(run_scenario, scenarios[i], out_root, formats) for i in order}
+        return [futures[i].result() for i in range(len(scenarios))]

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -639,6 +640,39 @@ def test_run_many_validates_jobs(tmp_path):
 
     with pytest.raises(ValidationError, match="jobs"):
         run_many([q], out_root=str(tmp_path / "r"), jobs=0)
+
+
+def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, scenario, *args):
+            submitted.append(scenario.name)
+            future = Future()
+            future.set_result(scenario.name)
+            return future
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    paths = [str(p) for p in catalogue_paths()]
+    names = [parse_scenario(p).name for p in paths]
+    assert run_many(paths, jobs=2) == names
+    # Point-steps: the sweep's three dts, then the longer and the shorter
+    # single runs; the two alpha files tie and keep file order, and the
+    # classical files cost nothing.
+    assert submitted == [
+        "sweep-sine-driven", "sine-driven-harmonic", "linear-alpha-half-harmonic",
+        "linear-alpha2-harmonic", "gauge-identity", "classical-linear-alpha2",
+        "classical-sine-driven",
+    ]
 
 
 def test_unexpected_exception_fails_one_scenario_not_the_batch(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -732,6 +734,62 @@ def test_the_records_read_on_demand_are_the_streamed_runs(clock_name):
     assert bare.tau_record is None and bare.t_record is None
 
 
+@pytest.mark.parametrize("clock_name", sorted(_EQUIV_CLOCKS))
+def test_a_threaded_covariance_equals_the_unthreaded_one_bit_for_bit(clock_name, monkeypatch):
+    # A packet fast enough to reach the edge strip, so both runs flag edge
+    # leakage, and enough records that the t run's thread steps blocks ahead.
+    psi0 = prepare_gaussian(SpatialGrid(-8.5, 8.5, 192), 0.0, 1.0, momentum=12.0)
+    scenario = CovarianceScenario(
+        CST, _EQUIV_POTENTIALS["driven"], _EQUIV_CLOCKS[clock_name], psi0, _EQUIV_SPAN,
+        PropagatorConfig(dt=1e-3, record_every=3),
+    )
+    reports = []
+    interval = sys.getswitchinterval()
+    # Threads switch every few µs, so the runs interleave finely.
+    sys.setswitchinterval(1e-6)
+    try:
+        for crossover in (psi0.grid.n_points + 1, psi0.grid.n_points):
+            monkeypatch.setattr(quantum, "_THREAD_POINTS", crossover)
+            reports.append(covariance_experiment(scenario))
+    finally:
+        sys.setswitchinterval(interval)
+    unthreaded, threaded = reports
+    for name in (
+        "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
+        "energy_t", "energy_tau", "energy_transform_residual",
+    ):
+        assert getattr(threaded, name).tobytes() == getattr(unthreaded, name).tobytes(), name
+    assert any(flag.startswith("edge-leak") for flag in unthreaded.flags)
+    assert threaded.flags == unthreaded.flags
+
+
+def test_a_pumped_stream_runs_under_the_callers_numpy_error_state():
+    def error_state():
+        yield np.geterr()["over"]
+
+    with np.errstate(over="raise"):
+        assert list(quantum._pumped(error_state())) == ["raise"]
+
+
+def test_closing_a_pumped_stream_early_stops_and_joins_its_thread():
+    closed = []
+
+    def endless():
+        try:
+            while True:
+                yield 1
+        finally:
+            closed.append(True)
+
+    threads = threading.active_count()
+    rows = quantum._pumped(endless())
+    assert next(rows) == 1
+    assert threading.active_count() == threads + 1
+    rows.close()
+    assert closed == [True]
+    assert threading.active_count() == threads
+
+
 def test_a_covariance_run_holds_no_whole_amplitude_record():
     # 1001 records of 1024 points: one run's amplitude record alone would
     # take 16.4 MB. The streamed runs hold a block of rows each.
@@ -923,13 +981,24 @@ def test_non_finite_potential_at_a_snapshot_is_reported_before_the_next_step():
         propagate_t(GROUND, _BlowsUpAfter(tevals[5]), CST, span, cfg)
 
 
-@pytest.mark.parametrize("offset, failing", [(5, "t"), (16, "tau")])
-def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(offset, failing):
+@pytest.mark.parametrize("offset, failing, threaded", [
+    pytest.param(5, "t", False, id="5-t"),
+    pytest.param(16, "tau", False, id="16-tau"),
+    pytest.param(5, "t", True, id="5-t-threaded"),
+    pytest.param(16, "tau", True, id="16-tau-threaded"),
+])
+def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(
+    offset, failing, threaded, monkeypatch
+):
     # The tau run steps its first block, then the t run steps blocks until it
     # has every record of that block, then the tau run steps its second block.
     # V turns infinite inside the second tau block, past the t clocks of both
     # runs' first blocks: just past them, the t run's catching-up block meets
-    # it first; further on, the second tau block does.
+    # it first; further on, the second tau block does. In its own thread the
+    # t run may step further ahead, but its error is read at the record where
+    # it occurred, so the same run is reported, and no thread is left behind.
+    if threaded:
+        monkeypatch.setattr(quantum, "_THREAD_POINTS", GRID.n_points)
     span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=1)
     tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=span)
     block = quantum._BLOCK_POINTS // (GRID.n_points - 2)
@@ -945,10 +1014,13 @@ def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(offset,
     firsts = {"tau": first_bad(tau_plan), "t": first_bad(t_plan)}
     assert firsts["tau"] != firsts["t"]
     msg = re.escape(f"potential produced non-finite values at t={firsts[failing]}") + "$"
-    with pytest.raises(NumericalError, match=msg):
+    threads = threading.active_count()
+    with pytest.raises(NumericalError, match=msg) as caught:
         covariance_experiment(
             CovarianceScenario(CST, _BlowsUpAfter(t_bad), tmap, GROUND, span, cfg)
         )
+    # Counted while the traceback, and so the experiment's frame, is alive.
+    assert threading.active_count() == threads, caught
 
 
 def test_scalar_and_array_potentials_give_identical_runs():
