@@ -39,25 +39,26 @@ by ``_reference_plan``, shortens individual substeps so that it lands
 *exactly* on each comparison time T(tau_k) instead of interpolating. Both
 runs are planned before either steps, then their streams are paired with
 ``zip``, so each matched pair of rows is compared as soon as both exist and
-no whole amplitude record is kept. From ``_THREAD_POINTS`` = 1024 grid
-points up, where the GIL-free zgtsv is most of a step, the reference run
-steps in a second thread (``_pumped``) while the tau run steps in the
-caller's; the thread hands its records over through a queue of depth 1, so
-it runs at most one record ahead and holds no more rows than the serial
-pairing. Records, errors and flags are paired in the same order either way,
+no whole amplitude record is kept. With ``side_by_side`` the experiment
+forks a child process (``_Forked``) that steps the reference run while the
+tau run steps in the caller. The child writes each record to a pipe of
+``_PIPE_BYTES``, so the rows in flight are bounded by the pipe's buffer and
+none sit on the caller's heap; the caller's NumPy error state reaches the
+child through the fork itself. The runner asks for this only where every
+process running scenarios has a core to spare. Threads paid only from 1024
+grid points up: at 512, two step loops in two threads took 1.57x the time
+of one, as each ~40 us step hands the GIL over twice; two processes share
+no GIL. Records, errors and flags are paired in the same order either way,
 so the report is the same bit for bit. Agreement is measured with the
 phase-invariant overlap modulus, so a global phase difference is ignored.
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
 import functools
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -106,11 +107,13 @@ MAX_STEPS = 10**7
 # dominates, and one step from n=16384 up, where per-point arithmetic does.
 _BLOCK_POINTS = 1 << 14
 
-# From this many grid points up, a covariance steps its reference t run in a
-# second thread. NumPy's zgtsv, called through ctypes, releases the GIL, so
-# two step loops in two threads took 0.81x the sequential time at m=1022;
-# at m=510 they took 1.57x, as their small NumPy calls contend for the GIL.
-_THREAD_POINTS = 1024
+# A forked reference run's pipe holds this many bytes of records: about four
+# blocks' worth at any grid size, so the child steps on while its last
+# records wait to be read. Linux's default 64 KB holds seven rows at n=512:
+# there the two processes took 1.52-1.62 s on a dense-record covariance that
+# one process steps in 1.43-1.48 s, and with 1 MB they took 0.88-1.04 s
+# (in-process, 2-vCPU Xeon).
+_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -560,54 +563,106 @@ def _stream(
         del out, v
 
 
-_END = object()  # queued by _pumped's thread after the last item
+class _Forked:
+    """The ``(row, norm, energy)`` records of the stream ``items``, stepped in
+    a forked child process while this one does other work.
 
-
-def _pumped(items):
-    """The items of the generator ``items``, produced in a daemon thread.
-
-    The thread hands each item over through a queue of depth 1, so it runs
-    at most one item ahead: a deeper queue lets the faster of two runs step
-    ahead and hold every row it has queued. An exception of ``items`` is
-    queued where it occurred and raised here when it is read. The thread
-    runs in a copy of the caller's context, so NumPy's error state there
-    applies to it too. When this generator is closed early, it signals the
-    thread to stop, drains the queue and joins the thread, which closes
-    ``items`` once its current item is handed over.
+    The child writes each record to a pipe as one frame of complex numbers:
+    0, then norm + 1j energy, then the row. At the end it writes 1, then the
+    pickled ``flags`` its stream appended, or the exception the stream
+    raised, which ``__next__`` raises where it occurred. An exception that
+    does not survive pickling arrives as a NumericalError naming its type
+    and message. The child leaves only through ``os._exit``, so it runs no
+    exit handler and flushes no buffer of this process. ``close`` kills a
+    child that has not finished and reaps it; the caller must call it.
     """
-    handoff = queue.Queue(maxsize=1)
-    stop = threading.Event()
 
-    def pump():
-        end = _END
+    def __init__(self, items, flags: list, n_points: int):
+        self.flags, self.n_points = flags, n_points
+        self.ended = False
+        read_fd, write_fd = os.pipe()
         try:
-            for item in items:
-                handoff.put(item)
-                # Not kept while the next item is made: it holds its block's rows.
-                del item
-                if stop.is_set():
-                    break
-        except BaseException as exc:
-            # Whatever ends the thread is handed over, or the reader would
-            # wait for ever; the reader raises it.
-            end = exc
-        finally:
-            items.close()
-        handoff.put(end)
+            import fcntl
 
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(pump,), daemon=True)
-    thread.start()
-    item = None
-    try:
-        while (item := handoff.get()) is not _END:
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-    finally:
-        stop.set()
-        while item is not _END and not isinstance(item, BaseException):
-            item = handoff.get()
-        thread.join()
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass  # not Linux, or past the system's pipe limits: the default pipe
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(read_fd)
+                _feed(items, flags, write_fd)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self.reader = open(read_fd, "rb")
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.ended:
+            raise StopIteration
+        # A record's whole frame in one read, into an aligned row of its own.
+        frame = np.empty(2 + self.n_points, dtype=complex)
+        got = self.reader.readinto(frame)
+        if got == frame.nbytes and frame[0] == 0:
+            return frame[2:], frame[1].real, frame[1].imag
+        self.ended = True
+        if got >= 16 and frame[0] == 1:
+            import pickle
+
+            end = pickle.loads(frame.tobytes()[16:got] + self.reader.read())
+            if isinstance(end, BaseException):
+                raise end
+            self.flags.extend(end)
+            raise StopIteration
+        code = os.waitstatus_to_exitcode(self.close())
+        raise NumericalError(
+            f"the reference run's process ended without its result (exit code {code})"
+        )
+
+    def close(self):
+        """Kill the child if it has not finished, reap it and return its wait
+        status; a second call does nothing."""
+        if self.pid == 0:
+            return None
+        self.reader.close()
+        if not self.ended:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        return status
+
+
+def _feed(items, flags: list, fd: int):
+    """The forked child's work: write the records of ``items`` to ``fd`` as
+    ``_Forked`` reads them, then ``flags`` or the exception raised."""
+    import pickle
+
+    with open(fd, "wb") as out:
+        try:
+            for row, norm, energy in items:
+                # Flushed at once: a record held back while the stream steps
+                # on would stall the reader.
+                out.write(np.concatenate([(0, complex(norm, energy)), row]))
+                out.flush()
+            end = flags
+        except BaseException as exc:
+            end = exc  # handed over, and raised by the reader
+        try:
+            data = pickle.dumps(end)
+            pickle.loads(data)  # some exceptions pickle but cannot be rebuilt
+        except Exception:
+            data = pickle.dumps(NumericalError(f"{type(end).__name__}: {end}"))
+        out.write(np.array(1, dtype=complex).tobytes() + data)
 
 
 def _run_crank_nicolson(
@@ -796,7 +851,9 @@ class CovarianceReport:
         return max(float(np.max(np.abs(n - n[0]))) for n in (self.norm_psi, self.norm_phi))
 
 
-def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
+def covariance_experiment(
+    scenario: CovarianceScenario, side_by_side: bool = False
+) -> CovarianceReport:
     """Run matched tau/t evolutions and compare them sample by sample.
 
     The relabeled run is stepped uniformly in tau; the reference run steps
@@ -807,10 +864,11 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     Both runs are planned before either steps, so a bad schedule fails before
     any work. The two streams are then paired with ``zip``, and each matched
     pair of rows is compared as soon as both exist and then dropped: no
-    whole amplitude record is ever held. On a grid of ``_THREAD_POINTS`` or
-    more the t stream is stepped in its own thread (``_pumped``); an error
+    whole amplitude record is ever held. With ``side_by_side`` the t stream
+    is stepped in a forked child process (``_Forked``), which needs
+    ``os.fork`` and pays only where a core is free for the child; an error
     of either run is raised at the record where it occurred, the tau run's
-    first on a tie, as ``zip`` does, and the thread has ended on return.
+    first on a tie, as ``zip`` does, and the child has been reaped on return.
     """
     cst, pot, cfg = scenario.constants, scenario.potential, scenario.config
     psi0 = scenario.initial_state
@@ -823,15 +881,17 @@ def covariance_experiment(scenario: CovarianceScenario) -> CovarianceReport:
     fid, norm_phi, norm_psi, energy_tau, energy_t = np.empty((5, len(tau_plan.clocks)))
     tau_flags, t_flags = [], []
     t_rows = _stream(psi0, pot, cst, t_plan, t_flags)
-    if psi0.grid.n_points >= _THREAD_POINTS:
-        t_rows = _pumped(t_rows)
+    if side_by_side:
+        t_rows = _Forked(t_rows, t_flags, psi0.grid.n_points)
     try:
-        pairs = zip(_stream(psi0, pot, cst, tau_plan, tau_flags), t_rows)
+        # strict: after the last pair the t stream is read to its end, where
+        # a forked one hands over its flags.
+        pairs = zip(_stream(psi0, pot, cst, tau_plan, tau_flags), t_rows, strict=True)
         for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
             fid[j] = _overlap(psi, phi, psi0.grid.dx)
             norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
     finally:
-        # The t run's thread, if any, ends here, so t_flags is complete.
+        # A forked t run's child is reaped here, whatever ended the pairing.
         t_rows.close()
 
     return CovarianceReport(

@@ -9,10 +9,11 @@ never written into artifacts, which keeps re-runs byte-identical.
 
 from __future__ import annotations
 
+import os
 import sys
+import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -56,8 +57,9 @@ def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
     return paths
 
 
-def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
-    """Prepare the scenario's initial state and run its covariance experiment at step dt."""
+def _covariance(scenario: Scenario, dt: float, side_by_side: bool) -> CovarianceReport:
+    """Prepare the scenario's initial state and run its covariance experiment
+    at step dt, with its two runs side by side if asked."""
     g = scenario.gaussian
     psi0 = prepare_gaussian(scenario.grid, g.center, g.width, g.momentum, scenario.constants)
     return covariance_experiment(
@@ -68,16 +70,17 @@ def _covariance(scenario: Scenario, dt: float) -> CovarianceReport:
             initial_state=psi0,
             tau_span=scenario.tau_span,
             config=replace(scenario.propagator, dt=dt),
-        )
+        ),
+        side_by_side,
     )
 
 
-def _run_quantum(scenario: Scenario):
-    artifact = layout(_covariance(scenario, scenario.propagator.dt))
+def _run_quantum(scenario: Scenario, side_by_side: bool):
+    artifact = layout(_covariance(scenario, scenario.propagator.dt, side_by_side))
     return artifact[2], {"report": artifact}  # its summary holds the run's metrics
 
 
-def _run_classical(scenario: Scenario):
+def _run_classical(scenario: Scenario, side_by_side: bool):
     x0, p0 = scenario.classical_initial
     pot, cst, tol = scenario.potential, scenario.constants, scenario.integrator_tol
     traj_tau = integrate_tau(pot, cst, scenario.timemap, x0, p0, scenario.tau_span, tol)
@@ -87,11 +90,11 @@ def _run_classical(scenario: Scenario):
     return {"max_trajectory_error": error}, layouts
 
 
-def _run_sweep(scenario: Scenario):
+def _run_sweep(scenario: Scenario, side_by_side: bool):
     dts = np.array(scenario.sweep_dts)
     min_fid, residual, flags = [], [], []
     for dt in dts:
-        report = _covariance(scenario, float(dt))
+        report = _covariance(scenario, float(dt), side_by_side)
         min_fid.append(report.min_fidelity)
         residual.append(report.max_energy_transform_residual)
         flags.extend(f"dt={dt:g}: {flag}" for flag in report.flags)
@@ -112,7 +115,8 @@ def _run_sweep(scenario: Scenario):
     return metrics, {"sweep": artifact}
 
 
-# Each kind's runner: scenario -> (metrics, {artifact stem: layout}); flags ride in the layouts.
+# Each kind's runner: (scenario, side_by_side) -> (metrics, {artifact stem:
+# layout}); flags ride in the layouts, and a classical run has no side by side.
 _DISPATCH = {
     ScenarioKind.QUANTUM_COVARIANCE: _run_quantum,
     ScenarioKind.CLASSICAL_EQUIVALENCE: _run_classical,
@@ -136,14 +140,18 @@ def _misses(
     return misses
 
 
-def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> RunSummary:
+def run_scenario(
+    scenario: Scenario, out_root="reports", formats=("csv",), side_by_side: bool = False
+) -> RunSummary:
     """Execute one scenario, check its metrics against its tolerances, write its
-    artifacts under ``<out_root>/<name>/`` once per format, and summarize the outcome."""
+    artifacts under ``<out_root>/<name>/`` once per format, and summarize the
+    outcome. ``side_by_side`` steps each covariance's reference run in a forked
+    child (see ``covariance_experiment``)."""
     out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
-        metrics, layouts = _DISPATCH[scenario.kind](scenario)
+        metrics, layouts = _DISPATCH[scenario.kind](scenario, side_by_side)
         flags = [flag for *_, layout_flags in layouts.values() for flag in layout_flags]
         misses = _misses(scenario.kind, metrics, scenario.tolerances)
         artifacts = _emit(layouts, out_dir, formats)
@@ -196,6 +204,22 @@ def _cost(scenario: Scenario) -> float:
     return sum((tau1 - tau0 + t1 - t0) / dt for dt in dts) * scenario.grid.n_points
 
 
+def _side_by_side(workers: int) -> bool:
+    """Whether each of ``workers`` processes running scenarios at once should
+    step a covariance's two runs side by side: only if ``os.fork`` exists,
+    this process runs no other thread, and every worker has a core to spare
+    for its child. With fewer cores the children only take turns with the
+    workers: forking in a ``--jobs 2`` catalogue on 2 vCPUs took 2% more wall
+    and 6% more CPU time (medians of 5 runs)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return cores >= 2 * workers
+
+
 def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list[RunSummary]:
     """Parse several scenario files, execute each with ``run_scenario`` across
     up to ``jobs`` worker processes, and return the summaries in file order.
@@ -205,16 +229,25 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     do two files of one name, whose artifacts would share one directory.
     With more than one worker the files are submitted costliest first
     (``_cost``; ties in file order), the longest-processing-time rule of
-    Graham (1969), so no long file starts last and runs alone.
+    Graham (1969), so no long file starts last and runs alone. Whether
+    covariances step their two runs side by side is decided once, here
+    (``_side_by_side``).
     """
     scenarios = [parse_scenario(p) for p in paths]
     require_distinct_names(zip(paths, scenarios))
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(scenarios) <= 1:
-        return [run_scenario(s, out_root, formats) for s in scenarios]
-    workers = min(jobs, len(scenarios))
+    workers = max(1, min(jobs, len(scenarios)))
+    side_by_side = _side_by_side(workers)
+    if workers == 1:
+        return [run_scenario(s, out_root, formats, side_by_side) for s in scenarios]
     order = sorted(range(len(scenarios)), key=lambda i: _cost(scenarios[i]), reverse=True)
+    # Imported here: a run without a pool loads no multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(run_scenario, scenarios[i], out_root, formats) for i in order}
+        futures = {
+            i: pool.submit(run_scenario, scenarios[i], out_root, formats, side_by_side)
+            for i in order
+        }
         return [futures[i].result() for i in range(len(scenarios))]

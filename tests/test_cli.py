@@ -1,12 +1,14 @@
 """Command-line behaviour: verbs, exit codes, artifacts, determinism."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -17,6 +19,7 @@ import reclock
 from reclock import cli, quantum, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError, ValidationError
+from reclock.model import PotentialSpec
 from reclock.quantum import EvolutionRecord, PropagatorConfig
 from reclock.runner import RunSummary, Status, run_many
 from reclock.scenario import CHECKS, ScenarioKind, parse_scenario
@@ -290,6 +293,23 @@ def test_an_orbit_batch_imports_no_scipy(tmp_path):
     out = str(tmp_path / "reports")
     for paths, jobs in ((orbits, 2), (orbits, 1), (mixed, 2)):
         _run_python(check.format(paths=paths, out=out, jobs=jobs))
+
+
+def test_validate_and_a_serial_run_load_no_process_pool(tmp_path):
+    # Only a pooled batch builds a ProcessPoolExecutor, so only it pays for
+    # importing concurrent.futures.process and multiprocessing.
+    path = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    _run_python(
+        "import sys\n"
+        "from reclock.cli import catalogue_paths, entrypoint\n"
+        "from reclock.runner import Status, run_many\n"
+        "assert entrypoint(['validate', *map(str, catalogue_paths())]) == 0\n"
+        f"summaries = run_many([{path!r}], {str(tmp_path / 'reports')!r}, jobs=1)\n"
+        "assert [s.status for s in summaries] == [Status.PASS], summaries\n"
+        "pool = ('multiprocessing', 'concurrent.futures.process')\n"
+        "loaded = sorted(m for m in sys.modules if m in pool or m.startswith('multiprocessing.'))\n"
+        "assert not loaded, loaded\n"
+    )
 
 
 def test_validate_rejects_a_grid_above_max_points_before_allocating_it(tmp_path, capsys):
@@ -661,7 +681,8 @@ def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(mon
             future.set_result(scenario.name)
             return future
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    # run_many imports the pool class from here when it builds a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     paths = [str(p) for p in catalogue_paths()]
     names = [parse_scenario(p).name for p in paths]
     assert run_many(paths, jobs=2) == names
@@ -692,3 +713,90 @@ def test_unexpected_exception_fails_one_scenario_not_the_batch(tmp_path, monkeyp
     stdout = capsys.readouterr().out
     assert "internal error: RuntimeError: dispatch exploded" in stdout
     assert "Pass" in stdout
+
+
+@pytest.mark.parametrize("cores, workers, threads, side_by_side", [
+    pytest.param(2, 1, 1, True, id="lone-process-2-cores"),
+    pytest.param(2, 2, 1, False, id="pool-of-2-on-2-cores"),
+    pytest.param(4, 2, 1, True, id="pool-of-2-on-4-cores"),
+    pytest.param(1, 1, 1, False, id="lone-process-1-core"),
+    pytest.param(2, 1, 2, False, id="a-second-thread"),
+])
+def test_a_covariance_steps_side_by_side_only_with_a_core_to_spare(
+    monkeypatch, cores, workers, threads, side_by_side
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    assert runner._side_by_side(workers) is side_by_side
+
+
+def test_run_many_decides_side_by_side_once_and_passes_it_down(tmp_path, monkeypatch):
+    paths = [
+        _write(tmp_path, CLASSICAL_TEXT.replace("cli-classical", f"cli-c{i}"), f"c{i}.scenario")
+        for i in range(2)
+    ]
+    decided, passed = [], []
+    monkeypatch.setattr(runner, "_side_by_side", lambda workers: decided.append(workers) or "yes")
+    monkeypatch.setattr(
+        runner, "run_scenario", lambda scenario, out, formats, side: passed.append(side)
+    )
+    run_many(paths, out_root=str(tmp_path / "r"), jobs=1)
+    assert decided == [1] and passed == ["yes", "yes"]
+
+
+class _ChildOnlyError(Exception):
+    """Pickles, but cannot be rebuilt from its pickle: it needs two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def _local_error_class():
+    class LocalError(Exception):
+        """A local class: pickle cannot name it."""
+
+    return LocalError
+
+
+class _FailsInAChild(PotentialSpec):
+    """Harmonic well that raises ``make_error()`` in any process but the one
+    that built it, so only a forked reference run fails."""
+
+    def __init__(self, make_error):
+        self.make_error, self.pid = make_error, os.getpid()
+
+    def value(self, t, x):
+        if os.getpid() != self.pid:
+            raise self.make_error()
+        return 0.5 * x * x
+
+    def gradient_x(self, t, x):
+        return x
+
+
+@pytest.mark.parametrize("make_error, detail", [
+    pytest.param(
+        lambda: ZeroDivisionError("divided in the child"),
+        "internal error: ZeroDivisionError: divided in the child",
+        id="pickled",
+    ),
+    pytest.param(
+        lambda: _ChildOnlyError("failed", "the child"),
+        "NumericalError: _ChildOnlyError: failed in the child",
+        id="not-rebuilt-from-its-pickle",
+    ),
+    pytest.param(
+        lambda: _local_error_class()("failed in the child"),
+        "NumericalError: LocalError: failed in the child",
+        id="not-pickleable",
+    ),
+])
+def test_an_internal_error_in_the_forked_run_fails_its_scenario(
+    tmp_path, capsys, make_error, detail
+):
+    scenario = parse_scenario(_write(tmp_path, QUANTUM_TEXT, "q.scenario"))
+    scenario = dataclasses.replace(scenario, potential=_FailsInAChild(make_error))
+    summary = runner.run_scenario(scenario, str(tmp_path / "r"), side_by_side=True)
+    assert summary.status is Status.FAIL and summary.detail == detail
+    assert summary.metrics == {} and summary.artifacts == ()
+    capsys.readouterr()

@@ -1,9 +1,10 @@
 """Crank-Nicolson propagation in both clocks and the matched-run comparison."""
 
 import math
+import os
 import re
-import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -735,59 +736,88 @@ def test_the_records_read_on_demand_are_the_streamed_runs(clock_name):
 
 
 @pytest.mark.parametrize("clock_name", sorted(_EQUIV_CLOCKS))
-def test_a_threaded_covariance_equals_the_unthreaded_one_bit_for_bit(clock_name, monkeypatch):
+def test_a_forked_covariance_equals_the_serial_one_bit_for_bit(clock_name):
     # A packet fast enough to reach the edge strip, so both runs flag edge
-    # leakage, and enough records that the t run's thread steps blocks ahead.
+    # leakage, and enough records that the t run's child steps blocks ahead.
     psi0 = prepare_gaussian(SpatialGrid(-8.5, 8.5, 192), 0.0, 1.0, momentum=12.0)
     scenario = CovarianceScenario(
         CST, _EQUIV_POTENTIALS["driven"], _EQUIV_CLOCKS[clock_name], psi0, _EQUIV_SPAN,
         PropagatorConfig(dt=1e-3, record_every=3),
     )
-    reports = []
-    interval = sys.getswitchinterval()
-    # Threads switch every few µs, so the runs interleave finely.
-    sys.setswitchinterval(1e-6)
-    try:
-        for crossover in (psi0.grid.n_points + 1, psi0.grid.n_points):
-            monkeypatch.setattr(quantum, "_THREAD_POINTS", crossover)
-            reports.append(covariance_experiment(scenario))
-    finally:
-        sys.setswitchinterval(interval)
-    unthreaded, threaded = reports
+    serial, forked = (covariance_experiment(scenario, forked) for forked in (False, True))
     for name in (
         "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
         "energy_t", "energy_tau", "energy_transform_residual",
     ):
-        assert getattr(threaded, name).tobytes() == getattr(unthreaded, name).tobytes(), name
-    assert any(flag.startswith("edge-leak") for flag in unthreaded.flags)
-    assert threaded.flags == unthreaded.flags
+        assert getattr(forked, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert any(flag.startswith("edge-leak") for flag in serial.flags)
+    assert forked.flags == serial.flags
 
 
-def test_a_pumped_stream_runs_under_the_callers_numpy_error_state():
-    def error_state():
-        yield np.geterr()["over"]
+def _no_child_left() -> bool:
+    """True if this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_forked_stream_runs_under_the_callers_numpy_error_state():
+    def overflowing():
+        yield np.zeros(4, dtype=complex), np.float64(1e308) * 10.0, 0.0
 
     with np.errstate(over="raise"):
-        assert list(quantum._pumped(error_state())) == ["raise"]
+        rows = quantum._Forked(overflowing(), [], 4)
+    try:
+        with pytest.raises(FloatingPointError, match="overflow"):
+            next(rows)
+    finally:
+        rows.close()
 
 
-def test_closing_a_pumped_stream_early_stops_and_joins_its_thread():
-    closed = []
+def test_closing_a_forked_stream_early_kills_and_reaps_its_child():
+    def one_then_a_long_stretch():
+        yield np.ones(4, dtype=complex), 1.0, 2.0
+        time.sleep(60)  # a long run of steps that lands on no record
+        yield np.ones(4, dtype=complex), 1.0, 2.0
 
-    def endless():
-        try:
-            while True:
-                yield 1
-        finally:
-            closed.append(True)
-
-    threads = threading.active_count()
-    rows = quantum._pumped(endless())
-    assert next(rows) == 1
-    assert threading.active_count() == threads + 1
+    rows = quantum._Forked(one_then_a_long_stretch(), [], 4)
+    row, norm, energy = next(rows)
+    assert row.tobytes() == np.ones(4, dtype=complex).tobytes() and (norm, energy) == (1.0, 2.0)
+    assert not _no_child_left()
+    start = time.perf_counter()
     rows.close()
-    assert closed == [True]
-    assert threading.active_count() == threads
+    # The child is killed, not waited for until it next writes.
+    assert time.perf_counter() - start < 10.0
+    assert _no_child_left()
+    rows.close()
+
+
+def test_a_forked_stream_whose_child_dies_raises_a_numerical_error():
+    def dies_after_one():
+        yield np.ones(2, dtype=complex), 1.0, 0.0
+        os._exit(3)
+
+    rows = quantum._Forked(dies_after_one(), [], 2)
+    try:
+        assert next(rows)[1:] == (1.0, 0.0)
+        with pytest.raises(NumericalError, match=r"ended without its result \(exit code 3\)$"):
+            next(rows)
+    finally:
+        rows.close()
+    assert _no_child_left()
+
+
+def test_a_failed_fork_closes_its_pipe(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        quantum._Forked(iter(()), [], 2)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_a_covariance_run_holds_no_whole_amplitude_record():
@@ -981,24 +1011,21 @@ def test_non_finite_potential_at_a_snapshot_is_reported_before_the_next_step():
         propagate_t(GROUND, _BlowsUpAfter(tevals[5]), CST, span, cfg)
 
 
-@pytest.mark.parametrize("offset, failing, threaded", [
+@pytest.mark.parametrize("offset, failing, forked", [
     pytest.param(5, "t", False, id="5-t"),
     pytest.param(16, "tau", False, id="16-tau"),
-    pytest.param(5, "t", True, id="5-t-threaded"),
-    pytest.param(16, "tau", True, id="16-tau-threaded"),
+    pytest.param(5, "t", True, id="5-t-forked"),
+    pytest.param(16, "tau", True, id="16-tau-forked"),
 ])
-def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(
-    offset, failing, threaded, monkeypatch
-):
+def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(offset, failing, forked):
     # The tau run steps its first block, then the t run steps blocks until it
     # has every record of that block, then the tau run steps its second block.
     # V turns infinite inside the second tau block, past the t clocks of both
     # runs' first blocks: just past them, the t run's catching-up block meets
-    # it first; further on, the second tau block does. In its own thread the
+    # it first; further on, the second tau block does. In its own process the
     # t run may step further ahead, but its error is read at the record where
-    # it occurred, so the same run is reported, and no thread is left behind.
-    if threaded:
-        monkeypatch.setattr(quantum, "_THREAD_POINTS", GRID.n_points)
+    # it occurred, so the same run is reported, and no process or thread is
+    # left behind.
     span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=1)
     tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=span)
     block = quantum._BLOCK_POINTS // (GRID.n_points - 2)
@@ -1017,10 +1044,11 @@ def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(
     threads = threading.active_count()
     with pytest.raises(NumericalError, match=msg) as caught:
         covariance_experiment(
-            CovarianceScenario(CST, _BlowsUpAfter(t_bad), tmap, GROUND, span, cfg)
+            CovarianceScenario(CST, _BlowsUpAfter(t_bad), tmap, GROUND, span, cfg), forked
         )
     # Counted while the traceback, and so the experiment's frame, is alive.
     assert threading.active_count() == threads, caught
+    assert _no_child_left(), caught
 
 
 def test_scalar_and_array_potentials_give_identical_runs():
