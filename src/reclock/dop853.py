@@ -3,9 +3,16 @@
 Hairer, Nørsett & Wanner, *Solving Ordinary Differential Equations I*,
 §II.10. ``integrate`` repeats, operation for operation, what SciPy's DOP853
 solver does with rtol = atol = tol, with or without dense output, on a
-forward span, so it returns the same floats without loading SciPy. The
-stage sums stay ``np.dot`` calls on the same slices of one stage array:
-written as Python sums they round differently.
+forward span, so it returns the same floats without loading SciPy. Two
+things are pinned to SciPy's solver. The stage sums stay the dot products of
+``np.dot`` on the same slices of one stage array (called as the array
+method, which skips the function's dispatch): written as Python sums they
+round differently. And the clocks reach ``fun`` as NumPy scalars, so a
+force that overflows raises under the caller's error state instead of
+passing as inf. What produces no float is not repeated: the stage views and
+tableau rows are sliced once, ``fun``'s values go straight into the stage
+array, and the error norm takes ``np.sqrt(x.dot(x))``, which is all
+``np.linalg.norm`` computes for a real 1-D array.
 """
 
 from __future__ import annotations
@@ -189,10 +196,10 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-A_STEP = A[:N_STAGES, :N_STAGES]
-C_STEP = C[:N_STAGES]
-A_EXTRA = A[N_STAGES + 1:]
-C_EXTRA = C[N_STAGES + 1:]
+# Stage s sums tableau row A[s, :s] and is read at node C[s]; both are sliced
+# here once, so the stage loop slices nothing.
+STEP_ROWS = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
+EXTRA_ROWS = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
 
 # Step-size control, as in SciPy's explicit Runge–Kutta solvers.
 SAFETY = 0.9
@@ -212,7 +219,7 @@ def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def _initial_step(f, t0, y0, t_bound, f0, tol):
+def _initial_step(fun, t0, y0, t_bound, f0, tol):
     """SciPy's select_initial_step (Hairer, Nørsett & Wanner, §II.4) for order 7."""
     interval_length = abs(t_bound - t0)
     scale = tol + np.abs(y0) * tol
@@ -221,7 +228,7 @@ def _initial_step(f, t0, y0, t_bound, f0, tol):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * FORWARD * f0
-    f1 = f(t0 + h0 * FORWARD, y1)
+    f1 = np.asarray(fun(t0 + h0 * FORWARD, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -230,18 +237,24 @@ def _initial_step(f, t0, y0, t_bound, f0, tol):
     return min(100 * h0, h1, interval_length)
 
 
-def _stages(f, K, A_rows, C_rows, first, t, y, h):
-    """Fill K[first:] with the stages of rows ``A_rows`` at nodes ``C_rows``."""
-    for s, (a, c) in enumerate(zip(A_rows, C_rows), start=first):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = f(t + c * h, y + dy)
+def _stages(fun, K, KT, rows, t, y, h):
+    """Fill the stages K[s] of ``rows``; KT[s] is the view K[:s].T.
+
+    dy = dot; dy *= h; dy += y are the two operations of y + dot * h.
+    """
+    for s, a, c in rows:
+        dy = KT[s].dot(a)
+        dy *= h
+        dy += y
+        K[s] = fun(t + c * h, dy)
 
 
-def _error_norm(K, h, scale):
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
+def _error_norm(KT, h, scale):
+    err5 = KT.dot(E5) / scale
+    err3 = KT.dot(E3) / scale
+    # np.sqrt(x.dot(x)) is what np.linalg.norm computes for a real 1-D array.
+    err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -251,20 +264,18 @@ def _error_norm(K, h, scale):
 def integrate(fun, a, b, y0, tol, dense):
     """Integrate y' = fun(t, y) from t = a to t = b > a with rtol = atol = tol.
 
-    Returns (t, y, read): the accepted clocks, the states as rows of
-    (len(y0), len(t)), and, if ``dense``, ``read(marks)``, which gives the
-    interpolated states at a 1-D array of clocks in [a, b] as a
-    (len(y0), len(marks)) array; else None. A step that would fall below the
-    spacing of doubles at its clock raises FloatingPointError(TOO_SMALL_STEP).
+    ``fun`` returns a sequence of len(y0) numbers. Returns (t, y, read): the
+    accepted clocks, the states as rows of (len(y0), len(t)), and, if
+    ``dense``, ``read(marks)``, which gives the interpolated states at a 1-D
+    array of clocks in [a, b] as a (len(y0), len(marks)) array; else None. A
+    step that would fall below the spacing of doubles at its clock raises
+    FloatingPointError(TOO_SMALL_STEP).
     """
-
-    def f(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     t, y = a, np.asarray(y0, dtype=float)
-    fy = f(t, y)
-    h_abs = _initial_step(f, t, y, b, fy, tol)
     K = np.empty((N_STAGES_EXTENDED, y.size))
+    KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
+    K[0] = fun(t, y)  # K[0] holds the derivative at (t, y) from here on
+    h_abs = _initial_step(fun, t, y, b, K[0], tol)
     ts, ys, Fs = [t], [y], []
     while t < b:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -278,13 +289,13 @@ def integrate(fun, a, b, y0, tol, dense):
                 t_new = b
             h = t_new - t
             h_abs = np.abs(h)
-            K[0] = fy
-            _stages(f, K, A_STEP[1:], C_STEP[1:], 1, t, y, h)
-            y_new = y + h * np.dot(K[:N_STAGES].T, B)
-            f_new = f(t + h, y_new)
-            K[N_STAGES] = f_new
+            _stages(fun, K, KT, STEP_ROWS, t, y, h)
+            y_new = KT[N_STAGES].dot(B)
+            y_new *= h
+            y_new += y
+            K[N_STAGES] = fun(t + h, y_new)
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _error_norm(K[: N_STAGES + 1], h, scale)
+            error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 factor = MAX_FACTOR
                 if error_norm != 0:
@@ -294,15 +305,16 @@ def integrate(fun, a, b, y0, tol, dense):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
         if dense:
-            _stages(f, K, A_EXTRA, C_EXTRA, N_STAGES + 1, t, y, h)
+            _stages(fun, K, KT, EXTRA_ROWS, t, y, h)
             F = np.empty((INTERPOLATOR_POWER, y.size))
             delta_y = y_new - y
             F[0] = delta_y
             F[1] = h * K[0] - delta_y
-            F[2] = 2 * delta_y - h * (f_new + K[0])
+            F[2] = 2 * delta_y - h * (K[N_STAGES] + K[0])
             F[3:] = h * np.dot(D, K)
             Fs.append(F)
-        t, y, fy = t_new, y_new, f_new
+        t, y = t_new, y_new
+        K[0] = K[N_STAGES]
         ts.append(t)
         ys.append(y)
     ts, ys = np.array(ts), np.vstack(ys)

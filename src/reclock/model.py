@@ -14,6 +14,7 @@ evaluation time.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 import numbers
 import sys
@@ -246,17 +247,28 @@ class SmoothRampMap(TimeMap):
     def _softplus(z):
         return np.logaddexp(0.0, z)
 
+    @functools.cached_property
+    def _anchor(self):
+        """The softplus at the domain's start, which anchors T(tau0) = tau0."""
+        return self._softplus((self.domain[0] - self.center) / self.sharpness)
+
     def value(self, tau):
         lo = self.domain[0]
         s = self.sharpness
-        ramp = self._softplus((tau - self.center) / s) - self._softplus((lo - self.center) / s)
+        ramp = self._softplus((tau - self.center) / s) - self._anchor
         return lo + self.rate_start * (tau - lo) + (self.rate_end - self.rate_start) * s * ramp
 
     def rate(self, tau):
         # Far before a sharp ramp exp overflows to inf, and sig = 0.0 is the
-        # exact limit, so the overflow is expected and silenced.
-        with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-(tau - self.center) / self.sharpness))
+        # exact limit, so the overflow is expected and silenced. Entering the
+        # error state costs more than the rest of a scalar call, so a float
+        # whose exponent is below 700 (e^700 < DBL_MAX) skips it; its exponent
+        # is taken in Python floats, which overflow to inf silently.
+        if isinstance(tau, float) and (z := -(float(tau) - self.center) / self.sharpness) < 700:
+            sig = 1.0 / (1.0 + np.exp(z))
+        else:
+            with np.errstate(over="ignore"):
+                sig = 1.0 / (1.0 + np.exp(-(tau - self.center) / self.sharpness))
         rate = self.rate_start + (self.rate_end - self.rate_start) * sig
         # The exact rate never falls below the smaller end rate, but the sum
         # above can round a small end rate away next to a large start rate.

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .classical import Trajectory
 from .errors import ReclockError, ValidationError
 from .quantum import CovarianceReport
@@ -18,24 +20,61 @@ from .quantum import CovarianceReport
 REPORT_SCHEMA_VERSION = 1
 
 
+# Cells become Python floats this many rows at a time, so rendering a long
+# table holds its text and one chunk of float objects, not one per cell.
+_CHUNK_ROWS = 1024
+
+
+def _chunks(col):
+    """``col``'s values as lists of Python floats, ``_CHUNK_ROWS`` at a time."""
+    for i in range(0, len(col), _CHUNK_ROWS):
+        yield np.asarray(col[i : i + _CHUNK_ROWS], dtype=float).tolist()
+
+
 def csv_table(table: dict) -> str:
     """A CSV document of ``table``'s named columns with exact 17-significant-digit cells."""
-    lines = [",".join(table)]
-    for row in zip(*table.values(), strict=True):
-        lines.append(",".join(f"{float(v):.16e}" for v in row))
-    return "\n".join(lines) + "\n"
+    # One format per row; "%.16e" writes nan and ±inf as f"{v:.16e}" does.
+    row = ",".join(["%.16e"] * len(table))
+    parts = [",".join(table)]
+    for chunk in zip(*map(_chunks, table.values()), strict=True):
+        parts.append("\n".join(row % cells for cells in zip(*chunk, strict=True)))
+    parts.append("")  # the final newline, with no copy of the text to add it
+    return "\n".join(parts)
+
+
+def _json_list(col) -> str:
+    """A column of finite floats as json.dumps(indent=2) writes a list at depth two."""
+    sep = ",\n      "
+    body = sep.join(sep.join(map(float.__repr__, chunk)) for chunk in _chunks(col))
+    return f"[\n      {body}\n    ]" if body else "[]"
 
 
 def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
-    """A JSON document mirroring a CSV table, with schema version and summary."""
+    """A JSON document mirroring a CSV table, with schema version and summary.
+
+    The text is ``json.dumps(payload, indent=2)``. json writes a finite float
+    as its repr, so the samples are joined from ``float.__repr__``; a table
+    with a non-finite cell, which json writes as NaN or ±Infinity, goes
+    through json whole.
+    """
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": kind,
-        "samples": {name: [float(v) for v in col] for name, col in table.items()},
+        "samples": {},
         "summary": summary,
         "flags": list(flags),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    if not all(np.isfinite(col).all() for col in table.values()):
+        payload["samples"] = {name: [float(v) for v in col] for name, col in table.items()}
+        return json.dumps(payload, indent=2) + "\n"
+    head, empty, tail = json.dumps(payload, indent=2).partition('\n  "samples": {},')
+    if not table:
+        return f"{head}{empty}{tail}\n"
+    parts = [head, '\n  "samples": {']
+    for k, (name, col) in enumerate(table.items()):
+        parts += ["," if k else "", f"\n    {json.dumps(name)}: ", _json_list(col)]
+    parts += ["\n  },", tail, "\n"]
+    return "".join(parts)  # one join, so the text is copied once
 
 
 def layout(obj):

@@ -41,6 +41,8 @@ CLOCKS = {
     "linear-2": LinearMap(2.0, SPAN),
     "sine": SinePerturbedMap(0.3, 1.0, SPAN),
     "ramp": SmoothRampMap(0.5, 2.0, 5.0, 0.7, SPAN),
+    # The ramp's exponent is 1000 at tau = 0, so exp overflows on the first steps.
+    "ramp-sharp": SmoothRampMap(0.5, 2.0, 5.0, 5e-3, SPAN),
 }
 TOLS = {"1e-6": 1e-6, "1e-9": 1e-9, "1e-11": 1e-11, "MIN_TOL": MIN_TOL}
 

@@ -1,6 +1,7 @@
 """Domain types: clock maps, potentials, grids, wavefunctions."""
 
 import math
+import pickle
 import re
 import warnings
 
@@ -138,6 +139,65 @@ def test_smooth_ramp_sharp_ramp_is_warning_free():
         m = SmoothRampMap(1.0, 2.0, 5.0, 1e-3, domain=(0.0, 10.0))
         assert m.rate(0.0) == 1.0
         assert m.rate(10.0) == 2.0
+
+
+def _ramp_rate_reference(m, tau):
+    """SmoothRampMap.rate as one expression with exp's overflow silenced."""
+    with np.errstate(over="ignore"):
+        sig = 1.0 / (1.0 + np.exp(-(tau - m.center) / m.sharpness))
+    rate = m.rate_start + (m.rate_end - m.rate_start) * sig
+    return np.maximum(rate, min(m.rate_start, m.rate_end))
+
+
+def _ramp_value_reference(m, tau):
+    """SmoothRampMap.value with both softplus terms taken on each call."""
+    lo, s = m.domain[0], m.sharpness
+    ramp = np.logaddexp(0.0, (tau - m.center) / s) - np.logaddexp(0.0, (lo - m.center) / s)
+    return lo + m.rate_start * (tau - lo) + (m.rate_end - m.rate_start) * s * ramp
+
+
+# Centered at 0 with unit sharpness, the rate's exponent is exactly -tau.
+RAMP_EXPONENTS = [*np.linspace(-800.0, 800.0, 161), 699.9, np.nextafter(700.0, 0.0), 700.0,
+                  709.78, 709.79, 710.0]
+RAMPS = [
+    SmoothRampMap(0.5, 2.0, 0.0, 1.0, domain=(-800.0, 800.0)),
+    SmoothRampMap(2.0, 0.5, 0.0, 1.0, domain=(-800.0, 800.0)),
+    SmoothRampMap(0.5, 2.0, 5.0, 5e-3, domain=(0.0, 10.0)),
+]
+
+
+@pytest.mark.parametrize("m", RAMPS, ids=["rising", "falling", "sharp"])
+def test_smooth_ramp_rate_and_value_are_the_plain_expressions_bit_for_bit(m):
+    taus = m.center - np.array(RAMP_EXPONENTS) * m.sharpness
+    # Under the classical integrator's error state an unsilenced overflow would raise.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        want = _ramp_rate_reference(m, taus)
+        assert m.rate(taus).tobytes() == want.tobytes()
+        for tau, rate in zip(taus, want):
+            for scalar in (tau, float(tau)):
+                got = m.rate(scalar)
+                assert type(got) is np.float64 and got.tobytes() == rate.tobytes()
+        lo, hi = m.domain
+        marks = np.linspace(lo, hi, 101)
+        assert m.value(marks).tobytes() == _ramp_value_reference(m, marks).tobytes()
+        for tau in marks:
+            assert m.value(tau) == _ramp_value_reference(m, tau)
+            assert m.value(float(tau)) == _ramp_value_reference(m, float(tau))
+
+
+def test_a_smooth_ramp_that_was_read_is_equal_hashed_printed_and_pickled_as_a_new_one():
+    m = SmoothRampMap(0.5, 2.0, 5.0, 5e-3, domain=(0.0, 10.0))
+    m.value(3.0)
+    fresh = SmoothRampMap(0.5, 2.0, 5.0, 5e-3, domain=(0.0, 10.0))
+    back = pickle.loads(pickle.dumps(m))
+    for other in (fresh, back):
+        assert other == m and hash(other) == hash(m) and repr(other) == repr(m)
+        assert other.value(7.5) == m.value(7.5) and other.rate(4.99) == m.rate(4.99)
+    assert repr(m) == (
+        "SmoothRampMap(rate_start=0.5, rate_end=2.0, center=5.0, sharpness=0.005, "
+        "domain=(0.0, 10.0))"
+    )
+    assert m != SmoothRampMap(0.5, 2.0, 5.0, 5e-3, domain=(1.0, 10.0))
 
 
 def test_require_rejects_out_of_domain():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from reclock.reports import (
     REPORT_SCHEMA_VERSION,
     csv_table,
     json_document,
+    layout,
     render_report,
+    sweep_layout,
     write_artifact,
 )
 
@@ -103,6 +106,75 @@ def test_json_documents_round_trip():
 
     generic = json.loads(json_document("demo", {"a": np.array([0.1])}, {"s": 1}))
     assert generic["samples"]["a"] == [0.1]
+
+
+def _csv_per_cell(table):
+    """csv_table with one Python format call per cell: the text it must write."""
+    lines = [",".join(table)]
+    for row in zip(*table.values(), strict=True):
+        lines.append(",".join(f"{float(v):.16e}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json_dumps_whole(kind, table, summary, flags=()):
+    """json_document as one json.dumps of the whole payload: the text it must write."""
+    payload = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "kind": kind,
+        "samples": {name: [float(v) for v in col] for name, col in table.items()},
+        "summary": summary,
+        "flags": list(flags),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+EDGE_CELLS = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _layouts():
+    traj = integrate_t(FreePotential(), CST, 0.0, 1.0, (0.0, 1.0))
+    tau_traj = integrate_tau(FreePotential(), CST, IdentityMap(), 0.0, 1.0, (0.0, 1.0))
+    sweep = sweep_layout(
+        np.array([0.1, 0.05]), np.array([0.99, 0.999]), np.array([0.1, 0.04]),
+        np.array([1e-7, 2e-8]), 1.97, ["dt=0.1: edge leak"],
+    )
+    rng = np.random.default_rng(0)
+    # Longer than a chunk of rows, with the edge cells placed across a chunk's end.
+    long = rng.standard_normal(2051) * 10.0 ** rng.integers(-300, 300, 2051)
+    long[1020:1026] = EDGE_CELLS
+    return {
+        "covariance": layout(_small_report()),
+        "trajectory-t": layout(traj),
+        "trajectory-tau": layout(tau_traj),
+        "sweep": sweep,
+        "edge-cells": ("demo", {"a": np.array(EDGE_CELLS), "b": EDGE_CELLS[::-1]}, {"s": 1}, ()),
+        "long": ("demo", {"x": long, "y": long[::-1].copy(), "i": range(2051)}, {}, ["f"]),
+        "non-finite": (
+            "demo", {"a": np.array(NON_FINITE + EDGE_CELLS[:3]), "b": EDGE_CELLS}, {"s": 1}, ()
+        ),
+        "nan-in-summary": ("demo", {"a": [0.5]}, {"s": math.nan, "t": -math.inf}, ()),
+        "no-rows": ("demo", {"a": np.array([]), "b": []}, {}, ()),
+        "no-columns": ("demo", {}, {}, ()),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_layouts()))
+def test_tables_render_byte_for_byte_as_the_per_cell_code(name):
+    kind, table, summary, flags = _layouts()[name]
+    assert csv_table(table) == _csv_per_cell(table)
+    assert json_document(kind, table, summary, flags) == _json_dumps_whole(
+        kind, table, summary, flags
+    )
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (2048, 1024), (1024, 2048), (2000, 1500)])
+def test_csv_rejects_columns_of_unequal_length_as_zip_does(lengths):
+    table = {name: np.zeros(n) for name, n in zip("ab", lengths)}
+    with pytest.raises(ValueError) as want:
+        _csv_per_cell(table)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        csv_table(table)
 
 
 def test_rendering_is_deterministic():
