@@ -16,7 +16,9 @@ pivoting) through one binder, ``_gtsv``, which owns every buffer it touches.
 One lookup, ``_openblas_zgtsv``, finds ``scipy_zgtsv_64_`` of the OpenBLAS
 that NumPy's wheel bundles and has already loaded, called through ctypes;
 where NumPy ships none (NumPy 1.x wheels name it otherwise, and MKL builds
-have none) the binder calls SciPy's ``gtsv``, the same routine.
+have none) the binder calls SciPy's ``gtsv``, the same routine. Each run
+holds that OpenBLAS to one thread (``_one_blas_thread``), so no float of it
+depends on the BLAS thread count.
 What does not depend on the state (the potential at every step's and every
 record's clock and both sides' diagonal coefficients) is built for a block
 of steps at once with the same floating-point operations as a per-step
@@ -55,6 +57,7 @@ phase-invariant overlap modulus, so a global phase difference is ignored.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -391,8 +394,9 @@ def _reference_plan(t_marks: np.ndarray, cfg: PropagatorConfig) -> _Plan:
 
 
 @functools.cache
-def _openblas_zgtsv():
-    """The ctypes ``scipy_zgtsv_64_`` of the OpenBLAS in NumPy's wheel, or
+def _openblas():
+    """``(zgtsv, get_threads, set_threads)``: the ctypes ``scipy_zgtsv_64_``
+    and thread-count getter and setter of the OpenBLAS in NumPy's wheel, or
     None if NumPy ships no such library.
 
     The library is opened with RTLD_NOLOAD: NumPy has mapped it already, so
@@ -401,13 +405,48 @@ def _openblas_zgtsv():
     libs = Path(np.__file__).parents[1] / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
-            zgtsv = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_zgtsv_64_
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            zgtsv = lib.scipy_zgtsv_64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
         except (AttributeError, OSError):
             continue
         zgtsv.argtypes = [ctypes.c_void_p] * 8
         zgtsv.restype = None
-        return zgtsv
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return zgtsv, get_threads, set_threads
     return None
+
+
+def _openblas_zgtsv():
+    """NumPy's bundled ``scipy_zgtsv_64_`` (``_openblas``), or None."""
+    found = _openblas()
+    return found and found[0]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold NumPy's bundled OpenBLAS to one thread, and give the caller back
+    its own count on exit.
+
+    OpenBLAS splits a long dot product over its threads, and so sums it in
+    another order: with two threads a 16384-point ``vdot`` gave other bits
+    than with one. A run's energies and overlaps are ``vdot``s, so each run
+    takes them on one thread, as every stored digest was made. Where NumPy
+    bundles no OpenBLAS this does nothing, and the bits depend on that BLAS.
+    """
+    found = _openblas()
+    if found is None:
+        yield
+        return
+    _, get_threads, set_threads = found
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _gtsv(block, m):
@@ -675,8 +714,9 @@ def _run_crank_nicolson(
     norms = np.empty(k)
     energies = np.empty(k)
     flags: list[str] = []
-    for j, (row, norm, energy) in enumerate(_stream(psi0, pot, constants, plan, flags)):
-        amplitudes[j], norms[j], energies[j] = row, norm, energy
+    with _one_blas_thread():
+        for j, (row, norm, energy) in enumerate(_stream(psi0, pot, constants, plan, flags)):
+            amplitudes[j], norms[j], energies[j] = row, norm, energy
     return EvolutionRecord(
         grid=psi0.grid,
         clocks=plan.clocks,
@@ -880,19 +920,21 @@ def covariance_experiment(
 
     fid, norm_phi, norm_psi, energy_tau, energy_t = np.empty((5, len(tau_plan.clocks)))
     tau_flags, t_flags = [], []
-    t_rows = _stream(psi0, pot, cst, t_plan, t_flags)
-    if side_by_side:
-        t_rows = _Forked(t_rows, t_flags, psi0.grid.n_points)
-    try:
-        # strict: after the last pair the t stream is read to its end, where
-        # a forked one hands over its flags.
-        pairs = zip(_stream(psi0, pot, cst, tau_plan, tau_flags), t_rows, strict=True)
-        for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
-            fid[j] = _overlap(psi, phi, psi0.grid.dx)
-            norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
-    finally:
-        # A forked t run's child is reaped here, whatever ended the pairing.
-        t_rows.close()
+    with _one_blas_thread():
+        t_rows = _stream(psi0, pot, cst, t_plan, t_flags)
+        if side_by_side:
+            # Forked on one BLAS thread, which the child keeps.
+            t_rows = _Forked(t_rows, t_flags, psi0.grid.n_points)
+        try:
+            # strict: after the last pair the t stream is read to its end,
+            # where a forked one hands over its flags.
+            pairs = zip(_stream(psi0, pot, cst, tau_plan, tau_flags), t_rows, strict=True)
+            for j, ((phi, n_phi, e_tau), (psi, n_psi, e_t)) in enumerate(pairs):
+                fid[j] = _overlap(psi, phi, psi0.grid.dx)
+                norm_phi[j], energy_tau[j], norm_psi[j], energy_t[j] = n_phi, e_tau, n_psi, e_t
+        finally:
+            # A forked t run's child is reaped here, whatever ended the pairing.
+            t_rows.close()
 
     return CovarianceReport(
         tau=tau_plan.clocks,

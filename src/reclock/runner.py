@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -57,30 +58,91 @@ def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
     return paths
 
 
-def _covariance(scenario: Scenario, dt: float, side_by_side: bool) -> CovarianceReport:
-    """Prepare the scenario's initial state and run its covariance experiment
-    at step dt, with its two runs side by side if asked."""
-    g = scenario.gaussian
-    psi0 = prepare_gaussian(scenario.grid, g.center, g.width, g.momentum, scenario.constants)
-    return covariance_experiment(
-        CovarianceScenario(
-            constants=scenario.constants,
-            potential=scenario.potential,
-            timemap=scenario.timemap,
-            initial_state=psi0,
-            tau_span=scenario.tau_span,
-            config=replace(scenario.propagator, dt=dt),
-        ),
-        side_by_side,
+def _inputs(scenario: Scenario, dt: float) -> tuple:
+    """Everything the covariance experiment of ``scenario`` at step ``dt``
+    is built from: constants, potential, clock map, grid, Gaussian, tau
+    span and stepping config."""
+    return (
+        scenario.constants, scenario.potential, scenario.timemap, scenario.grid,
+        scenario.gaussian, scenario.tau_span, replace(scenario.propagator, dt=dt),
     )
 
 
-def _run_quantum(scenario: Scenario, side_by_side: bool):
-    artifact = layout(_covariance(scenario, scenario.propagator.dt, side_by_side))
+def _dts(scenario: Scenario) -> tuple[float, ...]:
+    """The steps a file runs its covariance experiment at, none if classical."""
+    if scenario.kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
+        return ()
+    return scenario.sweep_dts or (scenario.propagator.dt,)
+
+
+def _keys(scenario: Scenario) -> list[str]:
+    """The key of each covariance experiment a file runs, in run order.
+
+    A key is the ``repr`` of the experiment's ``_inputs``, so two keys are
+    equal only when every input has the same type and the same bits: 0.0
+    and -0.0 differ, as do two clock maps' domains, and a potential with
+    the default object ``repr``, which holds its address, matches no other
+    object."""
+    return [repr(_inputs(scenario, dt)) for dt in _dts(scenario)]
+
+
+class _Experiments:
+    """The covariance experiments of one task's files, each stepped once.
+
+    A file reads the report of an experiment that another file of the task
+    has already stepped, or the exception that its run raised, instead of
+    stepping it again. An outcome is kept only while a file that has not
+    finished still needs it: ``finished`` releases a file's experiments.
+    """
+
+    def __init__(self, scenarios, side_by_side: bool):
+        self.side_by_side = side_by_side
+        # How many unfinished files run each experiment.
+        self.readers = Counter(key for s in scenarios for key in set(_keys(s)))
+        self.kept = {}
+
+    def covariance(self, scenario: Scenario, dt: float) -> CovarianceReport:
+        """The report of ``scenario``'s covariance experiment at step ``dt``,
+        stepped here unless kept; an exception of its run is raised."""
+        inputs = _inputs(scenario, dt)
+        key = repr(inputs)
+        if key in self.kept:
+            outcome = self.kept[key]
+        else:
+            try:
+                outcome = _covariance(inputs, self.side_by_side)
+            except Exception as exc:
+                outcome = exc
+            if self.readers[key] > 1:
+                self.kept[key] = outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def finished(self, scenario: Scenario) -> None:
+        """Drop each outcome that ``scenario`` was the last file to need."""
+        for key in set(_keys(scenario)):
+            self.readers[key] -= 1
+            if self.readers[key] <= 0:
+                self.kept.pop(key, None)
+
+
+def _covariance(inputs: tuple, side_by_side: bool) -> CovarianceReport:
+    """Prepare the initial state and run the covariance experiment of these
+    ``_inputs``, with its two runs side by side if asked."""
+    constants, potential, timemap, grid, g, tau_span, config = inputs
+    psi0 = prepare_gaussian(grid, g.center, g.width, g.momentum, constants)
+    return covariance_experiment(
+        CovarianceScenario(constants, potential, timemap, psi0, tau_span, config), side_by_side
+    )
+
+
+def _run_quantum(scenario: Scenario, experiments: _Experiments):
+    artifact = layout(experiments.covariance(scenario, scenario.propagator.dt))
     return artifact[2], {"report": artifact}  # its summary holds the run's metrics
 
 
-def _run_classical(scenario: Scenario, side_by_side: bool):
+def _run_classical(scenario: Scenario, experiments: _Experiments):
     x0, p0 = scenario.classical_initial
     pot, cst, tol = scenario.potential, scenario.constants, scenario.integrator_tol
     traj_tau = integrate_tau(pot, cst, scenario.timemap, x0, p0, scenario.tau_span, tol)
@@ -90,11 +152,11 @@ def _run_classical(scenario: Scenario, side_by_side: bool):
     return {"max_trajectory_error": error}, layouts
 
 
-def _run_sweep(scenario: Scenario, side_by_side: bool):
+def _run_sweep(scenario: Scenario, experiments: _Experiments):
     dts = np.array(scenario.sweep_dts)
     min_fid, residual, flags = [], [], []
-    for dt in dts:
-        report = _covariance(scenario, float(dt), side_by_side)
+    for dt in scenario.sweep_dts:
+        report = experiments.covariance(scenario, dt)
         min_fid.append(report.min_fidelity)
         residual.append(report.max_energy_transform_residual)
         flags.extend(f"dt={dt:g}: {flag}" for flag in report.flags)
@@ -115,8 +177,8 @@ def _run_sweep(scenario: Scenario, side_by_side: bool):
     return metrics, {"sweep": artifact}
 
 
-# Each kind's runner: (scenario, side_by_side) -> (metrics, {artifact stem:
-# layout}); flags ride in the layouts, and a classical run has no side by side.
+# Each kind's runner: (scenario, experiments) -> (metrics, {artifact stem:
+# layout}); flags ride in the layouts, and a classical run steps no experiment.
 _DISPATCH = {
     ScenarioKind.QUANTUM_COVARIANCE: _run_quantum,
     ScenarioKind.CLASSICAL_EQUIVALENCE: _run_classical,
@@ -146,12 +208,27 @@ def run_scenario(
     """Execute one scenario, check its metrics against its tolerances, write its
     artifacts under ``<out_root>/<name>/`` once per format, and summarize the
     outcome. ``side_by_side`` steps each covariance's reference run in a forked
-    child (see ``covariance_experiment``)."""
+    child (see ``covariance_experiment``). A direct call shares no covariance
+    experiment with any other file (see ``run_many``)."""
+    return _run_group([scenario], out_root, formats, side_by_side)[0]
+
+
+def _run_group(scenarios, out_root, formats, side_by_side: bool) -> list[RunSummary]:
+    """``run_scenario`` of each file in turn, stepping each covariance
+    experiment that they share once (``_Experiments``): one pool task."""
+    experiments = _Experiments(scenarios, side_by_side)
+    return [_run(scenario, out_root, formats, experiments) for scenario in scenarios]
+
+
+def _run(scenario: Scenario, out_root, formats, experiments: _Experiments) -> RunSummary:
+    """``run_scenario``'s work, taking covariance reports from ``experiments``.
+    The summary's wall time is this file's own, so it holds no time spent
+    stepping an experiment that another file stepped first."""
     out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
-        metrics, layouts = _DISPATCH[scenario.kind](scenario, side_by_side)
+        metrics, layouts = _DISPATCH[scenario.kind](scenario, experiments)
         flags = [flag for *_, layout_flags in layouts.values() for flag in layout_flags]
         misses = _misses(scenario.kind, metrics, scenario.tolerances)
         artifacts = _emit(layouts, out_dir, formats)
@@ -171,6 +248,7 @@ def run_scenario(
             status, detail = Status.FLAGGED, "; ".join(flags[:4])
         else:
             status, detail = Status.PASS, ""
+    experiments.finished(scenario)
     return RunSummary(
         name=scenario.name,
         kind=scenario.kind.value,
@@ -194,14 +272,32 @@ def require_distinct_names(parsed) -> None:
         first_path[scenario.name] = path
 
 
-def _cost(scenario: Scenario) -> float:
-    """A file's stepping work in point-steps: the sum over its dts of
-    (tau span + t span) / dt * n_points, and 0 for a classical file."""
-    if scenario.kind is ScenarioKind.CLASSICAL_EQUIVALENCE:
-        return 0.0
+def _cost(scenario: Scenario, dt: float) -> float:
+    """The stepping work of a file's covariance experiment at step ``dt``, in
+    point-steps: (tau span + t span) / dt * n_points. A file's cost is the
+    sum over its dts (0 for a classical file), and a group's the sum over
+    its distinct experiments, so one stepped twice counts once."""
     (tau0, tau1), (t0, t1) = scenario.tau_span, scenario.t_span
-    dts = scenario.sweep_dts or (scenario.propagator.dt,)
-    return sum((tau1 - tau0 + t1 - t0) / dt for dt in dts) * scenario.grid.n_points
+    return (tau1 - tau0 + t1 - t0) / dt * scenario.grid.n_points
+
+
+def _groups(scenarios) -> list[list[int]]:
+    """The batch's files, by index, in groups that share no covariance
+    experiment with one another: two files that share one, directly or
+    through a third file, are in one group. Each group keeps file order;
+    groups come costliest first (``_cost``), ties in the order of their
+    first files."""
+    groups = []  # (cost of each distinct experiment by key, member indices)
+    for i, scenario in enumerate(scenarios):
+        costs = {key: _cost(scenario, dt) for key, dt in zip(_keys(scenario), _dts(scenario))}
+        members = [i]
+        for group in [g for g in groups if g[0].keys() & costs.keys()]:
+            groups.remove(group)
+            costs |= group[0]
+            members += group[1]
+        groups.append((costs, sorted(members)))
+    groups.sort(key=lambda g: (-sum(g[0].values()), g[1][0]))
+    return [members for _, members in groups]
 
 
 def _side_by_side(workers: int) -> bool:
@@ -221,33 +317,42 @@ def _side_by_side(workers: int) -> bool:
 
 
 def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list[RunSummary]:
-    """Parse several scenario files, execute each with ``run_scenario`` across
-    up to ``jobs`` worker processes, and return the summaries in file order.
+    """Parse several scenario files, execute each as ``run_scenario`` does
+    across up to ``jobs`` worker processes, and return the summaries in file
+    order.
 
     Every file is parsed here, in the calling process, before any run
     starts, so a bad file raises ScenarioError before any work is done. So
     do two files of one name, whose artifacts would share one directory.
-    With more than one worker the files are submitted costliest first
-    (``_cost``; ties in file order), the longest-processing-time rule of
-    Graham (1969), so no long file starts last and runs alone. Whether
-    covariances step their two runs side by side is decided once, here
-    (``_side_by_side``).
+    Files that run one covariance experiment (the same inputs, bit for
+    bit) are one group (``_groups``), which one task runs in file order,
+    stepping that experiment once (``_Experiments``). If its run raises, it
+    fails every file that shares it, each with the detail it would have
+    alone. Groups are submitted costliest first, the longest-processing-time
+    rule of Graham (1969), so no long group starts last and runs alone. The
+    batch uses ``min(jobs, groups)`` workers; with one it runs in this
+    process, as one group, so ``jobs=1`` shares across the whole batch.
+    Whether covariances step their two runs side by side is decided once,
+    here, for that many workers (``_side_by_side``).
     """
     scenarios = [parse_scenario(p) for p in paths]
     require_distinct_names(zip(paths, scenarios))
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    workers = max(1, min(jobs, len(scenarios)))
+    groups = _groups(scenarios)
+    workers = max(1, min(jobs, len(groups)))
     side_by_side = _side_by_side(workers)
     if workers == 1:
-        return [run_scenario(s, out_root, formats, side_by_side) for s in scenarios]
-    order = sorted(range(len(scenarios)), key=lambda i: _cost(scenarios[i]), reverse=True)
+        return _run_group(scenarios, out_root, formats, side_by_side)
     # Imported here: a run without a pool loads no multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            i: pool.submit(run_scenario, scenarios[i], out_root, formats, side_by_side)
-            for i in order
-        }
-        return [futures[i].result() for i in range(len(scenarios))]
+        futures = [
+            (members, pool.submit(
+                _run_group, [scenarios[i] for i in members], out_root, formats, side_by_side
+            ))
+            for members in groups
+        ]
+        by_file = {i: s for members, f in futures for i, s in zip(members, f.result())}
+    return [by_file[i] for i in range(len(scenarios))]

@@ -1,10 +1,11 @@
 """The bundled catalogue's artifacts, pinned byte for byte.
 
 ``catalogue.sha256`` holds the SHA-256 of every artifact that one
-``run_many`` over the catalogue writes in CSV and JSON. Criterion 9 checks
-only that two runs in one checkout agree, so a change that moves a float in
-both of them passes it; this test catches that change. A change that moves
-an artifact on purpose rewrites the manifest with
+``run_many`` over the catalogue writes in CSV and JSON, serially and with
+two workers alike. Criterion 9 checks only that two runs in one checkout
+agree, so a change that moves a float in both of them passes it; this test
+catches that change. A change that moves an artifact on purpose rewrites
+the manifest with
 
     PYTHONPATH=src python tests/test_catalogue_digests.py > tests/catalogue.sha256
 
@@ -53,9 +54,10 @@ def environment() -> dict[str, str]:
     }
 
 
-def catalogue_digests(out_root: Path) -> dict[str, str]:
-    """``{<name>/<stem>.<fmt>: sha256}`` of one catalogue run under ``out_root``."""
-    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS)
+def catalogue_digests(out_root: Path, jobs: int = 1) -> dict[str, str]:
+    """``{<name>/<stem>.<fmt>: sha256}`` of one catalogue run under ``out_root``
+    with ``jobs`` workers."""
+    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS, jobs)
     assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
     return {
         path.relative_to(out_root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -77,9 +79,21 @@ def read_manifest() -> tuple[dict[str, str], dict[str, str]]:
 
 
 def test_the_catalogue_writes_the_pinned_artifacts(tmp_path):
+    check_catalogue(tmp_path, jobs=1)
+
+
+def test_a_pooled_catalogue_writes_the_pinned_artifacts(tmp_path):
+    # Two workers run the catalogue as groups of files, and the group that
+    # shares the sweep's finest experiment steps it once.
+    check_catalogue(tmp_path, jobs=2)
+
+
+def check_catalogue(out_root: Path, jobs: int) -> None:
+    """Fail unless a catalogue run with ``jobs`` workers writes the manifest's
+    artifacts, naming each that differs and the environments."""
     recorded, expected = read_manifest()
     assert expected, f"{MANIFEST.name} lists no artifact"
-    actual = catalogue_digests(tmp_path)
+    actual = catalogue_digests(out_root, jobs)
     differing = sorted(
         name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
     )

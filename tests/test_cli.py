@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -228,6 +229,48 @@ def _run_python(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
+def test_no_artifact_float_depends_on_the_blas_thread_count(tmp_path):
+    """A covariance on 16384 points writes the same bytes in a process with
+    ``OPENBLAS_NUM_THREADS`` 1 as in one with 2.
+
+    Above ~10000 points OpenBLAS splits each ``vdot`` of a run's energies
+    and overlaps over its threads, which sums it in another order; the run
+    holds one thread, so the bits stay those of one. On one core OpenBLAS
+    caps the variable at 1 (seen with the process pinned to one core), so
+    both processes would run one thread and the comparison would test
+    nothing: the test skips there.
+    """
+    if quantum._openblas() is None:
+        pytest.skip("NumPy bundles no OpenBLAS, whose thread count the run could hold")
+    text = (
+        QUANTUM_TEXT.replace("n_points = 256", "n_points = 16384")
+        .replace("tau1 = 0.5", "tau1 = 0.02")
+        .replace("width = 1.0", "width = 1.0\nmomentum = 2.0")
+        .replace("record_every = 25", "record_every = 1")
+    )
+    path = _write(tmp_path, text, "wide.scenario")
+    src = str(Path(reclock.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        code = (
+            "from reclock import quantum\n"
+            "from reclock.cli import entrypoint\n"
+            "print(quantum._openblas()[1]())\n"
+            f"raise SystemExit(entrypoint(['run', {path!r}, '--out', {str(out)!r}, "
+            "'--format', 'both']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        if int(done.stdout.split()[0]) != int(threads):
+            pytest.skip(f"OpenBLAS runs {done.stdout.split()[0]} thread(s) when asked for {threads}")
+        artifacts.append(_artifact_bytes(out))
+    assert artifacts[0] == artifacts[1] and len(artifacts[0]) == 2
+
+
 def test_validate_never_imports_scipy():
     # Parsing and validating a scenario neither steps a state nor integrates
     # an orbit, so no SciPy module enters a validate-only process.
@@ -243,8 +286,16 @@ def test_validate_never_imports_scipy():
 def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
     # The parent only parses and forks. The kernel's LAPACK is the OpenBLAS
     # that NumPy has loaded already, so no SciPy module enters the parent.
+    # The two spans differ, so the files share no experiment and two
+    # workers run them.
     paths = [
-        _write(tmp_path, QUANTUM_TEXT.replace("cli-quantum", f"cli-quantum-{i}"), f"q{i}.scenario")
+        _write(
+            tmp_path,
+            QUANTUM_TEXT.replace("cli-quantum", f"cli-quantum-{i}").replace(
+                "tau1 = 0.5", f"tau1 = 0.{5 - i}"
+            ),
+            f"q{i}.scenario",
+        )
         for i in range(2)
     ]
     _run_python(
@@ -252,6 +303,7 @@ def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
         "from reclock.runner import Status, run_many\n"
         f"summaries = run_many({paths!r}, {str(tmp_path / 'reports')!r}, jobs=2)\n"
         "assert [s.status for s in summaries] == [Status.PASS] * 2, summaries\n"
+        "assert 'concurrent.futures.process' in sys.modules\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
     )
@@ -675,10 +727,10 @@ def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(mon
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, scenario, *args):
-            submitted.append(scenario.name)
+        def submit(self, fn, scenarios, *args):
+            submitted.append([s.name for s in scenarios])
             future = Future()
-            future.set_result(scenario.name)
+            future.set_result([s.name for s in scenarios])
             return future
 
     # run_many imports the pool class from here when it builds a pool.
@@ -686,13 +738,14 @@ def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(mon
     paths = [str(p) for p in catalogue_paths()]
     names = [parse_scenario(p).name for p in paths]
     assert run_many(paths, jobs=2) == names
-    # Point-steps: the sweep's three dts, then the longer and the shorter
-    # single runs; the two alpha files tie and keep file order, and the
-    # classical files cost nothing.
+    # Point-steps: the sweep's dts, the finest of which is the sine-driven
+    # file's experiment, so the two are one group; then the longer and the
+    # shorter single runs. The two alpha files tie and keep file order, and
+    # the classical files cost nothing.
     assert submitted == [
-        "sweep-sine-driven", "sine-driven-harmonic", "linear-alpha-half-harmonic",
-        "linear-alpha2-harmonic", "gauge-identity", "classical-linear-alpha2",
-        "classical-sine-driven",
+        ["sine-driven-harmonic", "sweep-sine-driven"], ["linear-alpha-half-harmonic"],
+        ["linear-alpha2-harmonic"], ["gauge-identity"], ["classical-linear-alpha2"],
+        ["classical-sine-driven"],
     ]
 
 
@@ -738,10 +791,143 @@ def test_run_many_decides_side_by_side_once_and_passes_it_down(tmp_path, monkeyp
     decided, passed = [], []
     monkeypatch.setattr(runner, "_side_by_side", lambda workers: decided.append(workers) or "yes")
     monkeypatch.setattr(
-        runner, "run_scenario", lambda scenario, out, formats, side: passed.append(side)
+        runner, "_run", lambda scenario, out, formats, shared: passed.append(shared.side_by_side)
     )
     run_many(paths, out_root=str(tmp_path / "r"), jobs=1)
     assert decided == [1] and passed == ["yes", "yes"]
+
+
+# A sweep whose finest step is QUANTUM_TEXT's experiment, bit for bit.
+SHARING_SWEEP_TEXT = (
+    QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-sharing-sweep")
+    .replace("kind = quantum_covariance", "kind = convergence_sweep")
+    .replace("dt = 2e-3", "dts = 8e-3, 4e-3, 2e-3")
+)
+
+
+def _counting_experiments(monkeypatch, fail_when=lambda scenario: None):
+    """Count the runner's ``covariance_experiment`` calls; a call whose
+    scenario makes ``fail_when`` return an exception raises it instead."""
+    calls = []
+
+    def counting(scenario, side_by_side=False):
+        calls.append(scenario)
+        error = fail_when(scenario)
+        if error is not None:
+            raise error
+        return quantum.covariance_experiment(scenario, side_by_side)
+
+    monkeypatch.setattr(runner, "covariance_experiment", counting)
+    return calls
+
+
+def _artifact_bytes(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*.*"))}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_files_that_share_an_experiment_step_it_once_and_write_what_they_write_alone(
+    tmp_path, monkeypatch, jobs
+):
+    texts = {
+        "q.scenario": QUANTUM_TEXT,
+        "sweep.scenario": SHARING_SWEEP_TEXT,
+        # Only its name and bound differ, and neither is an input of a run.
+        "twin.scenario": QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-twin")
+        + "\n[tolerances]\nmin_fidelity = 0.9\n",
+    }
+    paths = [_write(tmp_path, text, name) for name, text in texts.items()]
+    alone = {}
+    for path in paths:
+        summary = runner.run_scenario(parse_scenario(path), str(tmp_path / "alone"), ("csv", "json"))
+        assert summary.status is Status.PASS, summary
+        alone[summary.name] = summary
+    calls = _counting_experiments(monkeypatch)
+    batch = run_many(paths, str(tmp_path / "batch"), ("csv", "json"), jobs=jobs)
+    # One group, so even jobs=2 runs in this process, where calls are seen:
+    # the sweep's 2e-3 is the two quantum files' experiment.
+    assert len(calls) == 3
+    assert [s.name for s in batch] == list(alone)
+    for summary in batch:
+        assert (summary.status, summary.metrics, summary.detail) == (
+            alone[summary.name].status, alone[summary.name].metrics, alone[summary.name].detail
+        )
+    assert _artifact_bytes(tmp_path / "batch") == _artifact_bytes(tmp_path / "alone")
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("record_every = 25", "record_every = 5", id="record-every"),
+    pytest.param("center = 1.0", "center = -0.0", id="signed-zero-center"),
+])
+def test_files_whose_experiments_differ_in_one_bit_share_nothing(tmp_path, monkeypatch, old, new):
+    base = QUANTUM_TEXT.replace("center = 1.0", "center = 0.0")
+    other = QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-other").replace(old, new)
+    other = other.replace("center = 1.0", "center = 0.0")
+    paths = [_write(tmp_path, base, "a.scenario"), _write(tmp_path, other, "b.scenario")]
+    scenarios = [parse_scenario(p) for p in paths]
+    assert runner._groups(scenarios) == [[0], [1]]
+    calls = _counting_experiments(monkeypatch)
+    summaries = run_many(paths, str(tmp_path / "r"), jobs=1)
+    assert [s.status for s in summaries] == [Status.PASS] * 2
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("error, detail, tracebacks", [
+    pytest.param(
+        quantum.NumericalError("kernel bug"), "NumericalError: kernel bug", 0, id="reclock"
+    ),
+    pytest.param(RuntimeError("kernel bug"), "internal error: RuntimeError: kernel bug", 2,
+                 id="internal"),
+])
+def test_a_shared_experiment_that_raises_fails_each_file_that_shares_it(
+    tmp_path, monkeypatch, capsys, error, detail, tracebacks
+):
+    unrelated = QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-unrelated")
+    paths = [
+        _write(tmp_path, QUANTUM_TEXT, "q.scenario"),
+        _write(tmp_path, unrelated.replace("tau1 = 0.5", "tau1 = 0.4"), "u.scenario"),
+        _write(tmp_path, SHARING_SWEEP_TEXT, "sweep.scenario"),
+    ]
+    shared = parse_scenario(paths[0])
+    calls = _counting_experiments(
+        monkeypatch,
+        lambda scenario: error if (scenario.config, scenario.tau_span)
+        == (shared.propagator, shared.tau_span) else None,
+    )
+    q, u, sweep = run_many(paths, str(tmp_path / "r"), jobs=1)
+    assert (q.status, q.detail) == (sweep.status, sweep.detail) == (Status.FAIL, detail)
+    assert u.status is Status.PASS
+    # The sweep's 8e-3 and 4e-3, the shared 2e-3 once, and the unrelated file.
+    assert len(calls) == 4
+    # An internal error's traceback is printed for each file it fails.
+    assert capsys.readouterr().err.count("Traceback") == tracebacks
+
+
+def test_a_shared_report_is_dropped_once_its_last_reader_has_finished(tmp_path, monkeypatch):
+    unrelated = QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-unrelated")
+    paths = [
+        _write(tmp_path, QUANTUM_TEXT, "q.scenario"),
+        _write(tmp_path, unrelated.replace("tau1 = 0.5", "tau1 = 0.4"), "u.scenario"),
+        _write(tmp_path, SHARING_SWEEP_TEXT, "sweep.scenario"),
+    ]
+    reports, alive = {}, []
+
+    def recording(scenario, side_by_side=False):
+        report = quantum.covariance_experiment(scenario, side_by_side)
+        reports[(scenario.config.dt, scenario.tau_span)] = weakref.ref(report)
+        return report
+
+    def run(scenario, out_root, formats, shared, run=runner._run):
+        summary = run(scenario, out_root, formats, shared)
+        alive.append(reports[(2e-3, (0.0, 0.5))]() is not None)
+        return summary
+
+    monkeypatch.setattr(runner, "covariance_experiment", recording)
+    monkeypatch.setattr(runner, "_run", run)
+    summaries = run_many(paths, str(tmp_path / "r"), jobs=1)
+    assert [s.status for s in summaries] == [Status.PASS] * 3
+    # Kept while the sweep has yet to read it, and dead once it has.
+    assert alive == [True, True, False]
 
 
 class _ChildOnlyError(Exception):
