@@ -24,16 +24,22 @@ record's clock and both sides' diagonal coefficients) is built for a block
 of steps at once with the same floating-point operations as a per-step
 build, so blocking changes no result. A non-finite V(t, x) stops the run
 before its block steps, with a NumericalError naming the earliest bad t.
+Every working array of a run (the block's coefficient rows, its record
+rows with their H psi, a step's neighbour products) is made once per run and
+written with ``out=``, using the same ufuncs in the same order, so no block
+or step allocates one again and no float changes. The potential's own value
+arrays and the monitors' sums are still made per block.
 
 A run is planned first, then streamed. The plan (``_plan``) is everything
 fixed before the first step: the step boundaries, each step's prefactor and
 potential clock, and the record slots with their clocks, rates T' and
 readings T. The stream (``_stream``) steps a plan and yields its records one
 at a time, each as its row with its norm and energy, after the norm, energy
-and edge-leak monitors have run on it. ``propagate_t`` and ``propagate_tau``
-copy the records into an ``EvolutionRecord``: a read-only (records, n_points)
-amplitude array and the clock, rate, reading, norm and energy columns;
-``snapshots`` builds per-sample objects only on request.
+and edge-leak monitors have run on it. A row lives in a run buffer, so it is
+valid only until the next record is asked for. ``propagate_t`` and
+``propagate_tau`` copy the records into an ``EvolutionRecord``: a read-only
+(records, n_points) amplitude array and the clock, rate, reading, norm and
+energy columns; ``snapshots`` builds per-sample objects only on request.
 
 Covariance experiments compare the two evolutions sample by sample: the
 relabeled run is stepped uniformly in tau, and the reference run, planned
@@ -44,13 +50,13 @@ runs are planned before either steps, then their streams are paired with
 no whole amplitude record is kept. With ``side_by_side`` the experiment
 forks a child process (``_Forked``) that steps the reference run while the
 tau run steps in the caller. The child writes each record to a pipe of
-``_PIPE_BYTES``, so the rows in flight are bounded by the pipe's buffer and
-none sit on the caller's heap; the caller's NumPy error state reaches the
-child through the fork itself. The runner asks for this only where every
-process running scenarios has a core to spare. Threads paid only from 1024
-grid points up: at 512, two step loops in two threads took 1.57x the time
-of one, as each ~40 us step hands the GIL over twice; two processes share
-no GIL. Records, errors and flags are paired in the same order either way,
+``_PIPE_BYTES``, each side through one frame buffer, so the rows in flight
+are bounded by the pipe's buffer and none sit on the caller's heap; the
+caller's NumPy error state reaches the child through the fork itself. The
+runner asks for this only where every process running scenarios has a core
+to spare. Threads paid only from 1024 grid points up: at 512, two step
+loops in two threads took 1.57x the time of one, as each ~40 us step hands
+the GIL over twice; two processes share no GIL. Records, errors and flags are paired in the same order either way,
 so the report is the same bit for bit. Agreement is measured with the
 phase-invariant overlap modulus, so a global phase difference is ignored.
 """
@@ -96,18 +102,21 @@ FIDELITY_CAP_SLACK = 1e-12
 # moved onto it instead of spawning a degenerate micro-step.
 LANDMARK_SNAP_FRACTION = 1e-9
 
-# A run's plan takes ~210-240 B per step while it is built (boundaries and
-# clock readings as Python floats) and keeps 32 B per step plus 32 B per
-# record. A covariance run builds its t plan while it holds its tau plan,
-# and the t plan adds a step at each landing time. Traced with tracemalloc
-# for a sine clock, the two plans peak at ~263 B per tau step with sparse
-# records and ~553 B with a record every step, so at this cap a covariance
-# run's schedule stays near 2.6 GB, or 5.5 GB when every step records.
+# A mapped run's plan takes ~210-250 B per step while it is built (its clock
+# readings as Python floats), a conventional run's ~65-150 B (its readings
+# as arrays), and each keeps 32 B per step plus 32 B per record. A
+# covariance run builds its t plan while it holds its tau plan, and the t
+# plan adds a step at each landing time. Traced with tracemalloc for a sine
+# clock, the two plans peak at ~216 B per tau step with sparse records and
+# ~290 B with a record every step, so at this cap a covariance run's
+# schedule stays near 2.2 GB, or 2.9 GB when every step records.
 MAX_STEPS = 10**7
 
 # The kernel builds the state-independent coefficients of this many grid
 # points' worth of steps at once: 32 steps at n=512, where per-call overhead
 # dominates, and one step from n=16384 up, where per-point arithmetic does.
+# A run's working arrays hold one block: ~1.5 MB at n=512 with a record at
+# every step.
 _BLOCK_POINTS = 1 << 14
 
 # A forked reference run's pipe holds this many bytes of records: about four
@@ -209,18 +218,25 @@ def _kinetic_weight(constants: PhysicalConstants, dx: float) -> float:
     return kin
 
 
-def _h_rows(amps: np.ndarray, v: np.ndarray, constants: PhysicalConstants, dx: float):
+def _h_rows(
+    amps: np.ndarray, v: np.ndarray, constants: PhysicalConstants, dx: float, out=None, lap=None
+):
     """H psi for each (full-grid) row of ``amps`` with its interior potential
-    row of ``v``: central Laplacian with hard-wall closure."""
+    row of ``v``: central Laplacian with hard-wall closure.
+
+    Given, ``out`` (shaped as ``amps``, walls zero) takes the result and
+    ``lap`` (its interior) the Laplacian; only the interior of ``out`` is
+    written, so its walls stay zero."""
     kin = _kinetic_weight(constants, dx)
     # In place, with the operations of
     # -kin * (amps[:, 2:] - 2 b + amps[:, :-2]) + v * b, in that order.
     b = amps[:, 1:-1]
-    lap = np.multiply(2.0, b)
+    lap = np.multiply(2.0, b, out=lap)
     np.subtract(amps[:, 2:], lap, out=lap)
     np.add(lap, amps[:, :-2], out=lap)
     np.multiply(-kin, lap, out=lap)
-    out = np.zeros_like(amps)
+    if out is None:
+        out = np.zeros_like(amps)
     np.add(lap, np.multiply(v, b, out=out[:, 1:-1]), out=out[:, 1:-1])
     return out
 
@@ -368,15 +384,19 @@ def _plan(
     rec = np.array(rec)
 
     # Elementwise array arithmetic takes the same IEEE operations as the
-    # scalar expressions, so no float changes; the clock map stays scalar
-    # because array sin/exp need not match scalar.
+    # scalar expressions, so no float changes; a mapped clock stays scalar
+    # because array sin/exp need not match scalar. Without a map the readings
+    # are those of ``clock_reading(None, c)``, (1.0, c), as arrays.
     edges = np.array(bounds)
     steps = edges[1:] - edges[:-1]
-    prefs, tevals = np.array(
-        [clock_reading(timemap, mid) for mid in (edges[:-1] + 0.5 * steps).tolist()]
-    ).T
+    mids = edges[:-1] + 0.5 * steps
     clocks = edges[rec]
-    rates, t = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
+    if timemap is None:
+        prefs, tevals = np.ones(len(steps)), mids
+        rates, t = np.ones(len(clocks)), clocks.copy()
+    else:
+        prefs, tevals = np.array([clock_reading(timemap, mid) for mid in mids.tolist()]).T
+        rates, t = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
     return _Plan(cfg.dt, edges, steps, prefs, tevals, rec, clocks, rates, t)
 
 
@@ -508,7 +528,8 @@ def _stream(
     lam = step/(2 hbar). Each record is yielded as ``(row, norm, energy)``
     once its block of steps has run and the norm, energy and edge-leak
     monitors have checked the block's records; monitor flags are appended
-    to ``flags``.
+    to ``flags``. The row is a view of a buffer that later blocks overwrite,
+    so it is valid only until the next record is asked for.
     """
     grid = psi0.grid
     hbar, dx = constants.hbar, grid.dx
@@ -524,25 +545,37 @@ def _stream(
 
     norm0 = psi0.norm()
 
-    # The block buffers live for the whole run: fresh ones per block made the
-    # one-step blocks of large grids ~10% slower. The state's two rows take
-    # turns as u and rhs: a step builds its right-hand side in the row u is
-    # not in, and the solve turns it into the next u there.
+    # Each block runs its steps and takes the records they land on; the first
+    # block also takes the start record.
     block = min(last, max(1, _BLOCK_POINTS // m))
+    starts = range(0, last, block)
+    js = np.searchsorted(rec, [n0 + (n0 > 0) for n0 in starts]).tolist() + [len(rec)]
+
+    # Every working array lives for the whole run and is written with out=.
+    # Fresh ones per block made the one-step blocks of large grids ~10%
+    # slower, and at n=512 glibc handed each back at the block's end and
+    # faulted it in again: tens of minor faults per block. Record rows are
+    # written only inside the walls, which stay zero.
     diag = np.empty((block, m))
     rmul = np.empty((block, m), dtype=complex)
     lhs, state, solve = _gtsv(block, m)
+    most = max(j1 - j0 for j0, j1 in zip(js, js[1:]))
+    records = np.zeros((most, grid.n_points), dtype=complex)
+    h_records = np.zeros((most, grid.n_points), dtype=complex)
+    lap = np.empty((most, m), dtype=complex)
+    w = np.empty(m, dtype=complex)
+    w_head, w_tail = w[:-1], w[1:]
+    # The state's two rows take turns as u and rhs: a step builds its
+    # right-hand side in the row u is not in, and the solve turns it into the
+    # next u there. ``views[side]`` is (u, rhs, rhs[:-1], rhs[1:]) when rhs
+    # is row ``side``.
+    views = [(state[1 - j], state[j], state[j][:-1], state[j][1:]) for j in (0, 1)]
     state[0] = psi0.amplitudes[1:-1]
-    u, rhs = state
-    side = 1  # the row of ``state`` that rhs is
-    # Each block runs its steps and takes the records they land on; the first
-    # block also takes the start record.
-    starts = range(0, last, block)
-    js = np.searchsorted(rec, [n0 + (n0 > 0) for n0 in starts]).tolist() + [len(rec)]
+    side = 1
     for n0, j0, j1 in zip(starts, js, js[1:]):
         n1 = min(n0 + block, last)
         rows = n1 - n0
-        out = np.zeros((j1 - j0, grid.n_points), dtype=complex)
+        out = records[: j1 - j0]
         slot = {bound: j for j, bound in enumerate(rec[j0:j1].tolist())}
         if n0 == 0:
             out[0] = psi0.amplitudes
@@ -562,9 +595,13 @@ def _stream(
 
                 for k, n in enumerate(range(n0, n1)):
                     ioff = ioffs[k]
+                    u, rhs, rhs_head, rhs_tail = views[side]
+                    # rhs = rmul u - ioff u[j+1] - ioff u[j-1], each product
+                    # ioff u[j] formed once.
                     np.multiply(rmul[k], u, out=rhs)
-                    rhs[:-1] -= ioff * u[1:]
-                    rhs[1:] -= ioff * u[:-1]
+                    np.multiply(ioff, u, out=w)
+                    np.subtract(rhs_head, w_tail, out=rhs_head)
+                    np.subtract(rhs_tail, w_head, out=rhs_tail)
 
                     info = solve(k, side, ioff)
                     if info != 0:
@@ -573,7 +610,7 @@ def _stream(
                         )
                     if n + 1 in slot:
                         out[slot[n + 1], 1:-1] = rhs
-                    u, rhs, side = rhs, u, 1 - side
+                    side = 1 - side
         except FloatingPointError as exc:
             raise NumericalError(
                 f"step arithmetic overflows between clock {edges[n0]:.6g} and "
@@ -583,9 +620,8 @@ def _stream(
 
         if j1 > j0:
             norms = row_norms(out, dx)
-            h_out = _h_rows(out, v[rows:], constants, dx)
+            h_out = _h_rows(out, v[rows:], constants, dx, h_records[: j1 - j0], lap[: j1 - j0])
             energies = plan.rates[j0:j1] * _energies(out, h_out, dx)
-            del h_out
             # A boolean column mask leaves the rows strided, and a strided
             # row sums in another order; contiguous rows match a 1D sum.
             leaks = np.sum(np.abs(np.ascontiguousarray(out[:, strip])) ** 2, axis=1) * dx
@@ -597,9 +633,13 @@ def _stream(
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
             yield from zip(out, norms, energies)
-        # Dropped before the next block allocates its own, so a run holds one
-        # block's rows and potential at a time.
-        del out, v
+        if n0 == 0:
+            # The start record copied psi0 whole, and a caller's psi0 may
+            # have nonzero walls; every later record has zero walls.
+            out[0, 0] = out[0, -1] = 0.0
+        # Dropped before the next block evaluates its own, so a run holds one
+        # block's potential at a time.
+        del v
 
 
 class _Forked:
@@ -607,7 +647,9 @@ class _Forked:
     a forked child process while this one does other work.
 
     The child writes each record to a pipe as one frame of complex numbers:
-    0, then norm + 1j energy, then the row. At the end it writes 1, then the
+    0, then norm + 1j energy, then the row. Each side fills one frame buffer
+    per record, so a yielded row is valid only until the next record is asked
+    for. At the end the child writes 1, then the
     pickled ``flags`` its stream appended, or the exception the stream
     raised, which ``__next__`` raises where it occurred. An exception that
     does not survive pickling arrives as a NumericalError naming its type
@@ -617,8 +659,11 @@ class _Forked:
     """
 
     def __init__(self, items, flags: list, n_points: int):
-        self.flags, self.n_points = flags, n_points
+        self.flags = flags
         self.ended = False
+        # One record's frame: 0, norm + 1j energy, then the row. Made before
+        # the fork, so the child starts with its own copy.
+        self.frame = np.zeros(2 + n_points, dtype=complex)
         read_fd, write_fd = os.pipe()
         try:
             import fcntl
@@ -635,7 +680,7 @@ class _Forked:
         if self.pid == 0:
             try:
                 os.close(read_fd)
-                _feed(items, flags, write_fd)
+                _feed(items, flags, write_fd, self.frame)
             finally:
                 os._exit(0)
         os.close(write_fd)
@@ -647,8 +692,8 @@ class _Forked:
     def __next__(self):
         if self.ended:
             raise StopIteration
-        # A record's whole frame in one read, into an aligned row of its own.
-        frame = np.empty(2 + self.n_points, dtype=complex)
+        # A record's whole frame in one read, into the frame this side owns.
+        frame = self.frame
         got = self.reader.readinto(frame)
         if got == frame.nbytes and frame[0] == 0:
             return frame[2:], frame[1].real, frame[1].imag
@@ -681,17 +726,20 @@ class _Forked:
         return status
 
 
-def _feed(items, flags: list, fd: int):
+def _feed(items, flags: list, fd: int, frame: np.ndarray):
     """The forked child's work: write the records of ``items`` to ``fd`` as
-    ``_Forked`` reads them, then ``flags`` or the exception raised."""
+    ``_Forked`` reads them, each filled into ``frame`` (whose first entry is
+    0), then ``flags`` or the exception raised."""
     import pickle
 
     with open(fd, "wb") as out:
         try:
             for row, norm, energy in items:
+                frame[1] = complex(norm, energy)
+                frame[2:] = row
                 # Flushed at once: a record held back while the stream steps
                 # on would stall the reader.
-                out.write(np.concatenate([(0, complex(norm, energy)), row]))
+                out.write(frame)
                 out.flush()
             end = flags
         except BaseException as exc:

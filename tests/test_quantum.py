@@ -3,6 +3,8 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -837,6 +839,93 @@ def test_a_covariance_run_holds_no_whole_amplitude_record():
     record_bytes = len(report.tau) * grid.n_points * np.dtype(complex).itemsize
     assert len(report.tau) == 1001
     assert peak < record_bytes / 2
+
+
+def test_only_the_start_record_keeps_a_start_state_s_nonzero_walls():
+    # A run writes its records into one buffer that every block reuses, and
+    # the start record copies psi0 whole. Wavefunction rejects nonzero walls,
+    # so the start state is built past that check.
+    amps = GROUND.amplitudes.copy()
+    amps[0], amps[-1] = 0.25, -0.5j
+    psi0 = object.__new__(Wavefunction)
+    object.__setattr__(psi0, "grid", GRID)
+    object.__setattr__(psi0, "amplitudes", amps)
+    plan = quantum._plan((0.0, 0.1), PropagatorConfig(dt=1e-3, record_every=1), None)
+    block = quantum._BLOCK_POINTS // (GRID.n_points - 2)
+    assert len(plan.steps) > 3 * block
+    rec = quantum._run_crank_nicolson(psi0, HarmonicPotential(), CST, plan)
+    assert len(rec.clocks) == len(plan.steps) + 1
+    assert rec.amplitudes[0].tobytes() == amps.tobytes()
+    walls = rec.amplitudes[1:, [0, -1]]
+    assert walls.tobytes() == np.zeros_like(walls).tobytes()
+
+
+@pytest.mark.parametrize("span, dt, landmarks", [
+    pytest.param((0.0, 1.0), 0.1, (), id="plain"),
+    pytest.param((0.0, 1.0), 0.1, (0.25, 0.5, 0.8125, 1.0), id="landmarks"),
+    pytest.param((-0.5, 0.5), 0.3, (), id="short-last-step"),
+])
+def test_a_conventional_plan_reads_each_clock_as_clock_reading_does(span, dt, landmarks):
+    # Without a clock map the plan's readings are built as arrays; they are
+    # the readings clock_reading(None, c) gives each clock, bit for bit.
+    plan = quantum._plan(span, PropagatorConfig(dt=dt, record_every=3), None, landmarks)
+    mids = plan.edges[:-1] + 0.5 * plan.steps
+    prefs, tevals = np.array([quantum.clock_reading(None, c) for c in mids.tolist()]).T
+    rates, t = np.array([quantum.clock_reading(None, c) for c in plan.clocks.tolist()]).T
+    if span == (-0.5, 0.5):
+        assert plan.steps[-1] < plan.steps[0]
+    assert len(plan.clocks) > 2
+    for name, expected in (("prefs", prefs), ("tevals", tevals), ("rates", rates), ("t", t)):
+        got = getattr(plan, name)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), name
+
+
+_FAULTS_PER_RUN = """
+import resource
+from reclock import quantum
+from reclock.model import (
+    HarmonicPotential, PhysicalConstants, SinePerturbedMap, SpatialGrid, prepare_gaussian,
+)
+
+span, cst, pot = (0.0, 2.0), PhysicalConstants(), HarmonicPotential()
+psi0 = prepare_gaussian(SpatialGrid(-12.0, 12.0, 512), 0.1, 1.0, 0.2, cst)
+cfg = quantum.PropagatorConfig(dt=1e-3, record_every=1)
+for _ in range(2):  # a warm-up run, then the counted one
+    tau_plan = quantum._plan(span, cfg, SinePerturbedMap(0.3, 1.0, span))
+    plans = tau_plan, quantum._reference_plan(tau_plan.t, cfg)
+    block = quantum._BLOCK_POINTS // 510
+    blocks = sum(-(-len(plan.steps) // block) for plan in plans)
+    # A serial covariance's two streams, paired as covariance_experiment
+    # pairs them. The first pair makes each run's buffers.
+    pairs = zip(*(quantum._stream(psi0, pot, cst, plan, []) for plan in plans), strict=True)
+    next(pairs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in pairs:
+        pass
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults, blocks)
+"""
+
+
+def test_a_run_steps_its_blocks_without_faulting_in_fresh_memory():
+    # A run's working arrays live for the whole run. Record rows, H psi and
+    # a Laplacian made anew in each block are handed back by glibc and
+    # faulted in again: tens of minor faults per block at n=512.
+    # Counted from the first pair on, since a run's buffers are faulted in
+    # once per run whenever the allocator has trimmed its heap since the
+    # last one. The potential is static, so V is one row broadcast over each
+    # block: a time-dependent potential's own value arrays are fresh per
+    # block, and whether they fault depends on the allocator's state.
+    pytest.importorskip("resource")
+    src = Path(quantum.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_RUN], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    faults, blocks = map(int, done.stdout.split())
+    assert blocks > 150
+    assert faults < blocks
 
 
 def test_a_bad_schedule_fails_before_either_run_steps(monkeypatch):
