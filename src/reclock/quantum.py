@@ -13,7 +13,7 @@ alpha H(alpha t) is the linear relabeling T(tau) = alpha tau, so
 ``propagate_rescaled`` is a ``propagate_tau`` call with that map.
 Each step is one LAPACK ``zgtsv`` solve (Gaussian elimination with partial
 pivoting) through one binder, ``_gtsv``, which owns every buffer it touches.
-One lookup, ``_openblas_zgtsv``, finds ``scipy_zgtsv_64_`` of the OpenBLAS
+One lookup, ``_openblas``, finds ``scipy_zgtsv_64_`` of the OpenBLAS
 that NumPy's wheel bundles and has already loaded, called through ctypes;
 where NumPy ships none (NumPy 1.x wheels name it otherwise, and MKL builds
 have none) the binder calls SciPy's ``gtsv``, the same routine. Each run
@@ -47,18 +47,21 @@ by ``_reference_plan``, shortens individual substeps so that it lands
 *exactly* on each comparison time T(tau_k) instead of interpolating. Both
 runs are planned before either steps, then their streams are paired with
 ``zip``, so each matched pair of rows is compared as soon as both exist and
-no whole amplitude record is kept. With ``side_by_side`` the experiment
-forks a child process (``_Forked``) that steps the reference run while the
-tau run steps in the caller. The child writes each record to a pipe of
-``_PIPE_BYTES``, each side through one frame buffer, so the rows in flight
-are bounded by the pipe's buffer and none sit on the caller's heap; the
-caller's NumPy error state reaches the child through the fork itself. The
-runner asks for this only where every process running scenarios has a core
-to spare. Threads paid only from 1024 grid points up: at 512, two step
-loops in two threads took 1.57x the time of one, as each ~40 us step hands
-the GIL over twice; two processes share no GIL. Records, errors and flags are paired in the same order either way,
-so the report is the same bit for bit. Agreement is measured with the
-phase-invariant overlap modulus, so a global phase difference is ignored.
+no whole amplitude record is kept. With ``side_by_side`` the reference
+run's stream is ``_forked``: when the first record is asked for, it forks a
+child process that steps the reference run while the tau run steps in the
+caller. The child writes each record to a pipe of ``_PIPE_BYTES``, each
+side through one frame buffer, so the rows in flight are bounded by the
+pipe's buffer and none sit on the caller's heap; the caller's NumPy error
+state reaches the child through the fork itself. However the stream ends,
+the child is reaped, and killed first if it has not finished. The runner
+asks for this only where every process running scenarios has a core to
+spare. Threads paid only from 1024 grid points up: at 512, two step loops
+in two threads took 1.57x the time of one, as each ~40 us step hands the
+GIL over twice. Two processes share no GIL. Records, errors and flags are
+paired in the same order either way, so the report is the same bit for
+bit. Agreement is measured with the phase-invariant overlap modulus, so a
+global phase difference is ignored.
 """
 
 from __future__ import annotations
@@ -439,12 +442,6 @@ def _openblas():
     return None
 
 
-def _openblas_zgtsv():
-    """NumPy's bundled ``scipy_zgtsv_64_`` (``_openblas``), or None."""
-    found = _openblas()
-    return found and found[0]
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold NumPy's bundled OpenBLAS to one thread, and give the caller back
@@ -477,7 +474,7 @@ def _gtsv(block, m):
 
     ?gtsv overwrites all three diagonals, so ``solve`` refills the
     off-diagonals, which share one buffer, and a diagonal row is used once.
-    It calls NumPy's ``zgtsv`` (``_openblas_zgtsv``) where there is one and
+    It calls NumPy's ``zgtsv`` (``_openblas``) where there is one and
     SciPy's ``gtsv``, the same routine, otherwise; the choice is made on a
     run's first step, so a process that only validates loads neither.
     NumPy's takes every address once, here, since each would cost ~2 µs per
@@ -487,8 +484,8 @@ def _gtsv(block, m):
     dl, du = offs[: m - 1], offs[m - 1 :]
     lhs = np.empty((block, m), dtype=complex)
     state = np.empty((2, m), dtype=complex)
-    zgtsv = _openblas_zgtsv()
-    if zgtsv is None:
+    found = _openblas()
+    if found is None:
         from scipy.linalg.lapack import get_lapack_funcs
 
         gtsv = get_lapack_funcs("gtsv", dtype=np.complex128)
@@ -501,6 +498,7 @@ def _gtsv(block, m):
 
         return lhs, state, solve
 
+    zgtsv = found[0]
     ints = (ctypes.c_int64 * 4)(m, 1, m, 0)
     n_p, nrhs_p, ldb_p, info_p = (ctypes.addressof(ints) + 8 * i for i in range(4))
     dl_p, du_p = dl.ctypes.data, du.ctypes.data
@@ -642,93 +640,76 @@ def _stream(
         del v
 
 
-class _Forked:
+def _forked(items, flags: list, n_points: int):
     """The ``(row, norm, energy)`` records of the stream ``items``, stepped in
-    a forked child process while this one does other work.
+    a child process forked when the first record is asked for, while this
+    one does other work.
 
     The child writes each record to a pipe as one frame of complex numbers:
     0, then norm + 1j energy, then the row. Each side fills one frame buffer
     per record, so a yielded row is valid only until the next record is asked
-    for. At the end the child writes 1, then the
-    pickled ``flags`` its stream appended, or the exception the stream
-    raised, which ``__next__`` raises where it occurred. An exception that
-    does not survive pickling arrives as a NumericalError naming its type
-    and message. The child leaves only through ``os._exit``, so it runs no
-    exit handler and flushes no buffer of this process. ``close`` kills a
-    child that has not finished and reaps it; the caller must call it.
+    for. At the end the child writes 1, then the pickled ``flags`` its stream
+    appended, or the exception the stream raised, which is raised here where
+    it occurred. An exception that does not survive pickling arrives as a
+    NumericalError naming its type and message. The child leaves only
+    through ``os._exit``, so it runs no exit handler and flushes no buffer of
+    this process. However the generator ends (its last record, an
+    exception, ``close`` or garbage collection), a child that has not
+    finished is killed, and the child is reaped.
     """
+    # One record's frame: 0, norm + 1j energy, then the row. Made before
+    # the fork, so the child starts with its own copy.
+    frame = np.zeros(2 + n_points, dtype=complex)
+    read_fd, write_fd = os.pipe()
+    try:
+        import fcntl
 
-    def __init__(self, items, flags: list, n_points: int):
-        self.flags = flags
-        self.ended = False
-        # One record's frame: 0, norm + 1j energy, then the row. Made before
-        # the fork, so the child starts with its own copy.
-        self.frame = np.zeros(2 + n_points, dtype=complex)
-        read_fd, write_fd = os.pipe()
-        try:
-            import fcntl
-
-            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):
-            pass  # not Linux, or past the system's pipe limits: the default pipe
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            try:
-                os.close(read_fd)
-                _feed(items, flags, write_fd, self.frame)
-            finally:
-                os._exit(0)
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass  # not Linux, or past the system's pipe limits: the default pipe
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
         os.close(write_fd)
-        self.reader = open(read_fd, "rb")
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            _feed(items, flags, write_fd, frame)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    running = True
+    try:
+        with open(read_fd, "rb") as reader:
+            # A record's whole frame in one read, into the frame this side owns.
+            while (got := reader.readinto(frame)) == frame.nbytes and frame[0] == 0:
+                yield frame[2:], frame[1].real, frame[1].imag
+            running = False
+            if got >= 16 and frame[0] == 1:
+                import pickle
 
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self.ended:
-            raise StopIteration
-        # A record's whole frame in one read, into the frame this side owns.
-        frame = self.frame
-        got = self.reader.readinto(frame)
-        if got == frame.nbytes and frame[0] == 0:
-            return frame[2:], frame[1].real, frame[1].imag
-        self.ended = True
-        if got >= 16 and frame[0] == 1:
-            import pickle
-
-            end = pickle.loads(frame.tobytes()[16:got] + self.reader.read())
-            if isinstance(end, BaseException):
-                raise end
-            self.flags.extend(end)
-            raise StopIteration
-        code = os.waitstatus_to_exitcode(self.close())
-        raise NumericalError(
-            f"the reference run's process ended without its result (exit code {code})"
-        )
-
-    def close(self):
-        """Kill the child if it has not finished, reap it and return its wait
-        status; a second call does nothing."""
-        if self.pid == 0:
-            return None
-        self.reader.close()
-        if not self.ended:
+                end = pickle.loads(frame.tobytes()[16:got] + reader.read())
+                if isinstance(end, BaseException):
+                    raise end
+                flags.extend(end)
+                return
+    finally:
+        if running:
             import signal
 
-            os.kill(self.pid, signal.SIGKILL)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        return status
+            os.kill(pid, signal.SIGKILL)
+        _, status = os.waitpid(pid, 0)
+    raise NumericalError(
+        f"the reference run's process ended without its result "
+        f"(exit code {os.waitstatus_to_exitcode(status)})"
+    )
 
 
 def _feed(items, flags: list, fd: int, frame: np.ndarray):
     """The forked child's work: write the records of ``items`` to ``fd`` as
-    ``_Forked`` reads them, each filled into ``frame`` (whose first entry is
+    ``_forked`` reads them, each filled into ``frame`` (whose first entry is
     0), then ``flags`` or the exception raised."""
     import pickle
 
@@ -953,10 +934,12 @@ def covariance_experiment(
     any work. The two streams are then paired with ``zip``, and each matched
     pair of rows is compared as soon as both exist and then dropped: no
     whole amplitude record is ever held. With ``side_by_side`` the t stream
-    is stepped in a forked child process (``_Forked``), which needs
-    ``os.fork`` and pays only where a core is free for the child; an error
-    of either run is raised at the record where it occurred, the tau run's
-    first on a tie, as ``zip`` does, and the child has been reaped on return.
+    is stepped in a forked child process (``_forked``), which needs
+    ``os.fork`` and pays only where a core is free for the child. The child
+    is forked once the tau run has its first record, so a tau run that fails
+    in its first block forks none. An error of either run is raised at the
+    record where it occurred, the tau run's first on a tie, as ``zip``
+    does, and the child has been reaped on return.
     """
     cst, pot, cfg = scenario.constants, scenario.potential, scenario.config
     psi0 = scenario.initial_state
@@ -972,7 +955,7 @@ def covariance_experiment(
         t_rows = _stream(psi0, pot, cst, t_plan, t_flags)
         if side_by_side:
             # Forked on one BLAS thread, which the child keeps.
-            t_rows = _Forked(t_rows, t_flags, psi0.grid.n_points)
+            t_rows = _forked(t_rows, t_flags, psi0.grid.n_points)
         try:
             # strict: after the last pair the t stream is read to its end,
             # where a forked one hands over its flags.

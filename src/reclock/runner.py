@@ -202,15 +202,13 @@ def _misses(
     return misses
 
 
-def run_scenario(
-    scenario: Scenario, out_root="reports", formats=("csv",), side_by_side: bool = False
-) -> RunSummary:
+def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> RunSummary:
     """Execute one scenario, check its metrics against its tolerances, write its
     artifacts under ``<out_root>/<name>/`` once per format, and summarize the
-    outcome. ``side_by_side`` steps each covariance's reference run in a forked
-    child (see ``covariance_experiment``). A direct call shares no covariance
-    experiment with any other file (see ``run_many``)."""
-    return _run_group([scenario], out_root, formats, side_by_side)[0]
+    outcome. Its covariances step side by side where a one-worker
+    ``run_many``'s would (``_side_by_side``). A direct call shares no
+    covariance experiment with any other file (see ``run_many``)."""
+    return _run_group([scenario], out_root, formats, _side_by_side(1))[0]
 
 
 def _run_group(scenarios, out_root, formats, side_by_side: bool) -> list[RunSummary]:

@@ -43,7 +43,7 @@ def _cpu() -> str:
 def environment() -> dict[str, str]:
     """The versions, solver and machine that an artifact's floats can depend on."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
-    bundled = quantum._openblas_zgtsv() is not None
+    bundled = quantum._openblas() is not None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,

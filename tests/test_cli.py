@@ -978,11 +978,12 @@ class _FailsInAChild(PotentialSpec):
     ),
 ])
 def test_an_internal_error_in_the_forked_run_fails_its_scenario(
-    tmp_path, capsys, make_error, detail
+    tmp_path, capsys, monkeypatch, make_error, detail
 ):
     scenario = parse_scenario(_write(tmp_path, QUANTUM_TEXT, "q.scenario"))
     scenario = dataclasses.replace(scenario, potential=_FailsInAChild(make_error))
-    summary = runner.run_scenario(scenario, str(tmp_path / "r"), side_by_side=True)
+    monkeypatch.setattr(runner, "_side_by_side", lambda workers: True)
+    summary = runner.run_scenario(scenario, str(tmp_path / "r"))
     assert summary.status is Status.FAIL and summary.detail == detail
     assert summary.metrics == {} and summary.artifacts == ()
     capsys.readouterr()

@@ -769,22 +769,23 @@ def test_a_forked_stream_runs_under_the_callers_numpy_error_state():
     def overflowing():
         yield np.zeros(4, dtype=complex), np.float64(1e308) * 10.0, 0.0
 
-    with np.errstate(over="raise"):
-        rows = quantum._Forked(overflowing(), [], 4)
+    rows = quantum._forked(overflowing(), [], 4)
     try:
-        with pytest.raises(FloatingPointError, match="overflow"):
+        # The child is forked on the first record, under this error state.
+        with pytest.raises(FloatingPointError, match="overflow"), np.errstate(over="raise"):
             next(rows)
     finally:
         rows.close()
 
 
-def test_closing_a_forked_stream_early_kills_and_reaps_its_child():
-    def one_then_a_long_stretch():
-        yield np.ones(4, dtype=complex), 1.0, 2.0
-        time.sleep(60)  # a long run of steps that lands on no record
-        yield np.ones(4, dtype=complex), 1.0, 2.0
+def _one_then_a_long_stretch():
+    yield np.ones(4, dtype=complex), 1.0, 2.0
+    time.sleep(60)  # a long run of steps that lands on no record
+    yield np.ones(4, dtype=complex), 1.0, 2.0
 
-    rows = quantum._Forked(one_then_a_long_stretch(), [], 4)
+
+def test_closing_a_forked_stream_early_kills_and_reaps_its_child():
+    rows = quantum._forked(_one_then_a_long_stretch(), [], 4)
     row, norm, energy = next(rows)
     assert row.tobytes() == np.ones(4, dtype=complex).tobytes() and (norm, energy) == (1.0, 2.0)
     assert not _no_child_left()
@@ -796,12 +797,22 @@ def test_closing_a_forked_stream_early_kills_and_reaps_its_child():
     rows.close()
 
 
+def test_a_forked_stream_dropped_unclosed_kills_and_reaps_its_child():
+    rows = quantum._forked(_one_then_a_long_stretch(), [], 4)
+    next(rows)
+    assert not _no_child_left()
+    start = time.perf_counter()
+    del rows  # finalized at once, which closes the generator
+    assert time.perf_counter() - start < 10.0
+    assert _no_child_left()
+
+
 def test_a_forked_stream_whose_child_dies_raises_a_numerical_error():
     def dies_after_one():
         yield np.ones(2, dtype=complex), 1.0, 0.0
         os._exit(3)
 
-    rows = quantum._Forked(dies_after_one(), [], 2)
+    rows = quantum._forked(dies_after_one(), [], 2)
     try:
         assert next(rows)[1:] == (1.0, 0.0)
         with pytest.raises(NumericalError, match=r"ended without its result \(exit code 3\)$"):
@@ -818,7 +829,7 @@ def test_a_failed_fork_closes_its_pipe(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     fds = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        quantum._Forked(iter(()), [], 2)
+        next(quantum._forked(iter(()), [], 2))
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
@@ -975,9 +986,9 @@ def _failing_on_fourth_solve(info, gtsv):
 
 
 def _solver_lookups():
-    """``_openblas_zgtsv`` stand-ins for each path the kernel has here: NumPy's
-    bundled zgtsv if there is one, and None, which selects SciPy's gtsv."""
-    bundled = quantum._openblas_zgtsv()
+    """``_openblas`` stand-ins for each path the kernel has here: NumPy's
+    bundled OpenBLAS if there is one, and None, which selects SciPy's gtsv."""
+    bundled = quantum._openblas()
     return [lambda found=found: found for found in ([bundled] if bundled else []) + [None]]
 
 
@@ -986,7 +997,7 @@ def test_failed_tridiagonal_solve_raises_numerical_error_naming_the_step(monkeyp
     cfg = PropagatorConfig(dt=1e-2)
     monkeypatch.setattr(quantum, "_gtsv", _failing_on_fourth_solve(info, quantum._gtsv))
     for lookup in _solver_lookups():
-        monkeypatch.setattr(quantum, "_openblas_zgtsv", lookup)
+        monkeypatch.setattr(quantum, "_openblas", lookup)
         with pytest.raises(NumericalError, match=rf"at step 3: LAPACK \?gtsv info={info}$"):
             propagate_t(GROUND, HarmonicPotential(), CST, (0.0, 0.1), cfg)
 
@@ -1011,7 +1022,7 @@ def test_both_tridiagonal_solvers_step_float_for_float(monkeypatch):
     # broken lookup cannot fall back to SciPy's unnoticed.
     libs = Path(np.__file__).parents[1] / "numpy.libs"
     bundled = any(libs.glob("libscipy_openblas64_*.so"))
-    assert (quantum._openblas_zgtsv() is not None) == bundled
+    assert (quantum._openblas() is not None) == bundled
     if not bundled:
         pytest.skip("NumPy bundles no OpenBLAS zgtsv, so the kernel has one path")
 
@@ -1030,7 +1041,7 @@ def test_both_tridiagonal_solvers_step_float_for_float(monkeypatch):
     ]
     records = []
     for lookup in _solver_lookups():
-        monkeypatch.setattr(quantum, "_openblas_zgtsv", lookup)
+        monkeypatch.setattr(quantum, "_openblas", lookup)
         records.append([quantum._run_crank_nicolson(psi0, pot, CST, plan) for pot, plan in runs])
     for fast, fallback in zip(*records, strict=True):
         assert len(fast.clocks) > 10
@@ -1138,6 +1149,22 @@ def test_a_covariance_whose_runs_both_fail_reports_the_run_stepped_first(offset,
     # Counted while the traceback, and so the experiment's frame, is alive.
     assert threading.active_count() == threads, caught
     assert _no_child_left(), caught
+
+
+def test_a_covariance_whose_tau_run_fails_before_its_first_record_forks_nothing(monkeypatch):
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=0.01, record_every=1)
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=span)
+    scenario = CovarianceScenario(CST, _BlowsUpAfter(-1.0), tmap, GROUND, span, cfg)
+    with pytest.raises(NumericalError, match=r"non-finite values at t=0\.0$"):
+        covariance_experiment(scenario, side_by_side=True)
+    assert forks == []
 
 
 def test_scalar_and_array_potentials_give_identical_runs():
