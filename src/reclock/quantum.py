@@ -267,9 +267,11 @@ def apply_hamiltonian(
 def expectation_energy(
     psi: Wavefunction, pot: PotentialSpec, constants: PhysicalConstants, t: float
 ) -> float:
-    """Re <psi| H(t) |psi> on the grid quadrature."""
+    """Re <psi| H(t) |psi> on the grid quadrature, on one BLAS thread as a
+    run's energies are (``_one_blas_thread``)."""
     h_psi = apply_hamiltonian(psi, pot, constants, t)
-    return float(_energies(psi.amplitudes[None], h_psi.amplitudes[None], psi.grid.dx)[0])
+    with _one_blas_thread():
+        return float(_energies(psi.amplitudes[None], h_psi.amplitudes[None], psi.grid.dx)[0])
 
 
 def expectation_position(psi: Wavefunction) -> float:
@@ -288,10 +290,12 @@ def position_variance(psi: Wavefunction) -> float:
 
 
 def fidelity(a: Wavefunction, b: Wavefunction) -> float:
-    """|<a|b>| on the grid quadrature; invariant under global phases."""
+    """|<a|b>| on the grid quadrature; invariant under global phases. Taken on
+    one BLAS thread, as a run's fidelities are (``_one_blas_thread``)."""
     if a.grid != b.grid:
         raise ValidationError(f"grid mismatch: {a.grid} vs {b.grid}")
-    return float(_overlap(a.amplitudes, b.amplitudes, a.grid.dx))
+    with _one_blas_thread():
+        return float(_overlap(a.amplitudes, b.amplitudes, a.grid.dx))
 
 
 def check_step_count(a: float, b: float, dt: float) -> float:
@@ -655,24 +659,32 @@ def _forked(items, flags: list, n_points: int):
     through ``os._exit``, so it runs no exit handler and flushes no buffer of
     this process. However the generator ends (its last record, an
     exception, ``close`` or garbage collection), a child that has not
-    finished is killed, and the child is reaped.
+    finished is killed, and the child is reaped. If no pipe can be made or
+    no child forked (a process or file limit: EAGAIN, ENOMEM, EMFILE), the
+    stream, not yet started, is stepped here instead: the fork buys only
+    speed, and both ways yield the same records bit for bit.
     """
-    # One record's frame: 0, norm + 1j energy, then the row. Made before
-    # the fork, so the child starts with its own copy.
-    frame = np.zeros(2 + n_points, dtype=complex)
-    read_fd, write_fd = os.pipe()
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        yield from items
+        return
     try:
         import fcntl
 
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     except (AttributeError, OSError):
         pass  # not Linux, or past the system's pipe limits: the default pipe
+    # One record's frame: 0, norm + 1j energy, then the row. Made before
+    # the fork, so the child starts with its own copy.
+    frame = np.zeros(2 + n_points, dtype=complex)
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        raise
+        yield from items
+        return
     if pid == 0:
         try:
             os.close(read_fd)

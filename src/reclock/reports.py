@@ -43,19 +43,22 @@ def csv_table(table: dict) -> str:
 
 
 def _json_list(col) -> str:
-    """A column of finite floats as json.dumps(indent=2) writes a list at depth two."""
+    """A column as json.dumps(indent=2) writes a list at depth two: a float as
+    its repr, but nan and ±inf as NaN and ±Infinity. No finite float's repr
+    holds those letters, so each chunk's joined text is rewritten whole."""
     sep = ",\n      "
-    body = sep.join(sep.join(map(float.__repr__, chunk)) for chunk in _chunks(col))
+    body = sep.join(
+        sep.join(map(float.__repr__, chunk)).replace("nan", "NaN").replace("inf", "Infinity")
+        for chunk in _chunks(col)
+    )
     return f"[\n      {body}\n    ]" if body else "[]"
 
 
 def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
     """A JSON document mirroring a CSV table, with schema version and summary.
 
-    The text is ``json.dumps(payload, indent=2)``. json writes a finite float
-    as its repr, so the samples are joined from ``float.__repr__``; a table
-    with a non-finite cell, which json writes as NaN or ±Infinity, goes
-    through json whole.
+    The text is ``json.dumps(payload, indent=2)``, with the samples joined
+    from ``float.__repr__`` as json writes them (``_json_list``).
     """
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -64,9 +67,6 @@ def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
         "summary": summary,
         "flags": list(flags),
     }
-    if not all(np.isfinite(col).all() for col in table.values()):
-        payload["samples"] = {name: [float(v) for v in col] for name, col in table.items()}
-        return json.dumps(payload, indent=2) + "\n"
     head, empty, tail = json.dumps(payload, indent=2).partition('\n  "samples": {},')
     if not table:
         return f"{head}{empty}{tail}\n"

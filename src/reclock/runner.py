@@ -4,7 +4,8 @@ A run produces artifact files under ``<out>/<scenario-name>/`` plus a
 RunSummary whose status follows a strict precedence: a missed tolerance or
 an execution error is Fail, otherwise any monitor flag (edge leakage, norm
 drift) is Flagged, otherwise Pass. Wall time is reported on stdout only and
-never written into artifacts, which keeps re-runs byte-identical.
+never written into artifacts, which keeps re-runs byte-identical. A batch
+runs as groups of files that share covariance experiments (``run_many``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
 def _inputs(scenario: Scenario, dt: float) -> tuple:
     """Everything the covariance experiment of ``scenario`` at step ``dt``
     is built from: constants, potential, clock map, grid, Gaussian, tau
-    span and stepping config."""
+    span and stepping config. An experiment's key is their ``repr``, so two
+    keys are equal only when every input has the same type and the same
+    bits: 0.0 and -0.0 differ, as do two clock maps' domains, and a
+    potential with the default object ``repr``, which holds its address,
+    matches no other object."""
     return (
         scenario.constants, scenario.potential, scenario.timemap, scenario.grid,
         scenario.gaussian, scenario.tau_span, replace(scenario.propagator, dt=dt),
@@ -75,58 +80,6 @@ def _dts(scenario: Scenario) -> tuple[float, ...]:
     return scenario.sweep_dts or (scenario.propagator.dt,)
 
 
-def _keys(scenario: Scenario) -> list[str]:
-    """The key of each covariance experiment a file runs, in run order.
-
-    A key is the ``repr`` of the experiment's ``_inputs``, so two keys are
-    equal only when every input has the same type and the same bits: 0.0
-    and -0.0 differ, as do two clock maps' domains, and a potential with
-    the default object ``repr``, which holds its address, matches no other
-    object."""
-    return [repr(_inputs(scenario, dt)) for dt in _dts(scenario)]
-
-
-class _Experiments:
-    """The covariance experiments of one task's files, each stepped once.
-
-    A file reads the report of an experiment that another file of the task
-    has already stepped, or the exception that its run raised, instead of
-    stepping it again. An outcome is kept only while a file that has not
-    finished still needs it: ``finished`` releases a file's experiments.
-    """
-
-    def __init__(self, scenarios, side_by_side: bool):
-        self.side_by_side = side_by_side
-        # How many unfinished files run each experiment.
-        self.readers = Counter(key for s in scenarios for key in set(_keys(s)))
-        self.kept = {}
-
-    def covariance(self, scenario: Scenario, dt: float) -> CovarianceReport:
-        """The report of ``scenario``'s covariance experiment at step ``dt``,
-        stepped here unless kept; an exception of its run is raised."""
-        inputs = _inputs(scenario, dt)
-        key = repr(inputs)
-        if key in self.kept:
-            outcome = self.kept[key]
-        else:
-            try:
-                outcome = _covariance(inputs, self.side_by_side)
-            except Exception as exc:
-                outcome = exc
-            if self.readers[key] > 1:
-                self.kept[key] = outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def finished(self, scenario: Scenario) -> None:
-        """Drop each outcome that ``scenario`` was the last file to need."""
-        for key in set(_keys(scenario)):
-            self.readers[key] -= 1
-            if self.readers[key] <= 0:
-                self.kept.pop(key, None)
-
-
 def _covariance(inputs: tuple, side_by_side: bool) -> CovarianceReport:
     """Prepare the initial state and run the covariance experiment of these
     ``_inputs``, with its two runs side by side if asked."""
@@ -137,12 +90,12 @@ def _covariance(inputs: tuple, side_by_side: bool) -> CovarianceReport:
     )
 
 
-def _run_quantum(scenario: Scenario, experiments: _Experiments):
-    artifact = layout(experiments.covariance(scenario, scenario.propagator.dt))
+def _run_quantum(scenario: Scenario, covariance):
+    artifact = layout(covariance(scenario, scenario.propagator.dt))
     return artifact[2], {"report": artifact}  # its summary holds the run's metrics
 
 
-def _run_classical(scenario: Scenario, experiments: _Experiments):
+def _run_classical(scenario: Scenario, covariance):
     x0, p0 = scenario.classical_initial
     pot, cst, tol = scenario.potential, scenario.constants, scenario.integrator_tol
     traj_tau = integrate_tau(pot, cst, scenario.timemap, x0, p0, scenario.tau_span, tol)
@@ -152,11 +105,11 @@ def _run_classical(scenario: Scenario, experiments: _Experiments):
     return {"max_trajectory_error": error}, layouts
 
 
-def _run_sweep(scenario: Scenario, experiments: _Experiments):
+def _run_sweep(scenario: Scenario, covariance):
     dts = np.array(scenario.sweep_dts)
     min_fid, residual, flags = [], [], []
     for dt in scenario.sweep_dts:
-        report = experiments.covariance(scenario, dt)
+        report = covariance(scenario, dt)
         min_fid.append(report.min_fidelity)
         residual.append(report.max_energy_transform_residual)
         flags.extend(f"dt={dt:g}: {flag}" for flag in report.flags)
@@ -177,8 +130,9 @@ def _run_sweep(scenario: Scenario, experiments: _Experiments):
     return metrics, {"sweep": artifact}
 
 
-# Each kind's runner: (scenario, experiments) -> (metrics, {artifact stem:
-# layout}); flags ride in the layouts, and a classical run steps no experiment.
+# Each kind's runner: (scenario, covariance) -> (metrics, {artifact stem:
+# layout}), where covariance(scenario, dt) is a report. Flags ride in the
+# layouts, and a classical run steps no experiment.
 _DISPATCH = {
     ScenarioKind.QUANTUM_COVARIANCE: _run_quantum,
     ScenarioKind.CLASSICAL_EQUIVALENCE: _run_classical,
@@ -212,21 +166,40 @@ def run_scenario(scenario: Scenario, out_root="reports", formats=("csv",)) -> Ru
 
 
 def _run_group(scenarios, out_root, formats, side_by_side: bool) -> list[RunSummary]:
-    """``run_scenario`` of each file in turn, stepping each covariance
-    experiment that they share once (``_Experiments``): one pool task."""
-    experiments = _Experiments(scenarios, side_by_side)
-    return [_run(scenario, out_root, formats, experiments) for scenario in scenarios]
+    """``run_scenario`` of each file in turn: one task of ``run_many``. A file
+    reads the outcome (report, or the exception its run raised) of an
+    experiment that an earlier file stepped instead of stepping it again; an
+    outcome is kept only if more than one file runs it, until this returns."""
+    readers = Counter(k for s in scenarios for k in {repr(_inputs(s, dt)) for dt in _dts(s)})
+    kept = {}
+
+    def covariance(scenario: Scenario, dt: float) -> CovarianceReport:
+        inputs = _inputs(scenario, dt)
+        key = repr(inputs)
+        outcome = kept.get(key)
+        if outcome is None:
+            try:
+                outcome = _covariance(inputs, side_by_side)
+            except Exception as exc:
+                outcome = exc
+            if readers[key] > 1:
+                kept[key] = outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return [_run(scenario, out_root, formats, covariance) for scenario in scenarios]
 
 
-def _run(scenario: Scenario, out_root, formats, experiments: _Experiments) -> RunSummary:
-    """``run_scenario``'s work, taking covariance reports from ``experiments``.
-    The summary's wall time is this file's own, so it holds no time spent
-    stepping an experiment that another file stepped first."""
+def _run(scenario: Scenario, out_root, formats, covariance) -> RunSummary:
+    """``run_scenario``'s work, taking reports from ``covariance``. The wall
+    time is this file's own: it holds no time spent stepping an experiment
+    that another file stepped first."""
     out_dir = Path(out_root) / scenario.name
 
     start = time.perf_counter()
     try:
-        metrics, layouts = _DISPATCH[scenario.kind](scenario, experiments)
+        metrics, layouts = _DISPATCH[scenario.kind](scenario, covariance)
         flags = [flag for *_, layout_flags in layouts.values() for flag in layout_flags]
         misses = _misses(scenario.kind, metrics, scenario.tolerances)
         artifacts = _emit(layouts, out_dir, formats)
@@ -246,7 +219,6 @@ def _run(scenario: Scenario, out_root, formats, experiments: _Experiments) -> Ru
             status, detail = Status.FLAGGED, "; ".join(flags[:4])
         else:
             status, detail = Status.PASS, ""
-    experiments.finished(scenario)
     return RunSummary(
         name=scenario.name,
         kind=scenario.kind.value,
@@ -287,7 +259,7 @@ def _groups(scenarios) -> list[list[int]]:
     first files."""
     groups = []  # (cost of each distinct experiment by key, member indices)
     for i, scenario in enumerate(scenarios):
-        costs = {key: _cost(scenario, dt) for key, dt in zip(_keys(scenario), _dts(scenario))}
+        costs = {repr(_inputs(scenario, dt)): _cost(scenario, dt) for dt in _dts(scenario)}
         members = [i]
         for group in [g for g in groups if g[0].keys() & costs.keys()]:
             groups.remove(group)
@@ -323,15 +295,14 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     starts, so a bad file raises ScenarioError before any work is done. So
     do two files of one name, whose artifacts would share one directory.
     Files that run one covariance experiment (the same inputs, bit for
-    bit) are one group (``_groups``), which one task runs in file order,
-    stepping that experiment once (``_Experiments``). If its run raises, it
-    fails every file that shares it, each with the detail it would have
-    alone. Groups are submitted costliest first, the longest-processing-time
-    rule of Graham (1969), so no long group starts last and runs alone. The
-    batch uses ``min(jobs, groups)`` workers; with one it runs in this
-    process, as one group, so ``jobs=1`` shares across the whole batch.
-    Whether covariances step their two runs side by side is decided once,
-    here, for that many workers (``_side_by_side``).
+    bit) are one group (``_groups``): one task (``_run_group``) runs them in
+    file order and steps that experiment once per batch. If its run raises,
+    it fails every file that shares it, each with the detail it would have
+    alone. Groups run costliest first, the longest-processing-time rule of
+    Graham (1969), so no long group starts last and runs alone, on
+    ``min(jobs, groups)`` workers: with one, in this process. Whether
+    covariances step their two runs side by side is decided once, here, for
+    that many workers (``_side_by_side``).
     """
     scenarios = [parse_scenario(p) for p in paths]
     require_distinct_names(zip(paths, scenarios))
@@ -340,17 +311,14 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     groups = _groups(scenarios)
     workers = max(1, min(jobs, len(groups)))
     side_by_side = _side_by_side(workers)
+    tasks = [([scenarios[i] for i in g], out_root, formats, side_by_side) for g in groups]
     if workers == 1:
-        return _run_group(scenarios, out_root, formats, side_by_side)
-    # Imported here: a run without a pool loads no multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+        results = [_run_group(*task) for task in tasks]
+    else:
+        # Imported here: a run without a pool loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (members, pool.submit(
-                _run_group, [scenarios[i] for i in members], out_root, formats, side_by_side
-            ))
-            for members in groups
-        ]
-        by_file = {i: s for members, f in futures for i, s in zip(members, f.result())}
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = [f.result() for f in [pool.submit(_run_group, *task) for task in tasks]]
+    by_file = {i: s for members, group in zip(groups, results) for i, s in zip(members, group)}
     return [by_file[i] for i in range(len(scenarios))]

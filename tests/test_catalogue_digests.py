@@ -54,21 +54,25 @@ def environment() -> dict[str, str]:
     }
 
 
-def catalogue_digests(out_root: Path, jobs: int = 1) -> dict[str, str]:
-    """``{<name>/<stem>.<fmt>: sha256}`` of one catalogue run under ``out_root``
-    with ``jobs`` workers."""
-    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS, jobs)
-    assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
+def tree_digests(out_root: Path) -> dict[str, str]:
+    """``{<name>/<stem>.<fmt>: sha256}`` of every artifact under ``out_root``."""
     return {
         path.relative_to(out_root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out_root.rglob("*.*"))
     }
 
 
-def read_manifest() -> tuple[dict[str, str], dict[str, str]]:
-    """The recorded environment and ``{artifact: sha256}``."""
+def catalogue_digests(out_root: Path, jobs: int = 1) -> dict[str, str]:
+    """``tree_digests`` of one catalogue run under ``out_root`` with ``jobs`` workers."""
+    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS, jobs)
+    assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
+    return tree_digests(out_root)
+
+
+def read_manifest(manifest: Path = MANIFEST) -> tuple[dict[str, str], dict[str, str]]:
+    """The recorded environment and ``{artifact: sha256}`` of ``manifest``."""
     recorded, digests = {}, {}
-    for line in MANIFEST.read_text(encoding="utf-8").splitlines():
+    for line in manifest.read_text(encoding="utf-8").splitlines():
         if line.startswith("# ") and ": " in line:
             key, value = line[2:].split(": ", 1)
             recorded[key] = value
@@ -91,9 +95,14 @@ def test_a_pooled_catalogue_writes_the_pinned_artifacts(tmp_path):
 def check_catalogue(out_root: Path, jobs: int) -> None:
     """Fail unless a catalogue run with ``jobs`` workers writes the manifest's
     artifacts, naming each that differs and the environments."""
-    recorded, expected = read_manifest()
-    assert expected, f"{MANIFEST.name} lists no artifact"
-    actual = catalogue_digests(out_root, jobs)
+    check_digests(MANIFEST, catalogue_digests(out_root, jobs))
+
+
+def check_digests(manifest: Path, actual: dict[str, str]) -> None:
+    """Fail unless ``actual`` holds exactly ``manifest``'s artifacts and
+    digests, naming each that differs and the environments."""
+    recorded, expected = read_manifest(manifest)
+    assert expected, f"{manifest.name} lists no artifact"
     differing = sorted(
         name for name in expected.keys() | actual.keys() if expected.get(name) != actual.get(name)
     )
@@ -104,16 +113,22 @@ def check_catalogue(out_root: Path, jobs: int) -> None:
             for key in dict.fromkeys([*recorded, *running])
         )
         raise AssertionError(
-            f"{len(differing)} catalogue artifact(s) differ from {MANIFEST.name}:\n"
+            f"{len(differing)} artifact(s) differ from {manifest.name}:\n"
             + "\n".join(f"  {name}" for name in differing)
             + f"\nenvironment:\n{versions}"
         )
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = catalogue_digests(Path(tmp))
-    print(f'# SHA-256 of every artifact of one run_many over the catalogue, formats={FORMATS!r}.')
+def print_manifest(title: str, digests: dict[str, str]) -> None:
+    """Write a manifest to stdout: ``title`` and the environment as comments,
+    then one ``<sha256>  <artifact>`` line per artifact."""
+    print(f"# SHA-256 of every artifact of {title}, formats={FORMATS!r}.")
     for key, value in environment().items():
         print(f"# {key}: {value}")
     sys.stdout.writelines(f"{digest}  {name}\n" for name, digest in digests.items())
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = catalogue_digests(Path(tmp))
+    print_manifest("one run_many over the catalogue", digests)

@@ -791,9 +791,13 @@ def test_run_many_decides_side_by_side_once_and_passes_it_down(tmp_path, monkeyp
     decided, passed = [], []
     monkeypatch.setattr(runner, "_side_by_side", lambda workers: decided.append(workers) or "yes")
     monkeypatch.setattr(
-        runner, "_run", lambda scenario, out, formats, shared: passed.append(shared.side_by_side)
+        runner, "_run_group",
+        lambda scenarios, out_root, formats, side_by_side: [
+            passed.append(side_by_side) for _ in scenarios
+        ],
     )
     run_many(paths, out_root=str(tmp_path / "r"), jobs=1)
+    # Two classical files share nothing, so each is a group of its own.
     assert decided == [1] and passed == ["yes", "yes"]
 
 
@@ -903,7 +907,9 @@ def test_a_shared_experiment_that_raises_fails_each_file_that_shares_it(
     assert capsys.readouterr().err.count("Traceback") == tracebacks
 
 
-def test_a_shared_report_is_dropped_once_its_last_reader_has_finished(tmp_path, monkeypatch):
+def test_a_shared_report_is_kept_until_its_group_returns_and_an_unshared_one_never(
+    tmp_path, monkeypatch
+):
     unrelated = QUANTUM_TEXT.replace("name = cli-quantum", "name = cli-unrelated")
     paths = [
         _write(tmp_path, QUANTUM_TEXT, "q.scenario"),
@@ -914,20 +920,38 @@ def test_a_shared_report_is_dropped_once_its_last_reader_has_finished(tmp_path, 
 
     def recording(scenario, side_by_side=False):
         report = quantum.covariance_experiment(scenario, side_by_side)
-        reports[(scenario.config.dt, scenario.tau_span)] = weakref.ref(report)
+        reports[(scenario.config.dt, scenario.tau_span[1])] = weakref.ref(report)
         return report
 
-    def run(scenario, out_root, formats, shared, run=runner._run):
-        summary = run(scenario, out_root, formats, shared)
-        alive.append(reports[(2e-3, (0.0, 0.5))]() is not None)
+    def living():
+        return {key for key, ref in reports.items() if ref() is not None}
+
+    def run(scenario, out_root, formats, covariance, run=runner._run):
+        summary = run(scenario, out_root, formats, covariance)
+        alive.append((scenario.name, living()))
         return summary
+
+    def run_group(scenarios, out_root, formats, side_by_side, run_group=runner._run_group):
+        summaries = run_group(scenarios, out_root, formats, side_by_side)
+        alive.append(("group returned", living()))
+        return summaries
 
     monkeypatch.setattr(runner, "covariance_experiment", recording)
     monkeypatch.setattr(runner, "_run", run)
+    monkeypatch.setattr(runner, "_run_group", run_group)
     summaries = run_many(paths, str(tmp_path / "r"), jobs=1)
     assert [s.status for s in summaries] == [Status.PASS] * 3
-    # Kept while the sweep has yet to read it, and dead once it has.
-    assert alive == [True, True, False]
+    # The costlier group [q, sweep] runs first. The shared 2e-3 experiment is
+    # alive after its first reader and dead once its group has returned; the
+    # sweep's own dts and the unrelated file's experiment are never kept.
+    assert alive == [
+        ("cli-quantum", {(2e-3, 0.5)}),
+        ("cli-sharing-sweep", {(2e-3, 0.5)}),
+        ("group returned", set()),
+        ("cli-unrelated", set()),
+        ("group returned", set()),
+    ]
+    assert reports.keys() == {(2e-3, 0.5), (8e-3, 0.5), (4e-3, 0.5), (2e-3, 0.4)}
 
 
 class _ChildOnlyError(Exception):

@@ -828,9 +828,59 @@ def test_a_failed_fork_closes_its_pipe(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     fds = sorted(os.listdir("/proc/self/fd"))
-    with pytest.raises(BlockingIOError):
+    # The empty stream is stepped here instead, and ends.
+    with pytest.raises(StopIteration):
         next(quantum._forked(iter(()), [], 2))
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_covariance_whose_fork_cannot_start_steps_serially_bit_for_bit(monkeypatch, call):
+    def refused(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    psi0 = prepare_gaussian(SpatialGrid(-8.5, 8.5, 192), 0.0, 1.0, momentum=12.0)
+    scenario = CovarianceScenario(
+        CST, _EQUIV_POTENTIALS["driven"], _EQUIV_CLOCKS["sine"], psi0, _EQUIV_SPAN,
+        PropagatorConfig(dt=1e-3, record_every=3),
+    )
+    serial = covariance_experiment(scenario)
+    monkeypatch.setattr(os, call, refused)
+    fallback = covariance_experiment(scenario, side_by_side=True)
+    for name in (
+        "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
+        "energy_t", "energy_tau", "energy_transform_residual",
+    ):
+        assert getattr(fallback, name).tobytes() == getattr(serial, name).tobytes(), name
+    assert any(flag.startswith("edge-leak") for flag in serial.flags)
+    assert fallback.flags == serial.flags
+    assert _no_child_left()
+
+
+def test_the_public_oracles_take_their_sums_on_one_blas_thread():
+    """``fidelity`` and ``expectation_energy`` give the bits of one BLAS
+    thread, as a run's columns do, in a process whose OpenBLAS runs more.
+
+    At 16384 points OpenBLAS splits a ``vdot`` over its threads, and two
+    threads sum it in another order than one, so a call on the process's
+    own thread count would not reproduce a report's column bit for bit."""
+    found = quantum._openblas()
+    if found is None:
+        pytest.skip("NumPy bundles no OpenBLAS, whose thread count could be held")
+    if found[1]() < 2:
+        pytest.skip("OpenBLAS runs one thread here, so there is nothing to hold")
+    grid = SpatialGrid(-24.0, 24.0, 16384)
+    a = prepare_gaussian(grid, 0.3, 1.0, momentum=0.7)
+    b = prepare_gaussian(grid, 0.0, 1.2, momentum=1.5)
+    pot, t = MovingWellPotential(center0=0.0, velocity=0.5, stiffness=1.0), 0.3
+    h_a = apply_hamiltonian(a, pot, CST, t)
+    with quantum._one_blas_thread():
+        one_thread = (
+            float(quantum._overlap(a.amplitudes, b.amplitudes, grid.dx)),
+            float(quantum._energies(a.amplitudes[None], h_a.amplitudes[None], grid.dx)[0]),
+        )
+    assert found[1]() >= 2  # the caller's own count, given back
+    assert (fidelity(a, b), expectation_energy(a, pot, CST, t)) == one_thread
 
 
 def test_a_covariance_run_holds_no_whole_amplitude_record():
