@@ -31,15 +31,16 @@ or step allocates one again and no float changes. The potential's own value
 arrays and the monitors' sums are still made per block.
 
 A run is planned first, then streamed. The plan (``_plan``) is everything
-fixed before the first step: the step boundaries, each step's prefactor and
-potential clock, and the record slots with their clocks, rates T' and
-readings T. The stream (``_stream``) steps a plan and yields its records one
-at a time, each as its row with its norm and energy, after the norm, energy
-and edge-leak monitors have run on it. A row lives in a run buffer, so it is
-valid only until the next record is asked for. ``propagate_t`` and
-``propagate_tau`` copy the records into an ``EvolutionRecord``: a read-only
-(records, n_points) amplitude array and the clock, rate, reading, norm and
-energy columns; ``snapshots`` builds per-sample objects only on request.
+fixed before the first step, as arrays: the step boundaries, each step's
+prefactor and potential clock, and the record slots with their clocks,
+rates T' and readings T. The stream (``_stream``) steps a plan and yields
+its records one at a time, each as its row with its norm and energy, after
+the norm, energy and edge-leak monitors have run on it. A row lives in a run
+buffer, so it is valid only until the next record is asked for. Both
+``propagate_t`` and ``propagate_tau`` copy the records into an
+``EvolutionRecord``: a read-only (records, n_points) amplitude array and the
+clock, rate, reading, norm and energy columns; ``snapshots`` builds
+per-sample objects only on request.
 
 Covariance experiments compare the two evolutions sample by sample: the
 relabeled run is stepped uniformly in tau, and the reference run, planned
@@ -54,14 +55,15 @@ caller. The child writes each record to a pipe of ``_PIPE_BYTES``, each
 side through one frame buffer, so the rows in flight are bounded by the
 pipe's buffer and none sit on the caller's heap; the caller's NumPy error
 state reaches the child through the fork itself. However the stream ends,
-the child is reaped, and killed first if it has not finished. The runner
-asks for this only where every process running scenarios has a core to
-spare. Threads paid only from 1024 grid points up: at 512, two step loops
-in two threads took 1.57x the time of one, as each ~40 us step hands the
-GIL over twice. Two processes share no GIL. Records, errors and flags are
-paired in the same order either way, so the report is the same bit for
-bit. Agreement is measured with the phase-invariant overlap modulus, so a
-global phase difference is ignored.
+the child is reaped, and killed first if it has not finished. It forks only
+where it can (else it steps the stream in the caller), when the runner
+asks, where every process running scenarios has a core to spare. Threads
+paid only from 1024 grid points up: at 512, two step loops in two threads
+took 1.57x the time of one, as each ~40 us step hands the GIL over twice.
+Two processes share no GIL. Records, errors and flags are paired in the
+same order either way, so the report is the same bit for bit. Agreement is
+measured with the phase-invariant overlap modulus, so a global phase
+difference is ignored.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -105,14 +108,13 @@ FIDELITY_CAP_SLACK = 1e-12
 # moved onto it instead of spawning a degenerate micro-step.
 LANDMARK_SNAP_FRACTION = 1e-9
 
-# A mapped run's plan takes ~210-250 B per step while it is built (its clock
-# readings as Python floats), a conventional run's ~65-150 B (its readings
-# as arrays), and each keeps 32 B per step plus 32 B per record. A
-# covariance run builds its t plan while it holds its tau plan, and the t
-# plan adds a step at each landing time. Traced with tracemalloc for a sine
-# clock, the two plans peak at ~216 B per tau step with sparse records and
-# ~290 B with a record every step, so at this cap a covariance run's
-# schedule stays near 2.2 GB, or 2.9 GB when every step records.
+# A plan is arrays: 32 B per step plus 32 B per record. A covariance run
+# builds its t plan while it holds its tau plan, and the t plan adds a step
+# at each landing time. Traced with tracemalloc for a sine clock at 10**6
+# tau steps, the two plans keep ~82 B per tau step with a record every 10
+# steps and peak at ~106 B, and keep ~169 B with a record at every step and
+# peak at ~176 B, so at this cap a covariance run's schedule stays near
+# 1.1 GB, or 1.8 GB when every step records.
 MAX_STEPS = 10**7
 
 # The kernel builds the state-independent coefficients of this many grid
@@ -310,9 +312,9 @@ def check_step_count(a: float, b: float, dt: float) -> float:
     return count
 
 
-def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]:
-    """Step boundaries from a to b: a uniform dt ladder, final step shortened
-    to land on b, with every landmark placed exactly.
+def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> np.ndarray:
+    """Step boundaries from a to b as a float64 array: a uniform dt ladder,
+    final step shortened to land on b, with every landmark placed exactly.
 
     Within ``snap = LANDMARK_SNAP_FRACTION * dt`` a landmark replaces a ladder
     rung, and b, instead of leaving a micro-step next to it. Two landmarks
@@ -323,19 +325,22 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
         raise ValidationError(f"span must satisfy b > a, got ({a}, {b})")
     count = check_step_count(a, b, dt)
     snap = LANDMARK_SNAP_FRACTION * dt
-    marks = sorted(set(float(v) for v in landmarks))
-    for lo, hi in zip(marks, marks[1:]):
-        if hi - lo <= snap:
-            raise ValidationError(
-                f"landing times {lo!r} and {hi!r} are closer than the minimum "
-                f"separation {snap:.3g} ({LANDMARK_SNAP_FRACTION:g} * dt)"
-            )
-    for lm in marks:
-        if (lm <= a + snap and lm != b) or lm > b + snap:
-            raise ValidationError(f"landing time {lm} outside span ({a}, {b}]")
-    if not marks or b - marks[-1] > snap:
-        marks.append(b)
-    fixed = np.array([a, *marks])
+    # Sorted, each once; np.unique would import numpy.ma (~19 ms) into a run.
+    marks = np.sort(np.asarray(landmarks, dtype=float))
+    marks = np.delete(marks, np.flatnonzero(np.diff(marks) == 0))
+    close = np.flatnonzero(np.diff(marks) <= snap)
+    if close.size:
+        lo, hi = marks[close[0]:close[0] + 2].tolist()
+        raise ValidationError(
+            f"landing times {lo!r} and {hi!r} are closer than the minimum "
+            f"separation {snap:.3g} ({LANDMARK_SNAP_FRACTION:g} * dt)"
+        )
+    outside = np.flatnonzero(((marks <= a + snap) & (marks != b)) | (marks > b + snap))
+    if outside.size:
+        raise ValidationError(f"landing time {marks[outside[0]].item()} outside span ({a}, {b}]")
+    if not marks.size or b - marks[-1] > snap:
+        marks = np.append(marks, b)
+    fixed = np.concatenate([[a], marks])
     n = max(1, math.ceil(count - 1e-9))
     rungs = a + dt * np.arange(1, n)
     # Keep the rungs more than snap from both fixed neighbours; far from the
@@ -344,7 +349,7 @@ def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> list[float]
     inside = j < len(fixed)
     j = np.minimum(j, len(fixed) - 1)
     keep = inside & (rungs - fixed[j - 1] > snap) & (fixed[j] - rungs > snap)
-    return np.sort(np.concatenate([fixed, rungs[keep]])).tolist()
+    return np.sort(np.concatenate([fixed, rungs[keep]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,28 +378,27 @@ def _plan(
 ) -> _Plan:
     """The step schedule and record slots of one run, before any step.
 
-    The run is in the relabeled clock tau when ``timemap`` is given and in
-    the conventional clock t otherwise. Given ``landmarks``, the run lands
-    exactly on each of them and records only there (and at the start);
+    The run is in the relabeled clock tau when ``timemap`` is given and in the
+    conventional clock t otherwise. Given increasing ``landmarks``, the run
+    lands exactly on each of them and records only there (and at the start);
     otherwise it records every ``cfg.record_every`` steps and at the end.
     """
     a, b = check_span("t_span" if timemap is None else "tau_span", span)
     if timemap is not None:
         timemap.require(a, b)
-    bounds = _step_boundaries(a, b, cfg.dt, landmarks)
-    last = len(bounds) - 1
+    edges = _step_boundaries(a, b, cfg.dt, landmarks)
     if len(landmarks) > 0:
-        lmset = set(float(v) for v in landmarks)
-        rec = [0] + [i for i, bv in enumerate(bounds) if bv in lmset]
+        # A landmark's slot is its boundary, if one holds it exactly (np.isin's
+        # temporaries, freed, raised glibc's mmap threshold and peak RSS 1 MB).
+        idx = np.minimum(np.searchsorted(edges, landmarks), len(edges) - 1)
+        rec = np.append(0, idx[edges[idx] == landmarks])
     else:
-        rec = sorted(set(range(0, last + 1, cfg.record_every)) | {last})
-    rec = np.array(rec)
+        rec = np.append(np.arange(0, len(edges) - 1, cfg.record_every), len(edges) - 1)
 
     # Elementwise array arithmetic takes the same IEEE operations as the
-    # scalar expressions, so no float changes; a mapped clock stays scalar
-    # because array sin/exp need not match scalar. Without a map the readings
-    # are those of ``clock_reading(None, c)``, (1.0, c), as arrays.
-    edges = np.array(bounds)
+    # scalar expressions, so no float changes. A mapped clock is read by the
+    # scalar ``clock_reading``, one Python float at a time, because array
+    # sin/exp need not match scalar; without a map its (1.0, c) are arrays.
     steps = edges[1:] - edges[:-1]
     mids = edges[:-1] + 0.5 * steps
     clocks = edges[rec]
@@ -402,8 +406,9 @@ def _plan(
         prefs, tevals = np.ones(len(steps)), mids
         rates, t = np.ones(len(clocks)), clocks.copy()
     else:
-        prefs, tevals = np.array([clock_reading(timemap, mid) for mid in mids.tolist()]).T
-        rates, t = np.array([clock_reading(timemap, c) for c in clocks.tolist()]).T.copy()
+        read = np.frompyfunc(functools.partial(clock_reading, timemap), 1, 2)
+        prefs, tevals = (col.astype(float) for col in read(mids))
+        rates, t = (col.astype(float) for col in read(clocks))
     return _Plan(cfg.dt, edges, steps, prefs, tevals, rec, clocks, rates, t)
 
 
@@ -572,15 +577,13 @@ def _stream(
     # next u there. ``views[side]`` is (u, rhs, rhs[:-1], rhs[1:]) when rhs
     # is row ``side``.
     views = [(state[1 - j], state[j], state[j][:-1], state[j][1:]) for j in (0, 1)]
-    state[0] = psi0.amplitudes[1:-1]
+    state[0] = records[0, 1:-1] = psi0.amplitudes[1:-1]  # the start record is row 0
     side = 1
     for n0, j0, j1 in zip(starts, js, js[1:]):
         n1 = min(n0 + block, last)
         rows = n1 - n0
         out = records[: j1 - j0]
         slot = {bound: j for j, bound in enumerate(rec[j0:j1].tolist())}
-        if n0 == 0:
-            out[0] = psi0.amplitudes
         v = _potential_rows(pot, np.concatenate([tevals[n0:n1], plan.t[j0:j1]]), x_int)
         pref = prefs[n0:n1]
         try:
@@ -635,10 +638,6 @@ def _stream(
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
             yield from zip(out, norms, energies)
-        if n0 == 0:
-            # The start record copied psi0 whole, and a caller's psi0 may
-            # have nonzero walls; every later record has zero walls.
-            out[0, 0] = out[0, -1] = 0.0
         # Dropped before the next block evaluates its own, so a run holds one
         # block's potential at a time.
         del v
@@ -659,11 +658,14 @@ def _forked(items, flags: list, n_points: int):
     through ``os._exit``, so it runs no exit handler and flushes no buffer of
     this process. However the generator ends (its last record, an
     exception, ``close`` or garbage collection), a child that has not
-    finished is killed, and the child is reaped. If no pipe can be made or
-    no child forked (a process or file limit: EAGAIN, ENOMEM, EMFILE), the
-    stream, not yet started, is stepped here instead: the fork buys only
-    speed, and both ways yield the same records bit for bit.
+    finished is killed, and the child is reaped. Where no child may be forked
+    (no ``os.fork``; a live thread, whose locks the child would inherit; a
+    process or file limit), the unstarted stream is stepped here instead: the
+    fork buys only speed, and both ways yield the same records bit for bit.
     """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        yield from items
+        return
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -946,9 +948,9 @@ def covariance_experiment(
     any work. The two streams are then paired with ``zip``, and each matched
     pair of rows is compared as soon as both exist and then dropped: no
     whole amplitude record is ever held. With ``side_by_side`` the t stream
-    is stepped in a forked child process (``_forked``), which needs
-    ``os.fork`` and pays only where a core is free for the child. The child
-    is forked once the tau run has its first record, so a tau run that fails
+    is stepped in a forked child process, where ``_forked`` finds one can be
+    forked; it pays only where a core is free for the child. The child is
+    forked once the tau run has its first record, so a tau run that fails
     in its first block forks none. An error of either run is raised at the
     record where it occurred, the tau run's first on a tie, as ``zip``
     does, and the child has been reaped on return.

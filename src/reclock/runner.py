@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 import time
 import traceback
 from collections import Counter
@@ -272,13 +271,11 @@ def _groups(scenarios) -> list[list[int]]:
 
 def _side_by_side(workers: int) -> bool:
     """Whether each of ``workers`` processes running scenarios at once should
-    step a covariance's two runs side by side: only if ``os.fork`` exists,
-    this process runs no other thread, and every worker has a core to spare
-    for its child. With fewer cores the children only take turns with the
-    workers: forking in a ``--jobs 2`` catalogue on 2 vCPUs took 2% more wall
-    and 6% more CPU time (medians of 5 runs)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
+    step a covariance's two runs side by side: only if every worker has a
+    core to spare for its child. With fewer cores the children only take
+    turns with the workers: forking in a ``--jobs 2`` catalogue on 2 vCPUs
+    took 2% more wall and 6% more CPU time (medians of 5 runs). Whether a
+    child can be forked at all is ``quantum._forked``'s to decide."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:

@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import weakref
 from collections import Counter
 from concurrent.futures import Future
@@ -768,18 +767,18 @@ def test_unexpected_exception_fails_one_scenario_not_the_batch(tmp_path, monkeyp
     assert "Pass" in stdout
 
 
-@pytest.mark.parametrize("cores, workers, threads, side_by_side", [
-    pytest.param(2, 1, 1, True, id="lone-process-2-cores"),
-    pytest.param(2, 2, 1, False, id="pool-of-2-on-2-cores"),
-    pytest.param(4, 2, 1, True, id="pool-of-2-on-4-cores"),
-    pytest.param(1, 1, 1, False, id="lone-process-1-core"),
-    pytest.param(2, 1, 2, False, id="a-second-thread"),
+@pytest.mark.parametrize("cores, workers, side_by_side", [
+    pytest.param(2, 1, True, id="lone-process-2-cores"),
+    pytest.param(2, 2, False, id="pool-of-2-on-2-cores"),
+    pytest.param(4, 2, True, id="pool-of-2-on-4-cores"),
+    pytest.param(1, 1, False, id="lone-process-1-core"),
 ])
 def test_a_covariance_steps_side_by_side_only_with_a_core_to_spare(
-    monkeypatch, cores, workers, threads, side_by_side
+    monkeypatch, cores, workers, side_by_side
 ):
+    # Whether a child can be forked at all (os.fork, a live thread) is
+    # quantum._forked's to decide, at the fork.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(threading, "active_count", lambda: threads)
     assert runner._side_by_side(workers) is side_by_side
 
 

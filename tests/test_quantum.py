@@ -211,9 +211,10 @@ def test_fidelity_properties():
 
 def test_step_boundaries_ladder_and_landing():
     bounds = _step_boundaries(0.0, 1.0, 0.25)
-    assert bounds == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert bounds.dtype == np.float64
+    assert bounds.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
     # Landing times are inserted exactly.
-    with_lm = _step_boundaries(0.0, 1.2, 0.3, landmarks=[0.5])
+    with_lm = _step_boundaries(0.0, 1.2, 0.3, landmarks=[0.5]).tolist()
     assert 0.5 in with_lm
     assert with_lm == sorted(with_lm)
     # A landing time a hair away from an existing boundary replaces it
@@ -241,8 +242,8 @@ def test_step_boundaries_rejects_landing_times_closer_than_the_snap():
 def test_a_span_shorter_than_the_snap_lands_on_its_own_end():
     # The reference run always lands on b; within snap of a, b is still its
     # one step [a, b], as the tau run takes, while any earlier time is outside.
-    assert _step_boundaries(0.0, 0.5, 1e9, [0.5]) == [0.0, 0.5]
-    assert _step_boundaries(0.0, 1e-12, 1e-3, [1e-12]) == [0.0, 1e-12]
+    assert _step_boundaries(0.0, 0.5, 1e9, [0.5]).tolist() == [0.0, 0.5]
+    assert _step_boundaries(0.0, 1e-12, 1e-3, [1e-12]).tolist() == [0.0, 1e-12]
     with pytest.raises(ValidationError, match=r"landing time 0\.25 outside span \(0\.0, 0\.5\]"):
         _step_boundaries(0.0, 0.5, 1e9, [0.25])
 
@@ -834,8 +835,10 @@ def test_a_failed_fork_closes_its_pipe(monkeypatch):
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-@pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_a_covariance_whose_fork_cannot_start_steps_serially_bit_for_bit(monkeypatch, call):
+@pytest.mark.parametrize("case", ["fork", "pipe", "no-os-fork", "a-second-thread"])
+def test_a_covariance_whose_fork_cannot_start_steps_serially_bit_for_bit(monkeypatch, case):
+    # A failing os.fork or os.pipe, no os.fork at all, or a live thread
+    # whose locks a child would inherit: the reference run steps here.
     def refused(*args):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
@@ -845,8 +848,23 @@ def test_a_covariance_whose_fork_cannot_start_steps_serially_bit_for_bit(monkeyp
         PropagatorConfig(dt=1e-3, record_every=3),
     )
     serial = covariance_experiment(scenario)
-    monkeypatch.setattr(os, call, refused)
-    fallback = covariance_experiment(scenario, side_by_side=True)
+    forks, release, threads = [], threading.Event(), []
+    if case == "no-os-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "a-second-thread":
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        threads.append(threading.Thread(target=release.wait))
+        threads[0].start()
+    else:
+        monkeypatch.setattr(os, case, refused)
+    try:
+        fallback = covariance_experiment(scenario, side_by_side=True)
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join()
+    assert forks == []
     for name in (
         "tau", "t", "tprime", "fidelity", "norm_psi", "norm_phi",
         "energy_t", "energy_tau", "energy_transform_residual",
@@ -902,10 +920,28 @@ def test_a_covariance_run_holds_no_whole_amplitude_record():
     assert peak < record_bytes / 2
 
 
-def test_only_the_start_record_keeps_a_start_state_s_nonzero_walls():
-    # A run writes its records into one buffer that every block reuses, and
-    # the start record copies psi0 whole. Wavefunction rejects nonzero walls,
-    # so the start state is built past that check.
+def test_planning_a_covariance_builds_no_python_object_per_step():
+    # Both plans of a sine-clock covariance with a record every 10 steps keep
+    # ~82 B of arrays per tau step and peak at ~106 B. Boundaries handed over
+    # as a list, landing times scanned through a set and clock readings
+    # gathered as lists of tuples of Python floats took the peak to ~217 B.
+    span, cfg = (0.0, 1.0), PropagatorConfig(dt=2e-5, record_every=10)
+    tmap = SinePerturbedMap(amplitude=0.3, frequency=1.0, domain=span)
+    tracemalloc.start()
+    try:
+        tau_plan = quantum._plan(span, cfg, tmap)
+        t_plan = quantum._reference_plan(tau_plan.t, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tau_plan.steps) == 50000 and len(t_plan.steps) > len(tau_plan.steps)
+    assert peak < 160 * len(tau_plan.steps)
+
+
+def test_every_record_has_zero_walls_even_from_a_start_state_with_nonzero_walls():
+    # A run writes its records into one buffer that every block reuses, each
+    # inside the walls, the start record too. Wavefunction rejects nonzero
+    # walls, so the start state is built past that check.
     amps = GROUND.amplitudes.copy()
     amps[0], amps[-1] = 0.25, -0.5j
     psi0 = object.__new__(Wavefunction)
@@ -916,8 +952,8 @@ def test_only_the_start_record_keeps_a_start_state_s_nonzero_walls():
     assert len(plan.steps) > 3 * block
     rec = quantum._run_crank_nicolson(psi0, HarmonicPotential(), CST, plan)
     assert len(rec.clocks) == len(plan.steps) + 1
-    assert rec.amplitudes[0].tobytes() == amps.tobytes()
-    walls = rec.amplitudes[1:, [0, -1]]
+    assert rec.amplitudes[0, 1:-1].tobytes() == amps[1:-1].tobytes()
+    walls = rec.amplitudes[:, [0, -1]]
     assert walls.tobytes() == np.zeros_like(walls).tobytes()
 
 

@@ -1,4 +1,5 @@
-"""Property tests for the Crank-Nicolson step schedule ``_step_boundaries``."""
+"""Property tests for the Crank-Nicolson step schedule ``_step_boundaries``
+and the record slots ``_plan`` finds on it."""
 
 import math
 
@@ -8,7 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from reclock.quantum import LANDMARK_SNAP_FRACTION, _step_boundaries  # noqa: E402
+from reclock.quantum import (  # noqa: E402
+    LANDMARK_SNAP_FRACTION,
+    PropagatorConfig,
+    _plan,
+    _step_boundaries,
+)
 
 
 @st.composite
@@ -58,3 +64,16 @@ def test_step_boundaries_cover_the_span_and_land_every_landmark(schedule):
     assert min(steps) > snap
     assert max(steps) <= dt + 2 * snap + 2 * ulp
     assert bounds[-1] == b or (bounds[-1] in marks and abs(bounds[-1] - b) <= snap)
+
+    # Planned with the landmarks, a run records at a and then at each of
+    # them; without, at every k-th boundary and the last.
+    if marks:
+        plan = _plan((a, b), PropagatorConfig(dt), None, marks)
+        assert plan.edges.tobytes() == bounds.tobytes()
+        assert plan.clocks.tolist() == [a, *marks]
+    ladder = _step_boundaries(a, b, dt)
+    last = len(ladder) - 1
+    for k in (1, 3, last + 1):
+        plan = _plan((a, b), PropagatorConfig(dt, record_every=k), None)
+        assert plan.rec.tolist() == sorted(set(range(0, last + 1, k)) | {last})
+        assert plan.clocks.tobytes() == ladder[plan.rec].tobytes()
