@@ -27,8 +27,10 @@ before its block steps, with a NumericalError naming the earliest bad t.
 Every working array of a run (the block's coefficient rows, its record
 rows with their H psi, a step's neighbour products) is made once per run and
 written with ``out=``, using the same ufuncs in the same order, so no block
-or step allocates one again and no float changes. The potential's own value
-arrays and the monitors' sums are still made per block.
+or step allocates one again and no float changes. A block's potential rows
+are made per block and live until the next block's replace them: freed any
+earlier, they sit on top of glibc's heap, glibc trims it, and the next block
+faults them in again.
 
 A run is planned first, then streamed. The plan (``_plan``) is everything
 fixed before the first step, as arrays: the step boundaries, each step's
@@ -561,8 +563,9 @@ def _stream(
     # Every working array lives for the whole run and is written with out=.
     # Fresh ones per block made the one-step blocks of large grids ~10%
     # slower, and at n=512 glibc handed each back at the block's end and
-    # faulted it in again: tens of minor faults per block. Record rows are
-    # written only inside the walls, which stay zero.
+    # faulted it in again: tens of minor faults per block. The potential's
+    # rows are the block's own and live until the next block's replace them.
+    # Record rows are written only inside the walls, which stay zero.
     diag = np.empty((block, m))
     rmul = np.empty((block, m), dtype=complex)
     lhs, state, solve = _gtsv(block, m)
@@ -638,9 +641,6 @@ def _stream(
                 if leak >= EDGE_MASS_TOL:
                     flags.append(f"edge-leak {leak:.3e} at clock {clock:.6g}")
             yield from zip(out, norms, energies)
-        # Dropped before the next block evaluates its own, so a run holds one
-        # block's potential at a time.
-        del v
 
 
 def _forked(items, flags: list, n_points: int):
