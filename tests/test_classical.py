@@ -360,6 +360,46 @@ def test_an_overflowing_orbit_is_a_numerical_error_naming_the_span(pot, clock):
             integrate_tau(pot, CST, SinePerturbedMap(0.3, 1.0), 0.0, 1.0, (0.0, 1.0))
 
 
+_SINE = SinePerturbedMap(0.3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "run, where",
+    [
+        # DOP853's own stage sums and step-size norms overflow: no clock is named.
+        (
+            lambda: integrate_t(HarmonicPotential(), CST, 1e308, 1e308, (0, 1)),
+            r"t_span \(0, 1\) failed: ",
+        ),
+        (
+            lambda: integrate_tau(HarmonicPotential(), CST, _SINE, 1e308, 1e308, (0, 1)),
+            r"tau_span \(0, 1\) failed: ",
+        ),
+        (
+            lambda: integrate_t(HarmonicPotential(), CST, 1.0, 1e300, (0, 1e10)),
+            r"t_span \(0, 1e\+10\) failed: ",
+        ),
+        # The force overflows inside the right-hand side, which names its clock.
+        (
+            lambda: integrate_t(DrivenHarmonicPotential(1e154, 1e160), CST, 0.0, 1.0, (0, 1)),
+            r"t_span \(0, 1\) failed at clock 0\.005: ",
+        ),
+        (
+            lambda: integrate_tau(
+                MovingWellPotential(1e200, 0, 1e200), CST, _SINE, 0.0, 1.0, (0, 1)
+            ),
+            r"tau_span \(0, 1\) failed at clock 0: ",
+        ),
+    ],
+    ids=["harmonic-t", "harmonic-sine", "fast-t", "driven-t", "moving-well-sine"],
+)
+def test_an_overflow_names_its_span_and_only_a_force_overflow_its_clock(run, where):
+    # NumPy's own wording after the prefix is not pinned.
+    with pytest.raises(NumericalError, match=rf"^integration over {where}\S") as failure:
+        run()
+    assert isinstance(failure.value.__cause__, FloatingPointError)
+
+
 def test_a_tol_below_the_integrators_floor_is_refused():
     # DOP853 honours no relative tolerance below 100 machine epsilons; scipy
     # would warn and clamp it, so the run would pass at a looser tol.
