@@ -10,12 +10,21 @@ The checks in this module verify those identities numerically (the Euler
 scaling relation by finite differences, the constraint by closed forms),
 and one integrator produces matched orbits in either clock so that
 xi(tau) = x(T(tau)) can be tested directly; the conventional clock is the
-gauge T(tau) = tau, T' = 1.
+gauge T(tau) = tau, T' = 1. An orbit whose force overflows stops with a
+NumericalError naming its span and that clock, in either clock: a force
+formed in NumPy scalars raises under the integrator's error state, and one
+formed in Python floats (every clock of a tau run, and a t run's first) is
+caught by the right-hand side's finite-force check.
+
+The orbit tolerance's default, floor and check (DEFAULT_TOL, MIN_TOL,
+check_tol) live in ``model``, so the scenario parser checks a file's tol
+without loading this module; they are importable from here as before.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -24,12 +33,16 @@ import numpy as np
 
 from . import dop853
 from .errors import ClockDomainError, CoverageError, NumericalError, ValidationError
+# MIN_TOL is imported only to stay importable from here (module docstring).
 from .model import (
+    DEFAULT_TOL,
+    MIN_TOL,
     PhysicalConstants,
     PotentialSpec,
     TimeMap,
     check_real,
     check_span,
+    check_tol,
     clock_reading,
     freeze_record,
     span_slack,
@@ -38,14 +51,6 @@ from .model import (
 # Finite-difference step for the homogeneity check; chosen so truncation
 # (~h^2) sits well below the 1e-7 test threshold.
 HOMOGENEITY_FD_STEP = 1e-5
-
-DEFAULT_TOL = 1e-9
-
-# Below about 100 machine epsilons DOP853's local error estimate is itself
-# rounding, so its error control means nothing there. check_tol, and so
-# `reclock validate`, refuses a smaller tol rather than run a looser one; the
-# floor is the one SciPy's DOP853 clamps rtol to, so the same files pass.
-MIN_TOL = 100 * float(np.finfo(float).eps)
 
 # The longest orbit in use (classical-orbits benchmark) makes ~25 400 right-hand-side
 # evaluations, 40x below this cap. A runaway reaches it in 3.0-3.2 s at 46 MB peak
@@ -211,13 +216,6 @@ def check_constraint(
     return rate * pi_t + hamiltonian_tau(pot, constants, timemap, tau, xi, pi)
 
 
-def check_tol(tol) -> float:
-    """``tol`` as a float if it is a finite real number of at least MIN_TOL."""
-    if not check_real("tol", tol) >= MIN_TOL:
-        raise ValidationError(f"tol must be positive and at least {MIN_TOL!r}, got {tol!r}")
-    return float(tol)
-
-
 def _integrate(
     pot: PotentialSpec,
     constants: PhysicalConstants,
@@ -248,9 +246,14 @@ def _integrate(
         q, p = y
         try:
             rate, t = clock_reading(timemap, clock)
-            return (rate * p / m, -rate * float(pot.gradient_x(t, q)))
+            qdot, pdot = rate * p / m, -rate * float(pot.gradient_x(t, q))
         except FloatingPointError as exc:
             raise NumericalError(f"{where} at clock {clock:.6g}: {exc}") from exc
+        # A force formed from Python floats (any clock of a tau run, the first
+        # clock of a t run) overflows to inf or nan without raising.
+        if not math.isfinite(pdot):
+            raise NumericalError(f"{where} at clock {clock:.6g}: the force is {pdot}")
+        return qdot, pdot
 
     # An overflow would otherwise pass as a warning and can leave the
     # step-size control shrinking the step without end; a step that does

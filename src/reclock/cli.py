@@ -16,8 +16,7 @@ import sys
 from importlib.resources import files
 
 from .errors import ScenarioError, ValidationError
-from .runner import RunSummary, Status, require_distinct_names, run_many
-from .scenario import parse_scenario
+from .scenario import parse_scenario, require_distinct_names
 
 # Each --format choice and the artifact formats it writes.
 _FORMATS = {"csv": ("csv",), "json": ("json",), "both": ("csv", "json")}
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_summary(summary: RunSummary):
+def _print_summary(summary):
     parts = [f"{summary.status.value:<7}", summary.name]
     parts.extend(f"{key}={value:.6e}" for key, value in summary.metrics.items())
     parts.append(f"({summary.wall_time_s:.2f}s)")
@@ -69,21 +68,20 @@ def _print_summary(summary: RunSummary):
         print(f"         {summary.detail}")
 
 
-def _aggregate_exit(summaries) -> int:
-    statuses = [s.status for s in summaries]
-    if any(s is Status.FAIL for s in statuses):
-        return 1
-    if any(s is Status.FLAGGED for s in statuses):
-        return 3
-    return 0
-
-
 def _cmd_run(args) -> int:
+    # Imported here: validate and catalogue load only the parser.
+    from .runner import Status, run_many
+
     formats = _FORMATS[args.format]
     summaries = run_many(args.files, out_root=args.out, formats=formats, jobs=args.jobs)
     for summary in summaries:
         _print_summary(summary)
-    return _aggregate_exit(summaries)
+    statuses = {s.status for s in summaries}
+    if Status.FAIL in statuses:
+        return 1
+    if Status.FLAGGED in statuses:
+        return 3
+    return 0
 
 
 def _cmd_validate(paths) -> int:

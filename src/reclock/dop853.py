@@ -7,12 +7,13 @@ forward span, so it returns the same floats without loading SciPy. Two
 things are pinned to SciPy's solver. The stage sums stay the dot products of
 ``np.dot`` on the same slices of one stage array (called as the array
 method, which skips the function's dispatch): written as Python sums they
-round differently. And the clocks and states reach ``fun`` as NumPy scalars,
-so a force that overflows raises under the caller's error state instead of
-passing as inf. What produces no float is not repeated: the stage views and
-tableau rows are paired once per call, a stage state is two NumPy-scalar sums
-of its dot product's values, not a two-element array, ``fun``'s pair is
-written into the stage array element by element, and the error norm takes
+round differently. And the clocks and states reach ``fun`` as NumPy scalars
+(the first clock is ``a`` as given), so a force that overflows in their
+arithmetic raises under the caller's error state instead of passing as inf.
+What produces no float is not repeated: the stage views and tableau rows are
+paired once per call, a stage state is two NumPy-scalar sums of its dot
+product's values, not a two-element array, ``fun``'s pair is written into
+the stage array element by element, and the error norm takes
 ``np.sqrt(x.dot(x))``, all ``np.linalg.norm`` computes for a real 1-D array.
 """
 

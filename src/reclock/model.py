@@ -34,6 +34,23 @@ GAUSSIAN_SUPPORT_WIDTHS = 8.0
 # the largest grid in use (the wide-grid benchmark's) has 16384 points.
 MAX_POINTS = 2**24
 
+# A quantum run's plan is arrays: 32 B per step plus 32 B per record. A
+# covariance run builds its t plan while it holds its tau plan, and the t plan
+# adds a step at each landing time. Traced with tracemalloc for a sine clock
+# at 10**6 tau steps, the two plans keep ~82 B per tau step with a record
+# every 10 steps and peak at ~106 B, and keep ~169 B with a record at every
+# step and peak at ~176 B, so at this cap a covariance run's schedule stays
+# near 1.1 GB, or 1.8 GB when every step records.
+MAX_STEPS = 10**7
+
+DEFAULT_TOL = 1e-9
+
+# Below about 100 machine epsilons DOP853's local error estimate is itself
+# rounding, so its error control means nothing there. check_tol, and so
+# `reclock validate`, refuses a smaller tol rather than run a looser one; the
+# floor is the one SciPy's DOP853 clamps rtol to, so the same files pass.
+MIN_TOL = 100 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -117,6 +134,37 @@ def check_count(name: str, value, least: int) -> int:
     if not (ok and int(value) == value):
         raise ValidationError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
+
+
+def check_step_count(a: float, b: float, dt: float) -> float:
+    """The step count (b - a) / dt of a uniform ladder over (a, b), checked
+    against MAX_STEPS before any ladder is allocated; inf and NaN fail."""
+    count = (b - a) / dt
+    if not count <= MAX_STEPS:
+        raise ValidationError(
+            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.10g} steps, "
+            f"more than the {MAX_STEPS} a run may take"
+        )
+    return count
+
+
+def check_tol(tol) -> float:
+    """``tol`` as a float if it is a finite real number of at least MIN_TOL."""
+    if not check_real("tol", tol) >= MIN_TOL:
+        raise ValidationError(f"tol must be positive and at least {MIN_TOL!r}, got {tol!r}")
+    return float(tol)
+
+
+@dataclass(frozen=True)
+class PropagatorConfig:
+    """Stepping and recording knobs for one propagation run."""
+
+    dt: float
+    record_every: int = 1
+
+    def __post_init__(self):
+        check_real("dt", self.dt, positive=True)
+        object.__setattr__(self, "record_every", check_count("record_every", self.record_every, 1))
 
 
 class TimeMap(abc.ABC):

@@ -66,6 +66,11 @@ Two processes share no GIL. Records, errors and flags are paired in the
 same order either way, so the report is the same bit for bit. Agreement is
 measured with the phase-invariant overlap modulus, so a global phase
 difference is ignored.
+
+A run's stepping knobs and the cap on its step count (PropagatorConfig,
+MAX_STEPS, check_step_count) live in ``model``, so the scenario parser
+checks a file's steps without loading this module; they are importable from
+here as before.
 """
 
 from __future__ import annotations
@@ -82,16 +87,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoverageError, NumericalError, ValidationError
+# MAX_STEPS is imported only to stay importable from here (module docstring).
 from .model import (
+    MAX_STEPS,
     LinearMap,
     PhysicalConstants,
     PotentialSpec,
+    PropagatorConfig,
     SpatialGrid,
     TimeMap,
     Wavefunction,
-    check_count,
     check_real,
     check_span,
+    check_step_count,
     clock_reading,
     freeze_record,
     row_norms,
@@ -110,15 +118,6 @@ FIDELITY_CAP_SLACK = 1e-12
 # moved onto it instead of spawning a degenerate micro-step.
 LANDMARK_SNAP_FRACTION = 1e-9
 
-# A plan is arrays: 32 B per step plus 32 B per record. A covariance run
-# builds its t plan while it holds its tau plan, and the t plan adds a step
-# at each landing time. Traced with tracemalloc for a sine clock at 10**6
-# tau steps, the two plans keep ~82 B per tau step with a record every 10
-# steps and peak at ~106 B, and keep ~169 B with a record at every step and
-# peak at ~176 B, so at this cap a covariance run's schedule stays near
-# 1.1 GB, or 1.8 GB when every step records.
-MAX_STEPS = 10**7
-
 # The kernel builds the state-independent coefficients of this many grid
 # points' worth of steps at once: 32 steps at n=512, where per-call overhead
 # dominates, and one step from n=16384 up, where per-point arithmetic does.
@@ -133,18 +132,6 @@ _BLOCK_POINTS = 1 << 14
 # one process steps in 1.43-1.48 s, and with 1 MB they took 0.88-1.04 s
 # (in-process, 2-vCPU Xeon).
 _PIPE_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class PropagatorConfig:
-    """Stepping and recording knobs for one propagation run."""
-
-    dt: float
-    record_every: int = 1
-
-    def __post_init__(self):
-        check_real("dt", self.dt, positive=True)
-        object.__setattr__(self, "record_every", check_count("record_every", self.record_every, 1))
 
 
 @dataclass(frozen=True)
@@ -300,18 +287,6 @@ def fidelity(a: Wavefunction, b: Wavefunction) -> float:
         raise ValidationError(f"grid mismatch: {a.grid} vs {b.grid}")
     with _one_blas_thread():
         return float(_overlap(a.amplitudes, b.amplitudes, a.grid.dx))
-
-
-def check_step_count(a: float, b: float, dt: float) -> float:
-    """The step count (b - a) / dt of a uniform ladder over (a, b), checked
-    against MAX_STEPS before any ladder is allocated; inf and NaN fail."""
-    count = (b - a) / dt
-    if not count <= MAX_STEPS:
-        raise ValidationError(
-            f"dt = {dt!r} is too small for the span ({a}, {b}): {count:.10g} steps, "
-            f"more than the {MAX_STEPS} a run may take"
-        )
-    return count
 
 
 def _step_boundaries(a: float, b: float, dt: float, landmarks=()) -> np.ndarray:

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .classical import integrate_t, integrate_tau, trajectory_equivalence
-from .errors import ReclockError, ScenarioError, ValidationError
+from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
 from .reports import layout, render_table, sweep_layout, write_artifact
-from .scenario import CHECKS, Scenario, ScenarioKind, parse_scenario
+from .scenario import CHECKS, Scenario, ScenarioKind, parse_scenario, require_distinct_names
 
 
 class Status(Enum):
@@ -227,18 +227,6 @@ def _run(scenario: Scenario, out_root, formats, covariance) -> RunSummary:
         wall_time_s=time.perf_counter() - start,
         detail=detail,
     )
-
-
-def require_distinct_names(parsed) -> None:
-    """Raise ScenarioError if two ``(path, scenario)`` pairs name one scenario."""
-    first_path = {}
-    for path, scenario in parsed:
-        if scenario.name in first_path:
-            raise ScenarioError(
-                f"{first_path[scenario.name]} and {path} both name scenario "
-                f"{scenario.name!r}, and would write to one directory"
-            )
-        first_path[scenario.name] = path
 
 
 def _cost(scenario: Scenario, dt: float) -> float:

@@ -10,6 +10,12 @@ constructed and validated immediately, and the t-interval is derived from
 the declared map, so an invalid scenario never reaches the runner. A read
 key leaves its section as a read section leaves the file; whatever is left,
 which the kind never reads, is reported once, after every other fault.
+Two files of one batch may not name one scenario (``require_distinct_names``).
+
+Parsing imports ``model`` and ``errors`` alone: the checks it shares with
+the layers (a quantum file's ``PropagatorConfig`` and step count, a
+classical file's tol) live in ``model``, so validating a file loads no
+propagator, integrator or runner.
 
 Example::
 
@@ -37,9 +43,9 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
-from .classical import DEFAULT_TOL, check_tol
 from .errors import ScenarioError, ValidationError
 from .model import (
+    DEFAULT_TOL,
     DrivenHarmonicPotential,
     FreePotential,
     HarmonicPotential,
@@ -48,14 +54,16 @@ from .model import (
     MovingWellPotential,
     PhysicalConstants,
     PotentialSpec,
+    PropagatorConfig,
     SinePerturbedMap,
     SmoothRampMap,
     SpatialGrid,
     TimeMap,
     check_span,
+    check_step_count,
+    check_tol,
     prepare_gaussian,
 )
-from .quantum import PropagatorConfig, check_step_count
 
 SCHEMA_VERSION = 1
 
@@ -314,3 +322,15 @@ def parse_scenario(path) -> Scenario:
         tolerances=tolerances,
         **parts,
     )
+
+
+def require_distinct_names(parsed) -> None:
+    """Raise ScenarioError if two ``(path, scenario)`` pairs name one scenario."""
+    first_path = {}
+    for path, scenario in parsed:
+        if scenario.name in first_path:
+            raise ScenarioError(
+                f"{first_path[scenario.name]} and {path} both name scenario "
+                f"{scenario.name!r}, and would write to one directory"
+            )
+        first_path[scenario.name] = path

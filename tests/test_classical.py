@@ -400,6 +400,42 @@ def test_an_overflow_names_its_span_and_only_a_force_overflow_its_clock(run, whe
     assert isinstance(failure.value.__cause__, FloatingPointError)
 
 
+_SINE_10 = SinePerturbedMap(0.3, 1.0, (10.0, 11.0))
+
+
+@pytest.mark.parametrize(
+    "run, where",
+    [
+        # Every clock of a tau run, and a t run's first, reach the potential
+        # as Python floats, whose arithmetic overflows without raising.
+        (
+            lambda: integrate_tau(
+                DrivenHarmonicPotential(1e154, 1e160), CST, _SINE, 0.0, 1.0, (0, 1)
+            ),
+            r"tau_span \(0, 1\) failed at clock 0\.00384615: ",
+        ),
+        (
+            lambda: integrate_t(DrivenHarmonicPotential(1.0, 1e308), CST, 1.0, 0.0, (10.0, 11.0)),
+            r"t_span \(10, 11\) failed at clock 10: ",
+        ),
+        (
+            lambda: integrate_tau(
+                DrivenHarmonicPotential(1.0, 1e308), CST, _SINE_10, 1.0, 0.0, (10.0, 11.0)
+            ),
+            r"tau_span \(10, 11\) failed at clock 10: ",
+        ),
+        (
+            lambda: integrate_t(MovingWellPotential(0.0, 1e308, 1.0), CST, 1.0, 0.0, (10.0, 11.0)),
+            r"t_span \(10, 11\) failed at clock 10: ",
+        ),
+    ],
+    ids=["driven-sine", "driven-t-start", "driven-sine-start", "moving-well-t-start"],
+)
+def test_a_force_that_overflows_in_python_floats_names_its_clock(run, where):
+    with pytest.raises(NumericalError, match=rf"^integration over {where}the force is -?inf$"):
+        run()
+
+
 def test_a_tol_below_the_integrators_floor_is_refused():
     # DOP853 honours no relative tolerance below 100 machine epsilons; scipy
     # would warn and clamp it, so the run would pass at a looser tol.

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import reclock
-from reclock import cli, quantum, runner
+from reclock import classical, cli, model, quantum, runner
 from reclock.cli import build_parser, catalogue_paths, entrypoint
 from reclock.errors import ScenarioError, ValidationError
 from reclock.model import PotentialSpec
@@ -280,6 +280,29 @@ def test_validate_never_imports_scipy():
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
     )
+
+
+def test_validate_and_catalogue_load_only_the_parser():
+    # Every check a validate runs lives in model and scenario, so neither the
+    # propagators, the runner and reports nor json and fractions load.
+    for args in ("'validate', *map(str, catalogue_paths())", "'catalogue'"):
+        _run_python(
+            "import sys\n"
+            "from reclock.cli import catalogue_paths, entrypoint\n"
+            f"assert entrypoint([{args}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'reclock')\n"
+            "parser = ['reclock', 'reclock.cli', 'reclock.errors', 'reclock.model',\n"
+            "          'reclock.scenario']\n"
+            "assert loaded == parser, loaded\n"
+            "assert 'json' not in sys.modules and 'fractions' not in sys.modules\n"
+        )
+    # The names the parser took from the layers stay importable from them.
+    assert quantum.PropagatorConfig is model.PropagatorConfig
+    assert quantum.MAX_STEPS is model.MAX_STEPS
+    assert quantum.check_step_count is model.check_step_count
+    assert classical.DEFAULT_TOL is model.DEFAULT_TOL
+    assert classical.MIN_TOL is model.MIN_TOL
+    assert classical.check_tol is model.check_tol
 
 
 def test_a_pooled_batch_imports_what_its_kinds_call_in_the_parent(tmp_path):
