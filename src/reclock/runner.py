@@ -25,7 +25,7 @@ from .classical import integrate_t, integrate_tau, trajectory_equivalence
 from .errors import ReclockError, ValidationError
 from .model import prepare_gaussian
 from .quantum import CovarianceReport, CovarianceScenario, covariance_experiment
-from .reports import layout, render_table, sweep_layout, write_artifact
+from .reports import layout, render_parts, sweep_layout, write_artifact
 from .scenario import CHECKS, Scenario, ScenarioKind, parse_scenario, require_distinct_names
 
 
@@ -51,9 +51,7 @@ def _emit(layouts: dict, out_dir: Path, formats) -> list[str]:
     paths = []
     for stem, artifact in layouts.items():
         for fmt in formats:
-            # No local holds the text: it would live on while the next format
-            # renders (+1.4 MB peak RSS for a 6283-row covariance report).
-            path = write_artifact(render_table(*artifact, fmt), out_dir / f"{stem}.{fmt}")
+            path = write_artifact(render_parts(*artifact, fmt), out_dir / f"{stem}.{fmt}")
             paths.append(str(path))
     return paths
 
@@ -285,9 +283,13 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
     it fails every file that shares it, each with the detail it would have
     alone. Groups run costliest first, the longest-processing-time rule of
     Graham (1969), so no long group starts last and runs alone, on
-    ``min(jobs, groups)`` workers: with one, in this process. Whether
-    covariances step their two runs side by side is decided once, here, for
-    that many workers (``_side_by_side``).
+    ``min(jobs, groups)`` workers: with one, in this process. A pool starts
+    its workers by ``fork`` where ``os.fork`` exists, named here rather than
+    left to the interpreter's default (``forkserver`` on Linux from Python
+    3.14, whose workers' CPU the caller's ``RUSAGE_CHILDREN`` never sees),
+    and by the default method elsewhere. Whether covariances step their two
+    runs side by side is decided once, here, for that many workers
+    (``_side_by_side``).
     """
     scenarios = [parse_scenario(p) for p in paths]
     require_distinct_names(zip(paths, scenarios))
@@ -301,9 +303,11 @@ def run_many(paths, out_root="reports", formats=("csv",), jobs: int = 1) -> list
         results = [_run_group(*task) for task in tasks]
     else:
         # Imported here: a run without a pool loads no multiprocessing.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = [f.result() for f in [pool.submit(_run_group, *task) for task in tasks]]
     by_file = {i: s for members, group in zip(groups, results) for i, s in zip(members, group)}
     return [by_file[i] for i in range(len(scenarios))]

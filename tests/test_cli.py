@@ -740,7 +740,7 @@ def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(mon
     submitted = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             pass
 
         def __enter__(self):
@@ -769,6 +769,24 @@ def test_run_many_submits_the_costliest_file_first_and_reports_in_file_order(mon
         ["linear-alpha2-harmonic"], ["gauge-identity"], ["classical-linear-alpha2"],
         ["classical-sine-driven"],
     ]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="pinned where os.fork exists")
+def test_a_pool_forks_its_workers_on_linux(tmp_path, monkeypatch):
+    # Named, not inherited: Linux's default is forkserver from Python 3.14.
+    contexts = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(max_workers, mp_context):
+        contexts.append(mp_context)
+        return pool_class(max_workers=max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    c = _write(tmp_path, CLASSICAL_TEXT, "c.scenario")
+    q = _write(tmp_path, QUANTUM_TEXT, "q.scenario")
+    summaries = run_many([c, q], out_root=str(tmp_path / "r"), jobs=2)
+    assert [s.status for s in summaries] == [Status.PASS] * 2
+    assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
 
 
 def test_unexpected_exception_fails_one_scenario_not_the_batch(tmp_path, monkeypatch, capsys):

@@ -42,10 +42,9 @@ def _real_part_overlap(a, b, dx):
 
 
 def _csv_15_digits(table):
-    lines = [",".join(table)]
+    yield ",".join(table) + "\n"
     for row in zip(*table.values(), strict=True):
-        lines.append(",".join(f"{float(v):.14e}" for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(f"{float(v):.14e}" for v in row) + "\n"
 
 
 def _stiffer_kinetic_weight(scale, _weight=quantum._kinetic_weight):
@@ -123,7 +122,7 @@ MUTANTS = {
          ("sine",)),
     ),
     "csv-15-digits": (
-        reports, "csv_table", _csv_15_digits,
+        reports, "csv_parts", _csv_15_digits,
         ("test_reports", "test_covariance_report_csv_layout", ()),
     ),
     "snap-fraction-x10": (

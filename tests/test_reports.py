@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,10 +29,13 @@ from reclock.reports import (
     csv_table,
     json_document,
     layout,
+    render_parts,
     render_report,
+    render_table,
     sweep_layout,
     write_artifact,
 )
+from reclock.runner import _emit
 
 CST = PhysicalConstants()
 
@@ -177,6 +181,43 @@ def test_csv_rejects_columns_of_unequal_length_as_zip_does(lengths):
         csv_table(table)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(_layouts()))
+def test_a_streamed_artifact_is_the_rendered_text(tmp_path, name, fmt):
+    artifact = _layouts()[name]
+    path = write_artifact(render_parts(*artifact, fmt), tmp_path / f"{name}.{fmt}")
+    assert path.read_bytes() == render_table(*artifact, fmt).encode()
+
+
+def test_a_render_that_fails_partway_leaves_no_file(tmp_path):
+    # The first 1024-row chunk is written before the shorter column runs out.
+    table = {"a": np.zeros(2048), "b": np.zeros(1024)}
+    with pytest.raises(ValueError) as want:
+        _csv_per_cell(table)
+    target = tmp_path / "out" / "x.csv"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        write_artifact(render_parts("demo", table, {}, (), "csv"), target)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writing_a_long_report_holds_less_than_its_text(tmp_path, fmt):
+    # A covariance report with a record at every step of a 2 pi span at
+    # dt = 1e-3 has 6283 rows. Written as it renders, it is never held whole.
+    rng = np.random.default_rng(0)
+    names = layout(_small_report())[1]
+    artifact = ("covariance_report", {name: rng.standard_normal(6283) for name in names}, {}, ())
+    size = len(render_table(*artifact, fmt))
+    tracemalloc.start()
+    try:
+        _emit({"report": artifact}, tmp_path, [fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / f"report.{fmt}").stat().st_size == size
+    assert peak < size, f"peak {peak} B while writing {size} B of text"
+
+
 def test_rendering_is_deterministic():
     report = _small_report()
     again = _small_report()
@@ -202,13 +243,13 @@ def test_render_report_rejects_bad_inputs():
 def test_emit_report_creates_directories_and_wraps_os_errors(tmp_path):
     report = _small_report()
     target = tmp_path / "deep" / "nested" / "report.csv"
-    path = write_artifact(render_report(report, "csv"), target)
+    path = write_artifact([render_report(report, "csv")], target)
     assert path == target and target.is_file()
     assert target.read_text(encoding="utf-8") == render_report(report, "csv")
     first_bytes = target.read_bytes()
-    write_artifact(render_report(report, "csv"), target)
+    write_artifact([render_report(report, "csv")], target)
     assert target.read_bytes() == first_bytes
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")
     with pytest.raises(ReclockError, match="cannot write report"):
-        write_artifact(render_report(report, "csv"), blocker / "sub" / "x.csv")
+        write_artifact([render_report(report, "csv")], blocker / "sub" / "x.csv")
