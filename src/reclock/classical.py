@@ -53,7 +53,7 @@ from .model import (
 HOMOGENEITY_FD_STEP = 1e-5
 
 # The longest orbit in use (classical-orbits benchmark) makes ~25 400 right-hand-side
-# evaluations, 40x below this cap. A runaway reaches it in 3.0-3.2 s at 46 MB peak
+# evaluations, 40x below this cap. A runaway reaches it in 2.55-2.64 s at 45 MB peak
 # RSS (classical-linear-alpha2 with tau1 = 1e9, `reclock run`, 2-vCPU Xeon, three
 # runs); the run fails on its tau orbit, so its t orbit never starts.
 MAX_RHS_EVALS = 10**6

@@ -10,14 +10,24 @@ method, which skips the function's dispatch): written as Python sums they
 round differently. And the clocks and states reach ``fun`` as NumPy scalars
 (the first clock is ``a`` as given), so a force that overflows in their
 arithmetic raises under the caller's error state instead of passing as inf.
-What produces no float is not repeated: the stage views and tableau rows are
-paired once per call, a stage state is two NumPy-scalar sums of its dot
-product's values, not a two-element array, ``fun``'s pair is written into
-the stage array element by element, and the error norm takes
-``np.sqrt(x.dot(x))``, all ``np.linalg.norm`` computes for a real 1-D array.
+What produces no float is not repeated. The stage views and tableau rows
+are paired once per call. Each stage state, step-end state, error-scale
+entry and entry of the first three dense rows is formed from NumPy scalars,
+one per component, not as a two-element array: ``d * h + y`` from the
+pinned dot's two values, with the step made a NumPy scalar first, makes the
+two roundings of SciPy's array arithmetic and raises under the same error
+state. ``fun``'s pair is written into the stage array element by element,
+the error scale into one reused two-element array, and the accepted states
+are kept as pairs and made one array at the end; the step control takes
+``abs`` and ``math.nextafter`` on scalars. Three more products stay pinned
+on arrays: the error estimates ``KT.dot(E5)`` and ``KT.dot(E3)``, their
+norms ``np.sqrt(x.dot(x))`` (all ``np.linalg.norm`` computes for a real 1-D
+array), and the dense coefficients ``np.dot(D, K)``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -256,7 +266,7 @@ def _error_norm(KT, h, scale):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
 def integrate(fun, a, b, y0, tol, dense):
@@ -271,15 +281,18 @@ def integrate(fun, a, b, y0, tol, dense):
     spacing of doubles at its clock raises FloatingPointError(TOO_SMALL_STEP).
     """
     t, y = a, np.asarray(y0, dtype=float)
-    K = np.empty((N_STAGES_EXTENDED, y.size))
+    K = np.empty((N_STAGES_EXTENDED, 2))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
     step_stages = [(s, KT[s], A[s, :s], C[s]) for s in range(1, N_STAGES)]
     extra_stages = [(s, KT[s], A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
     K[0] = fun(t, y)  # K[0] holds the derivative at (t, y) from here on
     h_abs = _initial_step(fun, t, y, b, K[0], tol)
-    ts, ys, Fs = [t], [y], []
+    y0, y1 = y
+    scale = np.empty(2)
+    ts, ys, Fs = [t], [(y0, y1)], []
     while t < b:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        # The spacing is positive, so SciPy's np.abs around it changes nothing.
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -289,13 +302,15 @@ def integrate(fun, a, b, y0, tol, dense):
             if t_new - b > 0:
                 t_new = b
             h = t_new - t
-            h_abs = np.abs(h)
-            _stages(fun, K, step_stages, t, *y, h * FORWARD)
-            y_new = KT[N_STAGES].dot(B)
-            y_new *= h
-            y_new += y
-            K[N_STAGES] = fun(t + h, y_new)
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            h_abs = abs(h)
+            hf = h * FORWARD
+            _stages(fun, K, step_stages, t, y0, y1, hf)
+            d0, d1 = KT[N_STAGES].dot(B).tolist()
+            n0, n1 = d0 * hf + y0, d1 * hf + y1
+            g0, g1 = fun(t + h, (n0, n1))
+            K[N_STAGES, 0], K[N_STAGES, 1] = g0, g1
+            scale[0] = tol + max(abs(y0), abs(n0)) * tol
+            scale[1] = tol + max(abs(y1), abs(n1)) * tol
             error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 factor = MAX_FACTOR
@@ -306,19 +321,20 @@ def integrate(fun, a, b, y0, tol, dense):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
         if dense:
-            _stages(fun, K, extra_stages, t, *y, h * FORWARD)
-            F = np.empty((INTERPOLATOR_POWER, y.size))
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * K[0] - delta_y
-            F[2] = 2 * delta_y - h * (K[N_STAGES] + K[0])
-            F[3:] = h * np.dot(D, K)
+            _stages(fun, K, extra_stages, t, y0, y1, hf)
+            e0, e1 = n0 - y0, n1 - y1
+            f0, f1 = K[0, 0], K[0, 1]  # NumPy scalars, so g + f raises as SciPy's sum does
+            F = np.empty((INTERPOLATOR_POWER, 2))
+            F[0, 0], F[0, 1] = e0, e1
+            F[1, 0], F[1, 1] = hf * f0 - e0, hf * f1 - e1
+            F[2, 0], F[2, 1] = 2 * e0 - hf * (g0 + f0), 2 * e1 - hf * (g1 + f1)
+            F[3:] = hf * np.dot(D, K)
             Fs.append(F)
-        t, y = t_new, y_new
-        K[0] = K[N_STAGES]
+        t, y0, y1 = t_new, n0, n1
+        K[0, 0], K[0, 1] = g0, g1
         ts.append(t)
-        ys.append(y)
-    ts, ys = np.array(ts), np.vstack(ys)
+        ys.append((y0, y1))
+    ts, ys = np.array(ts), np.array(ys)
     return ts, ys.T, _reader(ts, ys, np.array(Fs)) if dense else None
 
 

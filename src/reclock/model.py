@@ -320,7 +320,12 @@ class SmoothRampMap(TimeMap):
         rate = self.rate_start + (self.rate_end - self.rate_start) * sig
         # The exact rate never falls below the smaller end rate, but the sum
         # above can round a small end rate away next to a large start rate.
-        return np.maximum(rate, min(self.rate_start, self.rate_end))
+        # A float's rate is a NumPy scalar, which one comparison clamps
+        # faster than np.maximum; like np.maximum, it keeps a nan.
+        floor = min(self.rate_start, self.rate_end)
+        if isinstance(tau, float):
+            return np.float64(floor) if rate < floor else rate
+        return np.maximum(rate, floor)
 
 
 def clock_reading(timemap: TimeMap | None, clock: float) -> tuple[float, float]:

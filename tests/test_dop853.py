@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from reclock import dop853
 from reclock.classical import MIN_TOL, integrate_t, integrate_tau
 from reclock.errors import NumericalError
 from reclock.model import (
@@ -125,3 +126,71 @@ def test_a_step_below_the_spacing_of_doubles_fails_as_under_solve_ivp():
     with pytest.raises(NumericalError) as failure:
         integrate_t(pot, CST, *Y0, (0.0, 1.0), 1e-9)
     assert str(failure.value) == message
+
+
+# The classical-orbits benchmark's shape: span 100 pi at tol 1e-11, its wells
+# and clocks, and a start inside its range of x0 and p0.
+LONG_SPAN = (0.0, 100.0 * np.pi)
+LONG_ORBITS = {
+    "t": (DrivenHarmonicPotential(omega0=1.0, ramp=0.002), None),
+    "sine": (MovingWellPotential(0.0, 0.01, 1.0), SinePerturbedMap(0.3, 1.0, LONG_SPAN)),
+    "ramp": (
+        DrivenHarmonicPotential(omega0=1.0, ramp=0.002),
+        SmoothRampMap(1.0, 0.5, 50.0 * np.pi, 5.0, LONG_SPAN),
+    ),
+}
+
+
+@pytest.mark.parametrize("clock", sorted(LONG_ORBITS))
+def test_a_benchmark_length_orbit_steps_float_for_float_as_solve_ivp(clock):
+    pot, timemap = LONG_ORBITS[clock]
+    y0 = (-1.3, 0.7)
+    if timemap is None:
+        traj = integrate_t(pot, CST, *y0, LONG_SPAN, 1e-11)
+    else:
+        traj = integrate_tau(pot, CST, timemap, *y0, LONG_SPAN, 1e-11)
+    sol = _solve_ivp(pot, timemap, LONG_SPAN, 1e-11, y0)
+    assert sol.status == 0, sol.message
+    assert len(sol.t) > 1000
+    assert np.array_equal(traj.clocks, sol.t)
+    assert np.array_equal(traj.q, sol.y[0])
+    assert np.array_equal(traj.pm, sol.y[1])
+    if timemap is None:
+        marks = np.linspace(*LONG_SPAN, 4001)
+        assert np.array_equal(traj.dense(marks), sol.sol(marks))
+
+
+_END = 1e-3
+
+
+def _kick(t, y):
+    """No force until 0.9 of the span, then dp/dt = 1e300: only a step's last stage feels it."""
+    return 0.0, 1e300 if t > 0.9 * _END else 0.0
+
+
+class _Kick(PotentialSpec):
+    """The force of ``_kick``, for a particle heavy enough that q barely moves."""
+
+    def value(self, t, x):
+        return (-1e300 if t > 0.9 * _END else 0.0) * x
+
+    def gradient_x(self, t, x):
+        return -1e300 if t > 0.9 * _END else 0.0
+
+
+def test_a_step_end_state_that_overflows_raises_as_under_solve_ivp():
+    # p starts at the largest double. The stage states add only zero
+    # derivatives to it; the step-end state adds B[11] * 1e300 * h, which
+    # rounds past it, so the overflow is in forming the step-end state.
+    big = np.finfo(float).max
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            solve_ivp(_kick, (0.0, _END), (0.0, big), method="DOP853", rtol=1e-6, atol=1e-6)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            dop853.integrate(_kick, 0.0, _END, (0.0, big), 1e-6, dense=False)
+    heavy = PhysicalConstants(mass=big)
+    where = r"^integration over t_span \(0, 0\.001\) failed: "
+    with pytest.raises(NumericalError, match=where) as failure:
+        integrate_t(_Kick(), heavy, 0.0, big, (0.0, _END), 1e-6)
+    assert isinstance(failure.value.__cause__, FloatingPointError)
+    assert "overflow" in str(failure.value)

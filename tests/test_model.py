@@ -163,10 +163,13 @@ RAMPS = [
     SmoothRampMap(0.5, 2.0, 0.0, 1.0, domain=(-800.0, 800.0)),
     SmoothRampMap(2.0, 0.5, 0.0, 1.0, domain=(-800.0, 800.0)),
     SmoothRampMap(0.5, 2.0, 5.0, 5e-3, domain=(0.0, 10.0)),
+    # Past tau = 37 the sum rate_start + (rate_end - rate_start) * sig rounds
+    # to 0.0, so the floor rate_end = 1.0 is what the rate returns.
+    SmoothRampMap(1e17, 1.0, 0.0, 1.0, domain=(-800.0, 800.0)),
 ]
 
 
-@pytest.mark.parametrize("m", RAMPS, ids=["rising", "falling", "sharp"])
+@pytest.mark.parametrize("m", RAMPS, ids=["rising", "falling", "sharp", "floor"])
 def test_smooth_ramp_rate_and_value_are_the_plain_expressions_bit_for_bit(m):
     taus = m.center - np.array(RAMP_EXPONENTS) * m.sharpness
     # Under the classical integrator's error state an unsilenced overflow would raise.
