@@ -47,11 +47,6 @@ def csv_parts(table: dict):
     yield "\n"
 
 
-def csv_table(table: dict) -> str:
-    """A CSV document of ``table``'s named columns with exact 17-significant-digit cells."""
-    return "".join(csv_parts(table))
-
-
 def _json_list(col):
     """The parts of a column as json.dumps(indent=2) writes a list at depth two:
     a float as its repr, but nan and ±inf as NaN and ±Infinity. No finite
@@ -92,11 +87,6 @@ def json_parts(kind: str, table: dict, summary: dict, flags=()):
         yield empty
     yield tail
     yield "\n"
-
-
-def json_document(kind: str, table: dict, summary: dict, flags=()) -> str:
-    """``json_parts`` joined: the whole JSON document."""
-    return "".join(json_parts(kind, table, summary, flags))
 
 
 def layout(obj):
@@ -149,14 +139,9 @@ def render_parts(kind: str, table: dict, summary: dict, flags, fmt: str):
     raise ValidationError(f"unknown report format {fmt!r}; available: csv, json")
 
 
-def render_table(kind: str, table: dict, summary: dict, flags, fmt: str) -> str:
-    """The exact artifact text of a layout in the requested format."""
-    return "".join(render_parts(kind, table, summary, flags, fmt))
-
-
 def render_report(obj, fmt: str) -> str:
     """The exact artifact text for ``obj`` in the requested format."""
-    return render_table(*layout(obj), fmt)
+    return "".join(render_parts(*layout(obj), fmt))
 
 
 def write_artifact(parts, path) -> Path:

@@ -1,9 +1,12 @@
-"""Checks that apply to every Tier-1 test."""
+"""Checks that apply to every Tier-1 test, and the catalogue runs they share."""
 
 import os
 import threading
 
 import pytest
+
+from reclock.cli import catalogue_paths
+from reclock.runner import run_many
 
 
 @pytest.fixture(autouse=True)
@@ -25,3 +28,17 @@ def no_child_process_outlives_its_test():
         return  # no child at all
     state = "still running" if pid == 0 else f"pid {pid} ended unreaped (wait status {status})"
     pytest.fail(f"a child process outlived the test: {state}")
+
+
+@pytest.fixture(scope="session")
+def catalogue_runs(tmp_path_factory):
+    """The bundled catalogue run through ``run_many`` in CSV and JSON, once
+    serially and once with two workers: ``{jobs: (out_root, summaries)}``.
+    Criterion 9 compares the two trees, and each catalogue digest test
+    checks one of them, so a session runs the catalogue twice."""
+    paths = [str(p) for p in catalogue_paths()]
+    runs = {}
+    for jobs in (1, 2):
+        out_root = tmp_path_factory.mktemp(f"catalogue-jobs{jobs}")
+        runs[jobs] = out_root, run_many(paths, str(out_root), ("csv", "json"), jobs)
+    return runs

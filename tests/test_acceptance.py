@@ -41,7 +41,7 @@ from reclock.quantum import (
     propagate_rescaled,
     propagate_t,
 )
-from reclock.runner import Status, run_many
+from reclock.runner import Status
 
 CONSTANTS = PhysicalConstants()
 GRID = SpatialGrid(x_min=-12.0, x_max=12.0, n_points=512)
@@ -351,25 +351,26 @@ def test_criterion_8_unitarity_and_local_truncation_error():
              f"{ratio:.3f} (~4), {wall:.1f}s (< 30s)")
 
 
-def test_criterion_9_deterministic_artifacts_and_exit_codes(tmp_path, capsys):
-    paths = [str(path) for path in catalogue_paths()]
-
-    first = run_many(paths, out_root=str(tmp_path / "first"),
-                     formats=("csv",))
-    second = run_many(paths, out_root=str(tmp_path / "second"),
-                      formats=("csv",))
+def test_criterion_9_deterministic_artifacts_and_exit_codes(catalogue_runs, tmp_path, capsys):
+    """Serial vs ``jobs=2``: the catalogue's two runs (``catalogue_runs``)
+    all Pass and write the same artifacts, CSV and JSON, byte for byte. And
+    ``reclock run`` exits 0, 1 and 2 on a pass, a failed tolerance and a
+    missing file."""
+    (serial, first), (pooled, second) = catalogue_runs[1], catalogue_runs[2]
     all_pass = all(summary.status is Status.PASS
                    for summary in first + second)
 
-    csv_files = sorted((tmp_path / "first").rglob("*.csv"))
-    identical = len(csv_files) > 0
-    for path in csv_files:
-        twin = tmp_path / "second" / path.relative_to(tmp_path / "first")
-        if not (twin.is_file() and path.read_bytes() == twin.read_bytes()):
-            identical = False
-            break
+    artifacts = sorted(path.relative_to(serial)
+                       for path in serial.rglob("*") if path.is_file())
+    twins = sorted(path.relative_to(pooled)
+                   for path in pooled.rglob("*") if path.is_file())
+    identical = (len(artifacts) > 0 and artifacts == twins
+                 and all((serial / name).read_bytes() == (pooled / name).read_bytes()
+                         for name in artifacts))
+    counts = {fmt: sum(name.suffix == f".{fmt}" for name in artifacts)
+              for fmt in ("csv", "json")}
 
-    gauge = next(path for path in paths if "gauge-identity" in path)
+    gauge = next(str(path) for path in catalogue_paths() if "gauge-identity" in path.name)
     code_pass = entrypoint(["run", gauge, "--out", str(tmp_path / "ok")])
     # The same run held to an unattainable fidelity must fail.
     strict = tmp_path / "gauge-identity-strict.scenario"
@@ -383,6 +384,7 @@ def test_criterion_9_deterministic_artifacts_and_exit_codes(tmp_path, capsys):
     ok = (all_pass and identical
           and code_pass == 0 and code_fail == 1 and code_usage == 2)
     _verdict(9, ok,
-             f"catalogue re-run byte-identical across {len(csv_files)} CSV "
-             f"artifacts, all runs Pass, exit codes (pass, strict-fail, "
+             f"catalogue serial vs `jobs=2` byte-identical across "
+             f"{counts['csv']} CSV and {counts['json']} JSON artifacts, "
+             f"all runs Pass, exit codes (pass, strict-fail, "
              f"usage) = ({code_pass}, {code_fail}, {code_usage})")

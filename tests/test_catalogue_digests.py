@@ -2,10 +2,11 @@
 
 ``catalogue.sha256`` holds the SHA-256 of every artifact that one
 ``run_many`` over the catalogue writes in CSV and JSON, serially and with
-two workers alike. Criterion 9 checks only that two runs in one checkout
-agree, so a change that moves a float in both of them passes it; this test
-catches that change. A change that moves an artifact on purpose rewrites
-the manifest with
+two workers alike. Both runs come from the session fixture
+``catalogue_runs`` (``conftest.py``). Criterion 9 checks only that the
+serial and the ``jobs=2`` run agree, so a change that moves a float in both
+of them passes it; these tests catch that change. A change that moves an
+artifact on purpose rewrites the manifest with
 
     PYTHONPATH=src python tests/test_catalogue_digests.py > tests/catalogue.sha256
 
@@ -62,13 +63,6 @@ def tree_digests(out_root: Path) -> dict[str, str]:
     }
 
 
-def catalogue_digests(out_root: Path, jobs: int = 1) -> dict[str, str]:
-    """``tree_digests`` of one catalogue run under ``out_root`` with ``jobs`` workers."""
-    summaries = run_many([str(p) for p in catalogue_paths()], str(out_root), FORMATS, jobs)
-    assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
-    return tree_digests(out_root)
-
-
 def read_manifest(manifest: Path = MANIFEST) -> tuple[dict[str, str], dict[str, str]]:
     """The recorded environment and ``{artifact: sha256}`` of ``manifest``."""
     recorded, digests = {}, {}
@@ -82,20 +76,22 @@ def read_manifest(manifest: Path = MANIFEST) -> tuple[dict[str, str], dict[str, 
     return recorded, digests
 
 
-def test_the_catalogue_writes_the_pinned_artifacts(tmp_path):
-    check_catalogue(tmp_path, jobs=1)
+def test_the_catalogue_writes_the_pinned_artifacts(catalogue_runs):
+    check_catalogue(*catalogue_runs[1])
 
 
-def test_a_pooled_catalogue_writes_the_pinned_artifacts(tmp_path):
+def test_a_pooled_catalogue_writes_the_pinned_artifacts(catalogue_runs):
     # Two workers run the catalogue as groups of files, and the group that
     # shares the sweep's finest experiment steps it once.
-    check_catalogue(tmp_path, jobs=2)
+    check_catalogue(*catalogue_runs[2])
 
 
-def check_catalogue(out_root: Path, jobs: int) -> None:
-    """Fail unless a catalogue run with ``jobs`` workers writes the manifest's
-    artifacts, naming each that differs and the environments."""
-    check_digests(MANIFEST, catalogue_digests(out_root, jobs))
+def check_catalogue(out_root: Path, summaries) -> None:
+    """Fail unless every file of a catalogue run passed and the run wrote the
+    manifest's artifacts under ``out_root``, naming each that differs and the
+    environments."""
+    assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
+    check_digests(MANIFEST, tree_digests(out_root))
 
 
 def check_digests(manifest: Path, actual: dict[str, str]) -> None:
@@ -130,5 +126,7 @@ def print_manifest(title: str, digests: dict[str, str]) -> None:
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = catalogue_digests(Path(tmp))
+        summaries = run_many([str(p) for p in catalogue_paths()], tmp, FORMATS)
+        assert [s.status for s in summaries] == [Status.PASS] * len(summaries), summaries
+        digests = tree_digests(Path(tmp))
     print_manifest("one run_many over the catalogue", digests)

@@ -26,12 +26,11 @@ from reclock.quantum import (
 )
 from reclock.reports import (
     REPORT_SCHEMA_VERSION,
-    csv_table,
-    json_document,
+    csv_parts,
+    json_parts,
     layout,
     render_parts,
     render_report,
-    render_table,
     sweep_layout,
     write_artifact,
 )
@@ -55,7 +54,7 @@ def _small_report() -> CovarianceReport:
 
 def test_csv_cells_round_trip_doubles_exactly():
     values = np.array([0.1, 1.0 / 3.0, math.pi, -1.2345678901234567e-300, 6.02e23])
-    text = csv_table({"v": values})
+    text = "".join(csv_parts({"v": values}))
     lines = text.strip().split("\n")
     assert lines[0] == "v"
     parsed = [float(line) for line in lines[1:]]
@@ -108,12 +107,12 @@ def test_json_documents_round_trip():
     assert doc["summary"]["min_fidelity"] == report.min_fidelity
     assert doc["flags"] == []
 
-    generic = json.loads(json_document("demo", {"a": np.array([0.1])}, {"s": 1}))
+    generic = json.loads("".join(json_parts("demo", {"a": np.array([0.1])}, {"s": 1})))
     assert generic["samples"]["a"] == [0.1]
 
 
 def _csv_per_cell(table):
-    """csv_table with one Python format call per cell: the text it must write."""
+    """The CSV text built with one Python format call per cell: what csv_parts must write."""
     lines = [",".join(table)]
     for row in zip(*table.values(), strict=True):
         lines.append(",".join(f"{float(v):.16e}" for v in row))
@@ -121,7 +120,7 @@ def _csv_per_cell(table):
 
 
 def _json_dumps_whole(kind, table, summary, flags=()):
-    """json_document as one json.dumps of the whole payload: the text it must write."""
+    """The JSON text as one json.dumps of the whole payload: what json_parts must write."""
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": kind,
@@ -166,8 +165,8 @@ def _layouts():
 @pytest.mark.parametrize("name", sorted(_layouts()))
 def test_tables_render_byte_for_byte_as_the_per_cell_code(name):
     kind, table, summary, flags = _layouts()[name]
-    assert csv_table(table) == _csv_per_cell(table)
-    assert json_document(kind, table, summary, flags) == _json_dumps_whole(
+    assert "".join(csv_parts(table)) == _csv_per_cell(table)
+    assert "".join(json_parts(kind, table, summary, flags)) == _json_dumps_whole(
         kind, table, summary, flags
     )
 
@@ -178,7 +177,7 @@ def test_csv_rejects_columns_of_unequal_length_as_zip_does(lengths):
     with pytest.raises(ValueError) as want:
         _csv_per_cell(table)
     with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        csv_table(table)
+        "".join(csv_parts(table))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -186,7 +185,7 @@ def test_csv_rejects_columns_of_unequal_length_as_zip_does(lengths):
 def test_a_streamed_artifact_is_the_rendered_text(tmp_path, name, fmt):
     artifact = _layouts()[name]
     path = write_artifact(render_parts(*artifact, fmt), tmp_path / f"{name}.{fmt}")
-    assert path.read_bytes() == render_table(*artifact, fmt).encode()
+    assert path.read_bytes() == "".join(render_parts(*artifact, fmt)).encode()
 
 
 def test_a_render_that_fails_partway_leaves_no_file(tmp_path):
@@ -207,7 +206,7 @@ def test_writing_a_long_report_holds_less_than_its_text(tmp_path, fmt):
     rng = np.random.default_rng(0)
     names = layout(_small_report())[1]
     artifact = ("covariance_report", {name: rng.standard_normal(6283) for name in names}, {}, ())
-    size = len(render_table(*artifact, fmt))
+    size = len("".join(render_parts(*artifact, fmt)))
     tracemalloc.start()
     try:
         _emit({"report": artifact}, tmp_path, [fmt])
